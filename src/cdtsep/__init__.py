@@ -9,12 +9,10 @@ from .graphs import (
     DistanceTable,
     build_graph,
     build_digraph,
-    digraph_of,
     underlying,
     distances,
     girth,
     enumerate_arcs,
-    is_arc,
     is_bipartite,
     is_hamiltonian,
     is_planar,
@@ -66,13 +64,11 @@ from .groups import (
     PermGroup,
     automorphism_group,
     separator_automorphism_group,
-    is_transitive,
     arc_transitivity,
     is_distance_transitive,
     cayley_digraph,
     digraph_isomorphic,
     graph_isomorphic,
-    regular_subgroup,
     regular_subgroups,
     gl32_elements,
     gl32_mult,

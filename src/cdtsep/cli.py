@@ -9,21 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis import Analysis
 from .catalog import CdtName, build_cdt, cdt_parameters
-from .cycles import enumerate_girth_cycles, fastening_profile
 from .dot import emit_dot
 from .graph6 import Graph6Error, parse_graph6
-from .graphs import (
-    GraphError,
-    distances,
-    girth,
-    is_bipartite,
-    is_hamiltonian,
-    is_planar,
-)
-from .groups import arc_transitivity
-from .orient import OddWitness, build_constraints, classify_kappa, solve
-from .separator import alternate_census, build_separator, separator_summary
+from .graphs import GraphError, is_bipartite, is_hamiltonian
+from .orient import OddWitness
+from .separator import separator_summary
 from .report import (
     ReportInputError,
     run_graph_report,
@@ -54,18 +46,29 @@ def _resolve(spec: str):
         raise _InputError(f"{spec!r} is neither a catalog name nor valid graph6: {exc}")
 
 
-def _pipeline(g, name):
-    """Shared front of the analyze/orient/separator verbs."""
+def _analysis(spec: str):
+    """Resolve a verb's graph into (name | None, Analysis, label table |
+    None).  An ingested graph must be cubic, connected and
+    2-arc-transitive."""
+    name, g, table = _resolve(spec)
     if name is not None:
-        k = cdt_parameters(name).k
+        return name, Analysis(g, cdt_parameters(name)), table
+    if not (g.is_cubic() and g.is_connected()):
+        raise _InputError("input graph must be cubic and connected")
+    a = Analysis(g)
+    if a.k < 2:
+        raise _InputError("input graph is not 2-arc-transitive")
+    return None, a, None
+
+
+def _report(spec: str, budget) -> VerificationReport:
+    """Verification report of one catalog name or graph6 text."""
+    name, g, _table = _resolve(spec)
+    if name is None:
+        graph_report = run_ingest_report(g, budget=budget)
     else:
-        if not (g.is_cubic() and g.is_connected()):
-            raise _InputError("input graph must be cubic and connected")
-        k = arc_transitivity(g)
-        if k < 2:
-            raise _InputError("input graph is not 2-arc-transitive")
-    cs = enumerate_girth_cycles(g)
-    return k, cs
+        graph_report = run_graph_report(name, budget=budget)
+    return VerificationReport(SCHEMA_VERSION, (graph_report,))
 
 
 def _cmd_catalog(args) -> int:
@@ -79,28 +82,26 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    name, g, _table = _resolve(args.graph)
-    k, cs = _pipeline(g, name)
-    table = distances(g)
-    print(f"order {g.order}  diameter {table.diameter}  girth {girth(g)}  "
-          f"bipartite {int(is_bipartite(g))}  planar {int(is_planar(g))}")
-    print(f"arc-transitivity {k}")
-    print(f"girth cycles {len(cs)}")
-    profile = fastening_profile(g, cs, k)
+    _name, a, _table = _analysis(args.graph)
+    g = a.graph
+    print(f"order {g.order}  diameter {a.table.diameter}  girth {a.girth}  "
+          f"bipartite {int(is_bipartite(g))}  planar {int(a.planar)}")
+    print(f"arc-transitivity {a.k}")
+    print(f"girth cycles {len(a.cycles)}")
+    profile = a.fastening
     print(f"fastening uniform {profile.uniform}")
     for i in sorted(profile.levels):
         counts = dict(sorted(profile.levels[i].items()))
-        print(f"  paths of length {k - 1 - i}: cycles-through counts {counts}")
+        print(f"  paths of length {a.k - 1 - i}: cycles-through counts {counts}")
     ham = is_hamiltonian(g, budget=args.budget if args.budget else 60.0)
     print(f"hamiltonian {'unknown (budget)' if ham is None else ham}")
     return 0
 
 
 def _cmd_orient(args) -> int:
-    name, g, _table = _resolve(args.graph)
-    k, cs = _pipeline(g, name)
+    _name, a, _table = _analysis(args.graph)
     try:
-        outcome = solve(build_constraints(g, cs, k))
+        outcome = a.outcome
     except GraphError as exc:
         raise _InputError(str(exc))
     if isinstance(outcome, OddWitness):
@@ -109,25 +110,21 @@ def _cmd_orient(args) -> int:
         for cid, p, parity in zip(outcome.cycle_ids, outcome.paths, outcome.parities):
             print(f"  cycle {cid} -> path {p} ({'odd' if parity else 'even'})")
         print(f"  back to cycle {outcome.cycle_ids[-1]}")
-        print(f"kappa {classify_kappa(False, is_planar(g), cs.girth, k)}")
+        print(f"kappa {a.kappa}")
         return 0
     signs = "".join("-" if f else "+" for f in outcome.flips)
     print("orientation: solvable")
     print(f"components {outcome.components}")
     print(f"assignment {signs}")
-    print(f"kappa {classify_kappa(True, is_planar(g), cs.girth, k)}")
+    print(f"kappa {a.kappa}")
     return 0
 
 
 def _cmd_separator(args) -> int:
-    name, g, _table = _resolve(args.graph)
-    k, cs = _pipeline(g, name)
-    outcome = solve(build_constraints(g, cs, k))
-    if isinstance(outcome, OddWitness):
+    _name, a, _table = _analysis(args.graph)
+    if not a.solved:
         raise _InputError("no separator: the orientation constraints are unsolvable")
-    s = build_separator(g, cs, k, outcome)
-    census = alternate_census(s, max_r=4)
-    summary = separator_summary(s, census)
+    summary = separator_summary(a.separator, a.census(4))
     print(f"vertices {summary.vertices}")
     print(f"cycle arcs {summary.cycle_arcs}  transposition edges "
           f"{summary.transposition_edges}  underlying edges {summary.underlying_edges}")
@@ -140,18 +137,12 @@ def _cmd_separator(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = args.budget
     if args.all:
-        report = run_report(budget=budget)
+        report = run_report(budget=args.budget)
+    elif args.graph:
+        report = _report(args.graph, args.budget)
     else:
-        if not args.graph:
-            raise _InputError("verify needs a graph name or --all")
-        name, g, _table = _resolve(args.graph)
-        if name is None:
-            graph_report = run_ingest_report(g, budget=budget)
-        else:
-            graph_report = run_graph_report(name, budget=budget)
-        report = VerificationReport(SCHEMA_VERSION, (graph_report,))
+        raise _InputError("verify needs a graph name or --all")
     if args.json:
         print(report_to_json(report))
     else:
@@ -168,27 +159,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    name, g, table = _resolve(args.graph)
     if args.dot:
-        k, cs = _pipeline(g, name)
-        outcome = solve(build_constraints(g, cs, k))
-        if isinstance(outcome, OddWitness):
+        name, a, table = _analysis(args.graph)
+        if not a.solved:
             raise _InputError("no separator to export: orientation unsolvable")
-        s = build_separator(g, cs, k, outcome)
-        text = emit_dot(s, table, name=name.value if name else "separator")
+        text = emit_dot(a.separator, table, name=name.value if name else "separator")
         with open(args.dot, "w") as f:
             f.write(text)
         print(f"wrote {args.dot}")
         return 0
     if args.json_path:
-        if name is None:
-            report = VerificationReport(
-                SCHEMA_VERSION, (run_ingest_report(g, budget=args.budget),)
-            )
-        else:
-            report = VerificationReport(
-                SCHEMA_VERSION, (run_graph_report(name, budget=args.budget),)
-            )
+        report = _report(args.graph, args.budget)
         with open(args.json_path, "w") as f:
             f.write(report_to_json(report) + "\n")
         print(f"wrote {args.json_path}")

@@ -18,12 +18,10 @@ __all__ = [
     "DistanceTable",
     "build_graph",
     "build_digraph",
-    "digraph_of",
     "underlying",
     "distances",
     "girth",
     "enumerate_arcs",
-    "is_arc",
     "is_bipartite",
     "is_hamiltonian",
     "is_planar",
@@ -123,11 +121,6 @@ def build_digraph(order: int, arcs) -> Digraph:
             raise GraphError(f"duplicate arc ({u}, {v})")
         out[u].add(v)
     return Digraph(order, tuple(tuple(sorted(a)) for a in out))
-
-
-def digraph_of(g: Graph) -> Digraph:
-    """View an undirected graph as a digraph of oppositely oriented arc pairs."""
-    return Digraph(g.order, g.adj)
 
 
 def underlying(d: Digraph) -> Graph:
@@ -230,16 +223,6 @@ def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:
             if nxt != prev:
                 stack.append(walk + (nxt,))
     return out
-
-
-def is_arc(g: Graph, seq) -> bool:
-    """Whether a vertex sequence is a non-backtracking walk in g."""
-    if len(seq) < 2:
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            return False
-    return all(seq[i + 2] != seq[i] for i in range(len(seq) - 2))
 
 
 def is_bipartite(g: Graph) -> bool:

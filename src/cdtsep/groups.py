@@ -17,7 +17,7 @@ from math import lcm
 from sympy.combinatorics import Permutation as _SymPerm
 from sympy.combinatorics import PermutationGroup as _SymGroup
 
-from .graphs import Digraph, Graph, build_digraph, distances, enumerate_arcs
+from .graphs import Digraph, Graph, build_digraph, distances, enumerate_arcs, underlying
 from .separator import SeparatorDigraph
 
 __all__ = [
@@ -26,13 +26,11 @@ __all__ = [
     "compose",
     "inverse",
     "automorphism_group",
-    "is_transitive",
     "arc_transitivity",
     "is_distance_transitive",
     "cayley_digraph",
     "digraph_isomorphic",
     "graph_isomorphic",
-    "regular_subgroup",
     "regular_subgroups",
     "separator_seeds",
     "separator_automorphism_group",
@@ -234,18 +232,6 @@ def _search(ta, tb, forced):
     return None
 
 
-def _compress_generators(perms) -> list[tuple[int, ...]]:
-    """Drop permutations already generated by the kept ones, so large
-    seed collections shrink to a handful of generators."""
-    kept: list[tuple[int, ...]] = []
-    group = None
-    for p in perms:
-        if group is None or not group.contains(_SymPerm(list(p))):
-            kept.append(p)
-            group = _SymGroup([_SymPerm(list(g)) for g in kept])
-    return kept
-
-
 def _stabilizer_orbit(gens, degree, fixed, b) -> set[int]:
     """Orbit of b under the pointwise stabilizer of fixed in <gens>."""
     if not gens:
@@ -271,12 +257,10 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     n = len(ta)
     gens: list[tuple[int, ...]] = []
     ident = tuple(range(n))
-    verified = []
     for s in seeds:
         s = tuple(s)
-        if s != ident and _verify_mapping(ta, ta, s) and s not in verified:
-            verified.append(s)
-    gens.extend(_compress_generators(verified))
+        if s != ident and _verify_mapping(ta, ta, s) and s not in gens:
+            gens.append(s)
     fixed: list[int] = []
     while True:
         forced = {v: v for v in fixed}
@@ -303,14 +287,10 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     return PermGroup(n, tuple(gens))
 
 
-def is_transitive(group: PermGroup, num_points: int | None = None) -> bool:
-    return group.is_transitive(num_points)
-
-
-def arc_transitivity(g: Graph, max_len: int = 7) -> int:
-    """Largest length (up to max_len) at which the automorphism group
-    still has a single orbit on arcs of that length."""
-    gens = automorphism_group(g).generators
+def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
+    """Largest length (up to max_len) at which group, the automorphism
+    group of g, still has a single orbit on arcs of that length."""
+    gens = group.generators
     best = 0
     for length in range(1, max_len + 1):
         arcs = enumerate_arcs(g, length)
@@ -330,10 +310,10 @@ def arc_transitivity(g: Graph, max_len: int = 7) -> int:
     return best
 
 
-def is_distance_transitive(g: Graph) -> bool:
-    """Whether the orbit partition on ordered vertex pairs equals the
-    partition by distance."""
-    gens = automorphism_group(g).generators
+def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
+    """Whether the orbit partition of group, the automorphism group of g,
+    on ordered vertex pairs equals the partition by distance."""
+    gens = group.generators
     table = distances(g)
     classes: dict[int, set[tuple[int, int]]] = {}
     for u in range(g.order):
@@ -535,12 +515,6 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     return found
 
 
-def regular_subgroup(group: PermGroup, num_points: int) -> PermGroup | None:
-    """First regular subgroup found by regular_subgroups, or None."""
-    found = regular_subgroups(group, num_points)
-    return found[0] if found else None
-
-
 # ---------------------------------------------------------------------------
 # Separator-specific helpers.
 
@@ -573,25 +547,20 @@ def induced_arc_permutation(s: SeparatorDigraph, h) -> tuple[int, ...] | None:
 
 
 def separator_seeds(s: SeparatorDigraph, host_group: PermGroup) -> list[tuple[int, ...]]:
-    """Underlying-graph separator automorphisms induced by every host
-    automorphism."""
+    """Underlying-graph separator automorphisms induced by the host
+    group's generators."""
     out = []
-    for h in host_group.elements():
+    for h in host_group.generators:
         m = induced_arc_permutation(s, h)
         if m is not None:
             out.append(m)
     return out
 
 
-def separator_automorphism_group(
-    s: SeparatorDigraph, host_group: PermGroup | None = None
-) -> PermGroup:
+def separator_automorphism_group(s: SeparatorDigraph, host_group: PermGroup) -> PermGroup:
     """Automorphism group of the underlying separator graph, seeded with
-    the host-induced permutations (orientation reversers included via
-    the transposition correction)."""
-    from .graphs import underlying
-
-    if host_group is None:
-        host_group = automorphism_group(s.graph)
+    the permutations induced by host_group, the automorphism group of the
+    host graph (orientation reversers included via the transposition
+    correction)."""
     seeds = separator_seeds(s, host_group)
     return automorphism_group(underlying(s.digraph), seeds=seeds)

@@ -88,13 +88,17 @@ class _ParityUnionFind:
         self.parity = [0] * n  # parity relative to parent
 
     def find(self, x: int) -> tuple[int, int]:
-        if self.parent[x] == x:
-            return x, 0
-        root, par = self.find(self.parent[x])
-        par ^= self.parity[x]
-        self.parent[x] = root
-        self.parity[x] = par
-        return root, par
+        """Root of x and the parity of x relative to it, with path compression."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        par = 0
+        for v in reversed(path):
+            par ^= self.parity[v]
+            self.parent[v] = x
+            self.parity[v] = par
+        return x, par
 
     def union(self, x: int, y: int, differ: bool) -> bool:
         """Merge; returns False on parity conflict."""

@@ -13,33 +13,14 @@ import json
 import time
 from dataclasses import asdict, dataclass
 
-from .catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
-from .cycles import enumerate_girth_cycles, fastening_profile
-from .graphs import (
-    Graph,
-    build_graph,
-    distances,
-    girth,
-    is_bipartite,
-    is_hamiltonian,
-    is_planar,
-    underlying,
-)
-from .orient import (
-    ConstraintError,
-    OddWitness,
-    build_constraints,
-    classify_kappa,
-    solve,
-    verify_ooa,
-)
-from .separator import alternate_census, build_separator
-from .topology import euler, face_complex
+from .analysis import Analysis
+from .catalog import CdtName, reference_ooc
+from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian, underlying
+from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
     PermGroup,
     alternating_elements,
     arc_transitivity,
-    automorphism_group,
     cayley_digraph,
     digraph_isomorphic,
     gl32_elements,
@@ -50,7 +31,6 @@ from .groups import (
     is_distance_transitive,
     perm_mult,
     regular_subgroups,
-    separator_automorphism_group,
     symmetric_elements,
 )
 
@@ -68,12 +48,13 @@ __all__ = [
     "KNOWN_DISCREPANCIES",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MATCH = "match"
 MISMATCH = "mismatch"
 FLAGGED = "flagged-discrepancy"
 SKIPPED = "skipped"
+COMPUTED = "computed"  # no reference value to compare against
 
 
 class ReportInputError(ValueError):
@@ -168,6 +149,10 @@ def _check(name, expected, actual, note="") -> Check:
     return Check(name, status, expected, actual, note)
 
 
+def _computed(name, actual, note="") -> Check:
+    return Check(name, COMPUTED, None, actual, note)
+
+
 def _flag(name, printed, actual, note) -> Check:
     return Check(name, FLAGGED, printed, actual, note)
 
@@ -216,59 +201,47 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     def over_budget() -> bool:
         return budget is not None and time.monotonic() - start > budget
 
-    p = cdt_parameters(name)
-    g, _table = build_cdt(name)
+    a = Analysis.from_catalog(name)
+    g, p = a.graph, a.row
     checks: list[Check] = []
 
-    table = distances(g)
     checks.append(
         _check(
             "parameters",
             {"n": p.n, "d": p.d, "g": p.g, "b": p.b},
             {
                 "n": g.order,
-                "d": table.diameter,
-                "g": girth(g),
+                "d": a.table.diameter,
+                "g": a.girth,
                 "b": int(is_bipartite(g)),
             },
         )
     )
 
-    cs = enumerate_girth_cycles(g)
+    cs = a.cycles
     checks.append(_check("girth-cycle-count", p.eta, len(cs)))
-    profile = fastening_profile(g, cs, p.k)
-    checks.append(_check("fastening-uniform", True, profile.uniform))
+    checks.append(_check("fastening-uniform", True, a.fastening.uniform))
+    checks.append(_check("ooa-solvable", p.kappa > 0, a.solved))
+    checks.append(_check("kappa", p.kappa, a.kappa))
 
-    outcome = solve(build_constraints(g, cs, p.k))
-    solved = not isinstance(outcome, OddWitness)
-    checks.append(_check("ooa-solvable", p.kappa > 0, solved))
-    planar = is_planar(g)
-    checks.append(
-        _check("kappa", p.kappa, classify_kappa(solved, planar, p.g, p.k))
-    )
-
-    if not solved:
+    if not a.solved:
         checks.append(
-            _check("odd-witness-valid", True, _witness_is_valid(g, cs, p.k, outcome))
+            _check("odd-witness-valid", True, _witness_is_valid(g, cs, p.k, a.outcome))
         )
-        checks.extend(_transitivity_checks(g, p))
+        checks.extend(_transitivity_checks(a))
         if over_budget():
             checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
         else:
-            checks.append(
-                _check("automorphism-order", p.a, automorphism_group(g).order())
-            )
+            checks.append(_check("automorphism-order", p.a, a.host_group.order()))
         checks.append(_hamiltonian_check(g, p, budget, start))
         return GraphReport(name.value, tuple(checks))
 
     fixture = reference_ooc(name)
     if fixture is not None:
-        from .orient import assignment_from_cycles
-
         ref = assignment_from_cycles(cs, fixture.cycles)
         checks.append(_check("reference-ooc-valid", True, verify_ooa(g, cs, p.k, ref)))
 
-    s = build_separator(g, cs, p.k, outcome)
+    s = a.separator
     checks.append(_check("separator-order", 3 * p.n * 2 ** (p.k - 2), s.order))
     under = underlying(s.digraph)
     in_deg = [0] * s.order
@@ -287,7 +260,7 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     )
     checks.append(_check("oriented-cycle-count", p.eta, s.oriented_cycle_count))
 
-    census = alternate_census(s, max_r=4 if name is CdtName.TUTTE else 2)
+    census = a.census(4 if name is CdtName.TUTTE else 2)
     (alt_count, alt_len), (bi_count, bi_len), chi, genus = _SEPARATOR_EXPECT[name]
     checks.append(_check("alternate-count", alt_count, census.simple_count(1)))
     checks.append(
@@ -328,22 +301,20 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
             )
         )
 
-    fc = face_complex(s, census)
-    rep = euler(fc)
+    rep = a.surface
     checks.append(_check("euler-characteristic", chi, rep.chi))
     checks.append(_check("orientable", True, rep.orientable))
     checks.append(_check("genus", genus, rep.genus))
 
-    checks.extend(_transitivity_checks(g, p))
+    checks.extend(_transitivity_checks(a))
 
     if over_budget():
         checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
         checks.append(_hamiltonian_check(g, p, budget, start))
         return GraphReport(name.value, tuple(checks))
 
-    host = automorphism_group(g)
-    checks.append(_check("automorphism-order", p.a, host.order()))
-    sep_aut = separator_automorphism_group(s, host)
+    checks.append(_check("automorphism-order", p.a, a.host_group.order()))
+    sep_aut = a.separator_group
     checks.append(_check("separator-automorphism-order", p.a, sep_aut.order()))
 
     if name in _CAYLEY_TARGETS:
@@ -422,10 +393,10 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     return GraphReport(name.value, tuple(checks))
 
 
-def _transitivity_checks(g, p) -> list[Check]:
+def _transitivity_checks(a: Analysis) -> list[Check]:
     return [
-        _check("distance-transitive", True, is_distance_transitive(g)),
-        _check("arc-transitivity", p.k, arc_transitivity(g)),
+        _check("distance-transitive", True, is_distance_transitive(a.graph, a.host_group)),
+        _check("arc-transitivity", a.row.k, arc_transitivity(a.graph, a.host_group)),
     ]
 
 
@@ -450,7 +421,8 @@ def run_report(
 
 
 def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
-    """Pipeline for an ingested cubic graph outside the catalog.
+    """Pipeline for an ingested cubic graph outside the catalog.  With
+    no reference row, every check reports a computed value.
 
     Raises ReportInputError when the graph misses the structural
     preconditions (cubic, connected, uniform two-cycles-per-key-path).
@@ -459,50 +431,32 @@ def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
         raise ReportInputError("input graph is not cubic")
     if not g.is_connected():
         raise ReportInputError("input graph is not connected")
-    checks: list[Check] = []
-    table = distances(g)
-    glen = girth(g)
-    k = arc_transitivity(g)
-    if k < 2:
+    a = Analysis(g)
+    if a.k < 2:
         raise ReportInputError("input graph is not 2-arc-transitive")
-    checks.append(
-        Check(
-            "parameters",
-            MATCH,
-            None,
-            {
-                "n": g.order,
-                "d": table.diameter,
-                "g": glen,
-                "b": int(is_bipartite(g)),
-                "k": k,
-            },
-            "no reference row; recomputed values only",
-        )
-    )
-    cs = enumerate_girth_cycles(g)
-    checks.append(Check("girth-cycle-count", MATCH, None, len(cs)))
+    parameters = {
+        "n": g.order,
+        "d": a.table.diameter,
+        "g": a.girth,
+        "b": int(is_bipartite(g)),
+        "k": a.k,
+    }
+    checks = [
+        _computed("parameters", parameters, "no reference row; recomputed values only"),
+        _computed("girth-cycle-count", len(a.cycles)),
+    ]
     try:
-        constraints = build_constraints(g, cs, k)
+        solved = a.solved
     except ConstraintError as exc:
         raise ReportInputError(str(exc)) from exc
-    outcome = solve(constraints)
-    solved = not isinstance(outcome, OddWitness)
-    kappa = classify_kappa(solved, is_planar(g), glen, k)
-    checks.append(Check("ooa-solvable", MATCH, None, solved))
-    checks.append(Check("kappa", MATCH, None, kappa))
+    checks.append(_computed("ooa-solvable", solved))
+    checks.append(_computed("kappa", a.kappa))
     if solved:
-        s = build_separator(g, cs, k, outcome)
-        census = alternate_census(s, max_r=2)
-        checks.append(Check("separator-order", MATCH, None, s.order))
-        checks.append(
-            Check("alternate-count", MATCH, None, census.simple_count(1))
-        )
-        rep = euler(face_complex(s, census))
-        checks.append(Check("euler-characteristic", MATCH, None, rep.chi))
-        checks.append(
-            Check("genus", MATCH, None, rep.genus if rep.orientable else None)
-        )
+        checks.append(_computed("separator-order", a.separator.order))
+        checks.append(_computed("alternate-count", a.census(2).simple_count(1)))
+        rep = a.surface
+        checks.append(_computed("euler-characteristic", rep.chi))
+        checks.append(_computed("genus", rep.genus if rep.orientable else None))
     return GraphReport("ingested", tuple(checks))
 
 

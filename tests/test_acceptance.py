@@ -6,23 +6,19 @@ assertion message and analyzed in the project notes."""
 import random
 
 import networkx as nx
-import pytest
 
-from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
+from cdtsep.catalog import CdtName, reference_ooc
 from cdtsep.cycles import (
     canonical_cycle,
     cycles_through,
-    enumerate_girth_cycles,
-    fastening_profile,
     unordered_paths,
 )
 from cdtsep.graph6 import parse_graph6, write_graph6
-from cdtsep.graphs import build_graph, distances, girth, is_bipartite, underlying
+from cdtsep.graphs import build_graph, is_bipartite, underlying
 from cdtsep.groups import (
     GL32_GENERATORS,
     alternating_elements,
     arc_transitivity,
-    automorphism_group,
     cayley_digraph,
     digraph_isomorphic,
     gl32_elements,
@@ -30,42 +26,18 @@ from cdtsep.groups import (
     is_distance_transitive,
     perm_mult,
     regular_subgroups,
-    separator_automorphism_group,
     symmetric_elements,
 )
 from cdtsep.orient import (
     OddWitness,
     OrientationAssignment,
     assignment_from_cycles,
-    build_constraints,
-    solve,
     verify_ooa,
 )
-from cdtsep.report import KNOWN_DISCREPANCIES, run_report
-from cdtsep.topology import euler, face_complex
+from cdtsep.report import KNOWN_DISCREPANCIES
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 UNSOLVABLE = ["petersen", "heawood", "pappus", "foster", "biggs-smith"]
-
-_CACHE = {}
-
-
-def core(text):
-    """Shared per-graph pipeline up to the solver outcome."""
-    if text not in _CACHE:
-        name = CdtName.from_string(text)
-        g, _ = build_cdt(name)
-        p = cdt_parameters(name)
-        cs = enumerate_girth_cycles(g)
-        outcome = solve(build_constraints(g, cs, p.k))
-        _CACHE[text] = (name, g, p, cs, outcome)
-    return _CACHE[text]
-
-
-@pytest.fixture(scope="module")
-def full_report():
-    return run_report()
-
 
 def conclude(number, description, failures):
     verdict = "PASS" if not failures else "FAIL"
@@ -73,31 +45,33 @@ def conclude(number, description, failures):
     assert not failures, f"criterion {number} failed on: {failures}"
 
 
-def test_criterion_01_catalog_parameters():
+def test_criterion_01_catalog_parameters(analysis_of):
     failures = []
     for text in SOLVABLE + UNSOLVABLE:
-        _name, g, p, _cs, _o = core(text)
-        got = (g.order, distances(g).diameter, girth(g), int(is_bipartite(g)))
+        a = analysis_of(text)
+        p = a.row
+        got = (a.graph.order, a.table.diameter, a.girth, int(is_bipartite(a.graph)))
         if got != (p.n, p.d, p.g, p.b):
             failures.append((text, got))
     conclude(1, "recomputed (n, d, g, b) match the reference table", failures)
 
 
-def test_criterion_02_girth_cycle_counts():
+def test_criterion_02_girth_cycle_counts(analysis_of):
     failures = []
     for text in SOLVABLE + UNSOLVABLE:
-        _name, _g, p, cs, _o = core(text)
+        a = analysis_of(text)
+        p, cs = a.row, a.cycles
         expected = 2 ** (p.k - 2) * 3 * p.n // p.g
         if not (len(cs) == expected == p.eta):
             failures.append((text, len(cs)))
     conclude(2, "girth-cycle counts equal 2^(k-2)·3n/g for all 12 graphs", failures)
 
 
-def test_criterion_03_fastening_law():
+def test_criterion_03_fastening_law(analysis_of):
     failures = []
     for text in SOLVABLE + UNSOLVABLE:
-        _name, g, p, cs, _o = core(text)
-        profile = fastening_profile(g, cs, p.k)
+        a = analysis_of(text)
+        g, p, profile = a.graph, a.row, a.fastening
         if not profile.uniform:
             failures.append(text)
             continue
@@ -111,14 +85,15 @@ def test_criterion_03_fastening_law():
     )
 
 
-def test_criterion_04_solver_split_and_witnesses():
+def test_criterion_04_solver_split_and_witnesses(analysis_of):
     failures = []
     for text in SOLVABLE:
-        name, g, p, cs, outcome = core(text)
-        if isinstance(outcome, OddWitness) or not verify_ooa(g, cs, p.k, outcome):
+        a = analysis_of(text)
+        if not a.solved or not verify_ooa(a.graph, a.cycles, a.k, a.outcome):
             failures.append(text)
     for text in UNSOLVABLE:
-        _name, g, p, cs, w = core(text)
+        a = analysis_of(text)
+        cs, w = a.cycles, a.outcome
         if not isinstance(w, OddWitness):
             failures.append(text)
             continue
@@ -137,23 +112,24 @@ def test_criterion_04_solver_split_and_witnesses():
              failures)
 
 
-def test_criterion_05_reference_cycle_fixtures():
+def test_criterion_05_reference_cycle_fixtures(analysis_of):
     failures = []
     for text in SOLVABLE:
-        name, g, p, cs, _o = core(text)
-        fixture = reference_ooc(name)
-        a = assignment_from_cycles(cs, fixture.cycles)
-        if not verify_ooa(g, cs, p.k, a):
+        a = analysis_of(text)
+        fixture = reference_ooc(CdtName.from_string(text))
+        ref = assignment_from_cycles(a.cycles, fixture.cycles)
+        if not verify_ooa(a.graph, a.cycles, a.k, ref):
             failures.append(text)
     conclude(5, "all seven reference cycle listings verify as valid orientations",
              failures)
 
 
-def test_criterion_06_separator_structure(separator_of):
+def test_criterion_06_separator_structure(analysis_of):
     expected_orders = dict(zip(SOLVABLE, [12, 36, 24, 60, 120, 168, 720]))
     failures = []
     for text in SOLVABLE:
-        _g, p, _cs, s, _census = separator_of(text)
+        a = analysis_of(text)
+        p, s = a.row, a.separator
         in_deg = [0] * s.order
         for _u, v in s.digraph.arcs():
             in_deg[v] += 1
@@ -171,7 +147,7 @@ def test_criterion_06_separator_structure(separator_of):
              failures)
 
 
-def test_criterion_07_alternate_cycle_censuses(separator_of):
+def test_criterion_07_alternate_cycle_censuses(analysis_of):
     failures = []
     # (graph, r, reference count, reference length)
     expectations = [
@@ -188,7 +164,8 @@ def test_criterion_07_alternate_cycle_censuses(separator_of):
         ("desargues", 2, 20, 9),
     ]
     for text, r, count, length in expectations:
-        _g, p, _cs, s, census = separator_of(text)
+        a = analysis_of(text)
+        s, census = a.separator, a.census(4)
         if r == 0:
             got_count, got_lengths = s.oriented_cycle_count, {s.girth}
         else:
@@ -199,7 +176,7 @@ def test_criterion_07_alternate_cycle_censuses(separator_of):
              failures)
 
 
-def test_criterion_08_topology(separator_of):
+def test_criterion_08_topology(analysis_of):
     # reference (chi, genus); the Tutte recomputation gives (-90, 46)
     expectations = [
         ("k4", 2, 0),
@@ -212,32 +189,28 @@ def test_criterion_08_topology(separator_of):
     ]
     failures = []
     for text, chi, genus in expectations:
-        _g, _p, _cs, s, census = separator_of(text)
-        rep = euler(face_complex(s, census))
+        rep = analysis_of(text).surface
         if not (rep.orientable and rep.chi == chi and rep.genus == genus):
             failures.append((text, rep.chi, rep.genus))
     conclude(8, "Euler characteristics, orientability and genus of all seven surfaces",
              failures)
 
 
-def test_criterion_09_automorphism_groups(separator_of):
+def test_criterion_09_automorphism_groups(analysis_of):
     failures = []
-    host_groups = {}
     for text in SOLVABLE + UNSOLVABLE:
-        _name, g, p, _cs, _o = core(text)
-        host_groups[text] = automorphism_group(g)
-        if host_groups[text].order() != p.a:
-            failures.append((text, host_groups[text].order()))
+        a = analysis_of(text)
+        if a.host_group.order() != a.row.a:
+            failures.append((text, a.host_group.order()))
     for text in SOLVABLE:
-        _g, p, _cs, s, _census = separator_of(text)
-        sep = separator_automorphism_group(s, host_groups[text])
-        if sep.order() != p.a:
-            failures.append((text, "separator", sep.order()))
+        a = analysis_of(text)
+        if a.separator_group.order() != a.row.a:
+            failures.append((text, "separator", a.separator_group.order()))
     conclude(9, "host and separator automorphism-group orders match column a",
              failures)
 
 
-def test_criterion_10_cayley_identifications(separator_of):
+def test_criterion_10_cayley_identifications(analysis_of):
     failures = []
     targets = [
         ("k4", alternating_elements(4), ((1, 2, 0, 3), (1, 0, 3, 2))),
@@ -245,7 +218,7 @@ def test_criterion_10_cayley_identifications(separator_of):
         ("dodecahedral", alternating_elements(5), ((1, 2, 3, 4, 0), (0, 2, 1, 4, 3))),
     ]
     for text, elements, gens in targets:
-        _g, _p, _cs, s, _census = separator_of(text)
+        s = analysis_of(text).separator
         target = cayley_digraph(elements, perm_mult, list(gens))
         if digraph_isomorphic(s.digraph, target) is None:
             failures.append((text, "cayley"))
@@ -254,30 +227,28 @@ def test_criterion_10_cayley_identifications(separator_of):
         ("desargues", 120, {1, 2, 3, 4, 5, 6}),
         ("tutte", 720, {1, 2, 3, 4, 5, 8}),
     ]:
-        _g, p, _cs, s, _census = separator_of(text)
-        sep = separator_automorphism_group(s)
-        subs = regular_subgroups(sep, s.order)
+        a = analysis_of(text)
+        subs = regular_subgroups(a.separator_group, a.separator.order)
         if not any(r.order() == order for r in subs):
             failures.append((text, "regular subgroup"))
         elif spectrum is not None and spectrum not in [
             r.order_spectrum() for r in subs
         ]:
             failures.append((text, "spectrum"))
-    _g, _p, _cs, s, _census = separator_of("coxeter")
     ref_target = cayley_digraph(gl32_elements(), gl32_mult, list(GL32_GENERATORS))
-    if digraph_isomorphic(s.digraph, ref_target) is None:
+    if digraph_isomorphic(analysis_of("coxeter").separator.digraph, ref_target) is None:
         failures.append(("coxeter", "cayley reference matrices"))
     conclude(10, "Cayley identifications and regular subgroups of the separators",
              failures)
 
 
-def test_criterion_11_transitivity():
+def test_criterion_11_transitivity(analysis_of):
     failures = []
     for text in SOLVABLE + UNSOLVABLE:
-        _name, g, p, _cs, _o = core(text)
-        if not is_distance_transitive(g):
+        a = analysis_of(text)
+        if not is_distance_transitive(a.graph, a.host_group):
             failures.append((text, "distance"))
-        if arc_transitivity(g) != p.k:
+        if arc_transitivity(a.graph, a.host_group) != a.row.k:
             failures.append((text, "arc"))
     conclude(11, "distance transitivity and arc-transitivity degree for all 12",
              failures)
@@ -290,7 +261,7 @@ def test_criterion_12_known_discrepancy_ledger(full_report):
              failures)
 
 
-def test_criterion_13_property_suite():
+def test_criterion_13_property_suite(analysis_of):
     failures = []
     rng = random.Random(20260823)
     for _ in range(1000):
@@ -310,14 +281,15 @@ def test_criterion_13_property_suite():
                 or canonical_cycle(cyc[::-1]) != c:
             failures.append(("canonical form", cyc))
             break
-    _name, g, p, cs, a = core("q3")
+    q3 = analysis_of("q3")
+    g, k, cs, a = q3.graph, q3.k, q3.cycles, q3.outcome
     flipped = OrientationAssignment(tuple(not f for f in a.flips), a.components)
-    if not verify_ooa(g, cs, p.k, flipped):
+    if not verify_ooa(g, cs, k, flipped):
         failures.append("global flip invariance")
     for i in range(len(a.flips)):
         flips = list(a.flips)
         flips[i] = not flips[i]
-        if verify_ooa(g, cs, p.k, OrientationAssignment(tuple(flips), a.components)):
+        if verify_ooa(g, cs, k, OrientationAssignment(tuple(flips), a.components)):
             failures.append(("independent checker accepted a corrupt assignment", i))
             break
     conclude(13, "property suite: round trips, canonical forms, flip invariance",

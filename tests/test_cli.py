@@ -81,7 +81,7 @@ class TestVerify:
     def test_json_output(self, capsys):
         assert main(["verify", "q3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["reports"][0]["graph"] == "q3"
 
     def test_requires_target(self, capsys):

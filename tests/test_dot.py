@@ -4,8 +4,8 @@ from cdtsep.graphs import build_digraph
 
 
 class TestSeparatorOutput:
-    def test_k4_separator_shape(self, separator_of):
-        _g, _p, _cs, s, _ = separator_of("k4")
+    def test_k4_separator_shape(self, analysis_of):
+        s = analysis_of("k4").separator
         text = emit_dot(s)
         lines = text.splitlines()
         assert lines[0] == 'digraph "G" {'
@@ -15,12 +15,12 @@ class TestSeparatorOutput:
                    for ln in lines) == 12
         assert sum("dir=none" in ln for ln in lines) == 6
 
-    def test_deterministic(self, separator_of):
-        _g, _p, _cs, s, _ = separator_of("k4")
+    def test_deterministic(self, analysis_of):
+        s = analysis_of("k4").separator
         assert emit_dot(s) == emit_dot(s)
 
-    def test_labels_use_table(self, separator_of):
-        _g, _p, _cs, s, _ = separator_of("k4")
+    def test_labels_use_table(self, analysis_of):
+        s = analysis_of("k4").separator
         _, table = build_cdt(CdtName.K4)
         assert '[label="0 1"]' in emit_dot(s, table)
 

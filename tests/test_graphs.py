@@ -4,11 +4,9 @@ from cdtsep.graphs import (
     GraphError,
     build_digraph,
     build_graph,
-    digraph_of,
     distances,
     enumerate_arcs,
     girth,
-    is_arc,
     is_bipartite,
     is_hamiltonian,
     is_planar,
@@ -62,11 +60,6 @@ class TestDigraph:
         u = underlying(d)
         assert u.num_edges() == 2
 
-    def test_digraph_of_doubles_edges(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
-        d = digraph_of(g)
-        assert sorted(d.arcs()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-
 
 class TestDistances:
     def test_petersen_diameter(self):
@@ -108,12 +101,6 @@ class TestArcs:
         assert len(arcs) == 10 * 3 * 2
         assert all(a[0] != a[2] for a in arcs)
         assert arcs == sorted(arcs)
-
-    def test_is_arc(self):
-        g = petersen()
-        arc = enumerate_arcs(g, 3)[0]
-        assert is_arc(g, arc)
-        assert not is_arc(g, (0, 0, 0, 0))
 
 
 class TestPredicates:

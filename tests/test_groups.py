@@ -20,7 +20,6 @@ from cdtsep.groups import (
     is_distance_transitive,
     matrix_order,
     perm_mult,
-    regular_subgroup,
     regular_subgroups,
     separator_automorphism_group,
     symmetric_elements,
@@ -83,20 +82,21 @@ class TestTransitivity:
         "text,expected",
         [("q3", 2), ("petersen", 3), ("heawood", 4), ("tutte", 5), ("foster", 5)],
     )
-    def test_arc_transitivity(self, text, expected):
-        g, _ = build_cdt(CdtName.from_string(text))
-        assert arc_transitivity(g) == expected
+    def test_arc_transitivity(self, text, expected, analysis_of):
+        a = analysis_of(text)
+        assert arc_transitivity(a.graph, a.host_group) == expected
 
-    def test_distance_transitive_catalog_sample(self):
+    def test_distance_transitive_catalog_sample(self, analysis_of):
         for text in ("k4", "petersen", "coxeter"):
-            g, _ = build_cdt(CdtName.from_string(text))
-            assert is_distance_transitive(g)
+            a = analysis_of(text)
+            assert is_distance_transitive(a.graph, a.host_group)
 
     def test_distance_transitivity_fails_with_chord(self):
         cycle_with_chord = build_graph(
             6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]
         )
-        assert not is_distance_transitive(cycle_with_chord)
+        group = automorphism_group(cycle_with_chord)
+        assert not is_distance_transitive(cycle_with_chord, group)
 
 
 class TestCayley:
@@ -173,8 +173,7 @@ class TestIsomorphism:
 class TestRegularSubgroups:
     def test_whole_group_already_regular(self):
         g = PermGroup(3, ((1, 2, 0),))
-        sub = regular_subgroup(g, 3)
-        assert sub is g
+        assert regular_subgroups(g, 3) == [g]
 
     def test_index_too_large(self):
         s3 = PermGroup(3, ((1, 2, 0), (1, 0, 2)))
@@ -194,14 +193,13 @@ class TestRegularSubgroups:
 
 class TestSeparatorAutomorphisms:
     @pytest.mark.parametrize("text", ["k4", "k33", "q3", "dodecahedral"])
-    def test_underlying_group_matches_host(self, text, separator_of):
-        g, p, _cs, s, _ = separator_of(text)
-        host = automorphism_group(g)
-        assert separator_automorphism_group(s, host).order() == p.a
+    def test_underlying_group_matches_host(self, text, analysis_of):
+        a = analysis_of(text)
+        assert separator_automorphism_group(a.separator, a.host_group).order() == a.row.a
 
-    def test_orientation_reverser_becomes_arc_reverser(self, separator_of):
-        g, _p, _cs, s, _ = separator_of("k4")
-        host = automorphism_group(g)
+    def test_orientation_reverser_becomes_arc_reverser(self, analysis_of):
+        a = analysis_of("k4")
+        s, host = a.separator, a.host_group
         reversers = 0
         for h in host.elements():
             m = induced_arc_permutation(s, h)
@@ -213,12 +211,14 @@ class TestSeparatorAutomorphisms:
                 )
         assert reversers == host.order() // 2
 
-    def test_digraph_group_is_half(self, separator_of):
-        _g, p, _cs, s, _ = separator_of("k4")
+    def test_digraph_group_is_half(self, analysis_of):
+        a = analysis_of("k4")
+        p, s = a.row, a.separator
         assert automorphism_group(s.digraph).order() == p.a // 2
 
-    def test_underlying_is_vertex_transitive(self, separator_of):
-        _g, _cs, _p, s, _ = separator_of("q3")
-        group = separator_automorphism_group(s)
+    def test_underlying_is_vertex_transitive(self, analysis_of):
+        a = analysis_of("q3")
+        s = a.separator
+        group = separator_automorphism_group(s, a.host_group)
         assert group.is_transitive()
         assert underlying(s.digraph).is_cubic()

@@ -5,6 +5,7 @@ from cdtsep.cycles import cycles_through, enumerate_girth_cycles
 from cdtsep.orient import (
     OddWitness,
     OrientationAssignment,
+    ParityConstraintGraph,
     assignment_from_cycles,
     build_constraints,
     classify_kappa,
@@ -40,6 +41,13 @@ class TestSolverSplit:
     def test_single_constraint_component(self, text):
         _g, _p, _cs, outcome = pipeline(text)
         assert outcome.components == 1
+
+    def test_long_chain_does_not_recurse(self):
+        # each union hangs the chain one node deeper under the new root
+        chain = tuple((i + 1, i, True, (i,)) for i in range(4999))
+        outcome = solve(ParityConstraintGraph(5000, chain))
+        assert outcome.components == 1
+        assert outcome.flips == tuple(i % 2 == 1 for i in range(5000))
 
     def test_deterministic(self):
         _, _, _, a1 = pipeline("tutte")

@@ -11,7 +11,6 @@ from cdtsep.report import (
     report_to_json,
     run_graph_report,
     run_ingest_report,
-    run_report,
 )
 
 
@@ -47,17 +46,12 @@ class TestSingleGraph:
         assert "automorphism-order" not in [c.name for c in r.checks]
 
 
-@pytest.fixture(scope="module")
-def full():
-    return run_report()
-
-
 class TestFullRun:
-    def test_exit_code_reflects_reference_mismatches(self, full):
-        assert full.exit_code() == 1
+    def test_exit_code_reflects_reference_mismatches(self, full_report):
+        assert full_report.exit_code() == 1
 
-    def test_expected_mismatches_only(self, full):
-        assert sorted((g, c.name) for g, c in full.mismatches()) == [
+    def test_expected_mismatches_only(self, full_report):
+        assert sorted((g, c.name) for g, c in full_report.mismatches()) == [
             ("coxeter", "cayley-gl32-reference-matrices"),
             ("desargues", "bi-alternate-count"),
             ("k33", "bi-alternate-count"),
@@ -65,16 +59,20 @@ class TestFullRun:
             ("tutte", "genus"),
         ]
 
-    def test_flags_are_exactly_the_documented_ones(self, full):
-        assert sorted((g, c.name) for g, c in full.flags()) == sorted(
+    def test_flags_are_exactly_the_documented_ones(self, full_report):
+        assert sorted((g, c.name) for g, c in full_report.flags()) == sorted(
             KNOWN_DISCREPANCIES
         )
 
-    def test_json_round_trip(self, full):
-        assert report_from_json(report_to_json(full)) == full
+    def test_json_round_trip(self, full_report):
+        assert report_from_json(report_to_json(full_report)) == full_report
 
-    def test_schema_version(self, full):
-        assert full.schema_version == SCHEMA_VERSION
+    def test_schema_version(self, full_report):
+        assert full_report.schema_version == SCHEMA_VERSION
+
+    def test_one_group_per_host_and_separator(self, counted_run):
+        # 12 host groups plus 7 separator groups, each computed once
+        assert counted_run[1] == 19
 
 
 class TestIngest:
@@ -82,6 +80,7 @@ class TestIngest:
         r = run_ingest_report(parse_graph6("C~"))
         assert r.graph == "ingested"
         assert r.mismatches() == []
+        assert {c.status for c in r.checks} == {"computed"}
         names = [c.name for c in r.checks]
         assert "separator-order" in names
 

@@ -22,15 +22,16 @@ CENSUS = {
 
 class TestStructure:
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_vertex_set_is_key_arcs(self, text, separator_of):
-        g, p, cs, s, _ = separator_of(text)
+    def test_vertex_set_is_key_arcs(self, text, analysis_of):
+        a = analysis_of(text)
+        g, p, cs, s = a.graph, a.row, a.cycles, a.separator
         assert s.order == 3 * p.n * 2 ** (p.k - 2)
         assert all(len(a) == p.k for a in s.arcs)
         assert list(s.arcs) == sorted(s.arcs)
 
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_degrees_and_underlying(self, text, separator_of):
-        _g, _p, _cs, s, _ = separator_of(text)
+    def test_degrees_and_underlying(self, text, analysis_of):
+        s = analysis_of(text).separator
         in_deg = [0] * s.order
         for _u, v in s.digraph.arcs():
             in_deg[v] += 1
@@ -40,15 +41,16 @@ class TestStructure:
         assert u.is_cubic() and u.is_connected()
 
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_succ_orbits_are_the_oriented_cycles(self, text, separator_of):
-        _g, p, _cs, s, _ = separator_of(text)
+    def test_succ_orbits_are_the_oriented_cycles(self, text, analysis_of):
+        a = analysis_of(text)
+        p, s = a.row, a.separator
         orbits = s.succ_orbits()
         assert len(orbits) == p.eta == s.oriented_cycle_count
         assert all(len(o) == p.g for o in orbits)
 
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_transposition_is_fixed_point_free_involution(self, text, separator_of):
-        _g, _p, _cs, s, _ = separator_of(text)
+    def test_transposition_is_fixed_point_free_involution(self, text, analysis_of):
+        s = analysis_of(text).separator
         assert all(s.trans[s.trans[v]] == v for v in range(s.order))
         assert all(s.trans[v] != v for v in range(s.order))
         assert all(s.arcs[s.trans[v]] == s.arcs[v][::-1] for v in range(s.order))
@@ -66,24 +68,25 @@ class TestStructure:
 
 class TestAlternateCensus:
     @pytest.mark.parametrize("text", sorted(CENSUS))
-    def test_simple_counts_and_lengths(self, text, separator_of):
-        _g, _p, _cs, _s, census = separator_of(text)
+    def test_simple_counts_and_lengths(self, text, analysis_of):
+        census = analysis_of(text).census(4)
         alt, alt_len, bi, bi_len = CENSUS[text]
         assert census.simple_count(1) == alt
         assert census.simple_lengths(1) == {alt_len}
         assert census.simple_count(2) == bi
         assert census.simple_lengths(2) == {bi_len}
 
-    def test_tutte_deep_census(self, separator_of):
-        _g, _p, _cs, _s, census = separator_of("tutte")
+    def test_tutte_deep_census(self, analysis_of):
+        census = analysis_of("tutte").census(4)
         assert census.simple_count(3) == 90
         assert census.simple_lengths(3) == {32}
         assert census.simple_count(4) == 240
         assert census.simple_lengths(4) == {15}
 
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_orbits_partition_the_vertices(self, text, separator_of):
-        _g, _p, _cs, s, census = separator_of(text)
+    def test_orbits_partition_the_vertices(self, text, analysis_of):
+        a = analysis_of(text)
+        s, census = a.separator, a.census(4)
         for r, orbits in census.orbits.items():
             assert sum(o.size for o in orbits) == s.order
             for o in orbits:
@@ -91,8 +94,9 @@ class TestAlternateCensus:
                 assert o.simple == (len(set(o.walk)) == len(o.walk))
 
     @pytest.mark.parametrize("text", SOLVABLE)
-    def test_walks_alternate_succ_and_trans(self, text, separator_of):
-        _g, _p, _cs, s, census = separator_of(text)
+    def test_walks_alternate_succ_and_trans(self, text, analysis_of):
+        a = analysis_of(text)
+        s, census = a.separator, a.census(4)
         for r, orbits in census.orbits.items():
             for o in orbits:
                 walk = o.walk
@@ -103,8 +107,9 @@ class TestAlternateCensus:
 
 
 class TestSummary:
-    def test_desargues_summary(self, separator_of):
-        _g, _p, _cs, s, census = separator_of("desargues")
+    def test_desargues_summary(self, analysis_of):
+        a = analysis_of("desargues")
+        s, census = a.separator, a.census(4)
         summary = separator_summary(s, census)
         assert summary.vertices == 120
         assert summary.cycle_arcs == 120
@@ -112,8 +117,8 @@ class TestSummary:
         assert summary.underlying_edges == 180
         assert summary.oriented_cycles == 20
 
-    def test_arc_labels(self, separator_of):
-        _g, _p, _cs, s, _ = separator_of("k4")
+    def test_arc_labels(self, analysis_of):
+        s = analysis_of("k4").separator
         assert s.arc_label(0) == "01"
         name = CdtName.K4
         _, table = build_cdt(name)

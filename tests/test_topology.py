@@ -18,15 +18,17 @@ EXPECTED = {
 
 class TestFaceComplex:
     @pytest.mark.parametrize("text", sorted(EXPECTED))
-    def test_every_edge_in_two_face_slots(self, text, separator_of):
-        _g, p, _cs, s, census = separator_of(text)
+    def test_every_edge_in_two_face_slots(self, text, analysis_of):
+        a = analysis_of(text)
+        p, s, census = a.row, a.separator, a.census(4)
         fc = face_complex(s, census)
         assert fc.vertices == s.order
         assert len(fc.edges) == 3 * s.order // 2
         assert len(fc.faces) == p.eta + census.simple_count(1)
 
-    def test_rejects_incomplete_coverage(self, separator_of):
-        _g, _p, _cs, s, census = separator_of("k4")
+    def test_rejects_incomplete_coverage(self, analysis_of):
+        a = analysis_of("k4")
+        s, census = a.separator, a.census(4)
         # drop one alternate face: its edges are then covered only once
         trimmed = AlternateCensus(
             {1: tuple(census.simple_cycles(1)[:-1])}
@@ -34,8 +36,8 @@ class TestFaceComplex:
         with pytest.raises(GraphError):
             face_complex(s, trimmed)
 
-    def test_rejects_non_edge_walk(self, separator_of):
-        _g, _p, _cs, s, _ = separator_of("k4")
+    def test_rejects_non_edge_walk(self, analysis_of):
+        s = analysis_of("k4").separator
         fake = AlternateOrbit(1, 3, (0, 0, 0, 0, 0, 0), True)
         with pytest.raises(GraphError):
             face_complex(s, AlternateCensus({1: (fake,)}))
@@ -43,8 +45,9 @@ class TestFaceComplex:
 
 class TestEuler:
     @pytest.mark.parametrize("text", sorted(EXPECTED))
-    def test_characteristic_and_genus(self, text, separator_of):
-        _g, _p, _cs, s, census = separator_of(text)
+    def test_characteristic_and_genus(self, text, analysis_of):
+        a = analysis_of(text)
+        s, census = a.separator, a.census(4)
         report = euler(face_complex(s, census))
         faces, chi, genus = EXPECTED[text]
         assert report.faces == faces
