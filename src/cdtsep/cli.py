@@ -14,7 +14,7 @@ from .catalog import CdtName, build_cdt, cdt_parameters
 from .dot import emit_dot
 from .graph6 import Graph6Error, parse_graph6
 from .graphs import GraphError, is_bipartite, is_hamiltonian
-from .orient import OddWitness
+from .orient import ConstraintError, OddWitness
 from .separator import separator_summary
 from .report import (
     ReportInputError,
@@ -100,10 +100,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_orient(args) -> int:
     _name, a, _table = _analysis(args.graph)
-    try:
-        outcome = a.outcome
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    outcome = a.outcome
     if isinstance(outcome, OddWitness):
         print("orientation: unsolvable")
         print(f"odd witness through {len(outcome.paths)} paths:")
@@ -225,7 +222,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.verb](args)
-    except (_InputError, ReportInputError, Graph6Error, GraphError) as exc:
+    except (_InputError, ReportInputError, Graph6Error, GraphError, ConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

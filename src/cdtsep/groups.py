@@ -2,8 +2,11 @@
 groups, transitivity tests, Cayley digraphs, regular subgroups and
 explicit isomorphisms.
 
-Generator discovery uses partition-refinement backtracking; exact orders
-and stabilizers are delegated to sympy's stabilizer chains.
+Generator discovery uses partition-refinement backtracking.  Orders,
+membership, stabilizer orbits and element enumeration come from an
+in-repo stabilizer chain built by deterministic Schreier-Sims on tuple
+permutations (Sims 1970; Seress, *Permutation Group Algorithms*, 2003,
+ch. 4).
 """
 
 from __future__ import annotations
@@ -12,10 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-
-from sympy.combinatorics import Permutation as _SymPerm
-from sympy.combinatorics import PermutationGroup as _SymGroup
+from math import lcm, prod
 
 from .graphs import Digraph, Graph, build_digraph, distances, enumerate_arcs, underlying
 from .separator import SeparatorDigraph
@@ -77,13 +77,94 @@ def _perm_order(p) -> int:
     return out
 
 
+class _Chain:
+    """Stabilizer chain of a permutation group on 0..degree-1.
+
+    Level i keeps a base point, the strong generators fixing the earlier
+    base points, and a transversal mapping each point of the base
+    point's orbit to an element carrying the base point there.  extend()
+    keeps the chain complete, so that orbit is the one under the
+    pointwise stabilizer of the earlier base points.  Inverses are
+    computed when needed, not stored.
+    """
+
+    def __init__(self, degree: int, base=()):
+        self.identity = tuple(range(degree))
+        self.base: list[int] = []
+        self.strong: list[list[tuple[int, ...]]] = []
+        self.transversals: list[dict[int, tuple[int, ...]]] = []
+        for b in base:
+            self._add_level(b)
+
+    def _add_level(self, b: int) -> None:
+        self.base.append(b)
+        self.strong.append([])
+        self.transversals.append({b: self.identity})
+
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversals)
+
+    def sift(self, p, level: int = 0):
+        """(residue, stop level) of p stripped from level on; the residue
+        fixes the base points before the stop level."""
+        for i in range(level, len(self.base)):
+            x = p[self.base[i]]
+            if x != self.base[i]:
+                u = self.transversals[i].get(x)
+                if u is None:
+                    return p, i
+                p = compose(inverse(u), p)
+        return p, len(self.base)
+
+    def contains(self, p) -> bool:
+        return self.sift(tuple(p))[0] == self.identity
+
+    def extend(self, g) -> bool:
+        """Add g to the group; whether the group grew.  A non-trivial
+        residue joins the levels it was sifted through, and the Schreier
+        generators this makes go on a work stack for the next level."""
+        grew = False
+        work = [(tuple(g), 0)]
+        while work:
+            h, lo = work.pop()
+            h, hi = self.sift(h, lo)
+            if h == self.identity:
+                continue
+            grew = True
+            if hi == len(self.base):
+                self._add_level(next(x for x in self.identity if h[x] != x))
+            for i in range(lo, hi + 1):
+                strong, trans = self.strong[i], self.transversals[i]
+                strong.append(h)
+                pairs = [(x, h) for x in trans]
+                while pairs:
+                    x, s = pairs.pop()
+                    sx = compose(s, trans[x])
+                    u = trans.get(s[x])
+                    if u is None:
+                        trans[s[x]] = sx
+                        pairs += [(s[x], t) for t in strong]
+                        continue
+                    r, _ = self.sift(compose(inverse(u), sx), i + 1)
+                    if r != self.identity:
+                        work.append((r, i + 1))
+        return grew
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element, as a product of one transversal element per level."""
+        out = [self.identity]
+        for trans in reversed(self.transversals):
+            out = [compose(u, p) for u in trans.values() for p in out]
+        return out
+
+
 @dataclass
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators.
 
-    Orders, orbits and stabilizers come from sympy's stabilizer chains;
-    element enumeration is a plain closure walk, intended for the small
-    groups appearing here (order a few thousand at most).
+    Orders, membership and element enumeration come from the in-repo
+    stabilizer chain; orbits and transitivity are read from the
+    generators directly.
     """
 
     degree: int
@@ -101,13 +182,14 @@ class PermGroup:
         self.generators = tuple(gens)
 
     @cached_property
-    def _sympy(self) -> _SymGroup:
-        if not self.generators:
-            return _SymGroup([_SymPerm(list(range(self.degree)))])
-        return _SymGroup([_SymPerm(list(g)) for g in self.generators])
+    def _chain(self) -> _Chain:
+        chain = _Chain(self.degree)
+        for g in self.generators:
+            chain.extend(g)
+        return chain
 
     def order(self) -> int:
-        return int(self._sympy.order())
+        return self._chain.order()
 
     def orbit(self, x: int) -> set[int]:
         seen = {x}
@@ -126,27 +208,15 @@ class PermGroup:
         return len(self.orbit(0)) == n if n > 0 else True
 
     def elements(self) -> list[tuple[int, ...]]:
-        ident = tuple(range(self.degree))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = compose(g, p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(seen)
+        return sorted(self._chain.elements())
 
     def order_spectrum(self) -> set[int]:
         """Orders of all elements; cheap fingerprint separating the
         candidate groups considered here."""
-        return {_perm_order(p) for p in self.elements()}
+        return {_perm_order(p) for p in self._chain.elements()}
 
     def contains(self, p) -> bool:
-        return bool(self._sympy.contains(_SymPerm(list(p))))
+        return self._chain.contains(p)
 
 
 # ---------------------------------------------------------------------------
@@ -232,59 +302,50 @@ def _search(ta, tb, forced):
     return None
 
 
-def _stabilizer_orbit(gens, degree, fixed, b) -> set[int]:
-    """Orbit of b under the pointwise stabilizer of fixed in <gens>."""
-    if not gens:
-        return {b}
-    group = _SymGroup([_SymPerm(list(g)) for g in gens])
-    if fixed:
-        group = group.pointwise_stabilizer(fixed)
-    return {int(x) for x in group.orbit(b)}
-
-
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """Full automorphism group, as generators with exact order.
 
-    The base-point loop descends a stabilizer chain: at each level the
-    first non-singleton cell of the refined partition supplies the next
-    base point, and every cell member outside the known orbit is settled
-    by an explicit search (success extends the generators, failure
-    certifies the gap).  seeds are candidate permutations checked and
-    used to pre-populate the generators, which skips the searches they
-    already explain.
+    The base comes first: each base point is the first member of the
+    first non-singleton cell of the partition refined with the earlier
+    base points fixed.  One stabilizer chain on that base then absorbs
+    the seeds (candidate permutations, checked first, which skip the
+    searches they already explain) and every generator found.  At each
+    level, every cell member outside the chain's orbit is settled by an
+    explicit search: success extends the chain, failure certifies the
+    gap.  The returned group keeps the chain.
     """
     ta = _tagged_adj(x)
     n = len(ta)
-    gens: list[tuple[int, ...]] = []
-    ident = tuple(range(n))
-    for s in seeds:
-        s = tuple(s)
-        if s != ident and _verify_mapping(ta, ta, s) and s not in gens:
-            gens.append(s)
-    fixed: list[int] = []
+    base_cells: list[list[int]] = []
     while True:
-        forced = {v: v for v in fixed}
-        ca, _cb = _refine_pair(ta, ta, forced)
+        ca, _cb = _refine_pair(ta, ta, {c[0]: c[0] for c in base_cells})
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(ca):
             cells.setdefault(c, []).append(v)
         target = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
         if target is None:
             break
-        cell = sorted(cells[target])
-        b = cell[0]
-        orbit = _stabilizer_orbit(gens, n, fixed, b)
-        for u in cell[1:]:
-            if u in orbit:
+        base_cells.append(sorted(cells[target]))
+    chain = _Chain(n, [c[0] for c in base_cells])
+    gens: list[tuple[int, ...]] = []
+    for s in seeds:
+        s = tuple(s)
+        if s != chain.identity and _verify_mapping(ta, ta, s) and s not in gens:
+            gens.append(s)
+            chain.extend(s)
+    for level, (b, *rest) in enumerate(base_cells):
+        forced = {v: v for v in chain.base[:level]}
+        for u in rest:
+            if u in chain.transversals[level]:
                 continue
             forced[b] = u
             m = _search(ta, ta, forced)
-            del forced[b]
             if m is not None:
                 gens.append(m)
-                orbit = _stabilizer_orbit(gens, n, fixed, b)
-        fixed.append(b)
-    return PermGroup(n, tuple(gens))
+                chain.extend(m)
+    group = PermGroup(n, tuple(gens))
+    group._chain = chain
+    return group
 
 
 def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
@@ -454,11 +515,6 @@ def graph_isomorphic(a: Graph, b: Graph):
     return _search(_tagged_adj(a), _tagged_adj(b), {})
 
 
-def _sym_to_tuple(p: _SymPerm, degree: int) -> tuple[int, ...]:
-    arr = p.array_form
-    return tuple(arr + list(range(len(arr), degree)))
-
-
 def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     """All subgroups of index at most 2 acting regularly on
     0..num_points-1, in a deterministic order (possibly several: distinct
@@ -476,17 +532,23 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         raise GroupError(f"index-{index} subgroup search is unsupported")
     if index == 1:
         return [group] if group.is_transitive(num_points) else []
-    sg = group._sympy
-    words = [g**2 for g in sg.generators]
-    words += [a * b * a**-1 * b**-1 for a in sg.generators for b in sg.generators]
-    kernel = sg.normal_closure(words)
-    reps = [sg.identity]
-    pending = [sg.identity]
+    gens = group.generators
+    words = [compose(g, g) for g in gens]
+    words += [compose(inverse(compose(b, a)), compose(a, b)) for a in gens for b in gens]
+    kernel = _Chain(group.degree)
+    kernel_gens = []
+    while words:
+        w = words.pop()
+        if kernel.extend(w):
+            kernel_gens.append(w)
+            words += [compose(g, compose(w, inverse(g))) for g in gens]
+    reps = [kernel.identity]
+    pending = [kernel.identity]
     while pending:
         r = pending.pop()
-        for g in sg.generators:
-            x = r * g
-            if not any(kernel.contains(x * s**-1) for s in reps):
+        for g in gens:
+            x = compose(g, r)
+            if not any(kernel.contains(compose(inverse(s), x)) for s in reps):
                 reps.append(x)
                 pending.append(x)
     if len(reps) > 8:
@@ -494,22 +556,20 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
 
     def rep_class(x):
         for i, s in enumerate(reps):
-            if kernel.contains(x * s**-1):
+            if kernel.contains(compose(inverse(s), x)):
                 return i
         raise GroupError("element escapes the computed cosets")
 
     half = len(reps) // 2
-    base_gens = [_sym_to_tuple(g, group.degree) for g in kernel.generators]
     found = []
     for extra in itertools.combinations(range(1, len(reps)), half - 1):
         chosen = (0,) + extra
         closed = all(
-            rep_class(reps[i] * reps[j]) in chosen for i in chosen for j in chosen
+            rep_class(compose(reps[j], reps[i])) in chosen for i in chosen for j in chosen
         )
         if not closed:
             continue
-        gens = base_gens + [_sym_to_tuple(reps[i], group.degree) for i in chosen]
-        sub = PermGroup(group.degree, tuple(gens))
+        sub = PermGroup(group.degree, tuple(kernel_gens + [reps[i] for i in chosen]))
         if sub.order() == num_points and sub.is_transitive(num_points):
             found.append(sub)
     return found

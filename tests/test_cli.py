@@ -6,6 +6,9 @@ from cdtsep.cli import main
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
 SQUARE_GRAPH6 = "Cr"  # 4-cycle: not cubic, rejected
+# GP(8,3): cubic and 2-arc-transitive, but each key path lies in 6 girth
+# cycles, outside the fastening precondition
+GP83_GRAPH6 = "OhCGKE?O@?ACAC@I?Q_AS"
 
 
 class TestCatalog:
@@ -110,3 +113,17 @@ class TestExport:
     def test_needs_a_format(self, capsys):
         assert main(["export", "k4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestOutsideFasteningPrecondition:
+    @pytest.mark.parametrize(
+        "verb", [["orient"], ["separator"], ["export", "--dot", "out.dot"]],
+        ids=lambda v: v[0],
+    )
+    def test_exits_two_without_traceback(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([verb[0], GP83_GRAPH6, *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.dot").exists()

@@ -1,5 +1,15 @@
-import pytest
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cdtsep
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graphs import build_digraph, build_graph, underlying
 from cdtsep.groups import (
@@ -28,6 +38,36 @@ from cdtsep.groups import (
 
 def path3():
     return build_graph(3, [(0, 1), (1, 2)])
+
+
+def closure(group):
+    """Reference enumeration: every product of generators, by a
+    breadth-first walk from the identity (no stabilizer chain)."""
+    ident = tuple(range(group.degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in group.generators:
+                q = compose(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def element_order(p):
+    ident = tuple(range(len(p)))
+    q, out = p, 1
+    while q != ident:
+        q, out = compose(p, q), out + 1
+    return out
+
+
+SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
+CHAIN_CASES = [("host", n.value) for n in CdtName] + [("separator", t) for t in SOLVABLE]
 
 
 class TestPermBasics:
@@ -222,3 +262,68 @@ class TestSeparatorAutomorphisms:
         group = separator_automorphism_group(s, a.host_group)
         assert group.is_transitive()
         assert underlying(s.digraph).is_cubic()
+
+
+class TestStabilizerChain:
+    """The chain against the closure walk: orders, enumeration and
+    membership on every catalog host group and separator group, both as
+    automorphism_group hands it over and rebuilt from the generators
+    alone."""
+
+    @pytest.fixture(scope="class", params=CHAIN_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    def group_and_closure(self, request, analysis_of):
+        kind, text = request.param
+        a = analysis_of(text)
+        group = a.host_group if kind == "host" else a.separator_group
+        return group, closure(group)
+
+    def test_order_and_elements(self, group_and_closure):
+        group, reference = group_and_closure
+        rebuilt = PermGroup(group.degree, group.generators)
+        assert group.order() == rebuilt.order() == len(reference)
+        assert group.elements() == rebuilt.elements() == sorted(reference)
+
+    def test_contains(self, group_and_closure):
+        group, reference = group_and_closure
+        sample = random.Random(0).sample(sorted(reference), min(50, len(reference)))
+        assert all(group.contains(p) for p in sample)
+        ident = list(range(group.degree))
+        for j in range(1, group.degree):
+            t = ident.copy()
+            t[0], t[j] = j, 0
+            assert group.contains(t) == (tuple(t) in reference)
+
+    def test_non_automorphism_transposition_rejected(self, analysis_of):
+        group = analysis_of("petersen").host_group
+        assert not group.contains((1, 0) + tuple(range(2, 10)))
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.lists(st.permutations(range(n)), max_size=4)
+            .map(lambda gens: (n, gens))
+        )
+    )
+    def test_random_generators(self, case):
+        n, gens = case
+        group = PermGroup(n, tuple(tuple(g) for g in gens))
+        reference = closure(group)
+        assert group.order() == len(reference)
+        assert group.order_spectrum() == {element_order(p) for p in reference}
+        for p in itertools.permutations(range(n)):
+            assert group.contains(p) == (p in reference)
+
+
+def test_import_loads_no_third_party_package():
+    """The group layer needs no third-party package, and networkx is
+    imported only when planarity is tested."""
+    src = Path(cdtsep.__file__).resolve().parent.parent
+    code = (
+        "import sys; before = set(sys.modules); import cdtsep; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "['cdtsep']"
