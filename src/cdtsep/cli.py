@@ -18,6 +18,7 @@ from .orient import ConstraintError, OddWitness
 from .separator import separator_summary
 from .report import (
     ReportInputError,
+    ingest_analysis,
     run_graph_report,
     run_ingest_report,
     run_report,
@@ -48,17 +49,11 @@ def _resolve(spec: str):
 
 def _analysis(spec: str):
     """Resolve a verb's graph into (name | None, Analysis, label table |
-    None).  An ingested graph must be cubic, connected and
-    2-arc-transitive."""
+    None); an ingested graph must pass ingest_analysis."""
     name, g, table = _resolve(spec)
     if name is not None:
         return name, Analysis(g, cdt_parameters(name)), table
-    if not (g.is_cubic() and g.is_connected()):
-        raise _InputError("input graph must be cubic and connected")
-    a = Analysis(g)
-    if a.k < 2:
-        raise _InputError("input graph is not 2-arc-transitive")
-    return None, a, None
+    return None, ingest_analysis(g), None
 
 
 def _report(spec: str, budget) -> VerificationReport:

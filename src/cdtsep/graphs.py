@@ -277,31 +277,40 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
                 return False
         return True
 
-    def search() -> bool | None:
-        if time.monotonic() > deadline:
-            return None
-        u = path[-1]
-        if len(path) == n:
-            return start in adj[u]
-        for v in sorted(adj[u]):
-            if on_path[v]:
-                continue
-            path.append(v)
-            on_path[v] = True
-            for w in adj[v]:
-                avail[w] -= 1
-            ok: bool | None = False
-            if feasible():
-                ok = search()
-            for w in adj[v]:
-                avail[w] += 1
-            on_path[v] = False
-            path.pop()
-            if ok or ok is None:
-                return ok
-        return False
+    def retreat() -> None:
+        v = path.pop()
+        on_path[v] = False
+        for w in adj[v]:
+            avail[w] += 1
 
-    return search()
+    # choices[i]: the untried successors of path[i]; an explicit stack,
+    # so the depth of the search is not bounded by the interpreter's.
+    if time.monotonic() > deadline:
+        return None
+    choices = [iter(sorted(adj[start]))]
+    while choices:
+        for v in choices[-1]:
+            if not on_path[v]:
+                break
+        else:
+            choices.pop()
+            if choices:
+                retreat()
+            continue
+        path.append(v)
+        on_path[v] = True
+        for w in adj[v]:
+            avail[w] -= 1
+        if feasible():
+            if time.monotonic() > deadline:
+                return None
+            if len(path) < n:
+                choices.append(iter(sorted(adj[v])))
+                continue
+            if start in adj[v]:
+                return True
+        retreat()
+    return False
 
 
 def is_planar(g: Graph) -> bool:

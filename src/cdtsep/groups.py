@@ -77,6 +77,21 @@ def _perm_order(p) -> int:
     return out
 
 
+def _orbit(gens, start, act) -> set:
+    """Orbit of start under the group generated by gens, where act(g, x)
+    is the image of x under g."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 class _Chain:
     """Stabilizer chain of a permutation group on 0..degree-1.
 
@@ -192,16 +207,7 @@ class PermGroup:
         return self._chain.order()
 
     def orbit(self, x: int) -> set[int]:
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            v = frontier.pop()
-            for g in self.generators:
-                u = g[v]
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen
+        return _orbit(self.generators, x, tuple.__getitem__)
 
     def is_transitive(self, num_points: int | None = None) -> bool:
         n = self.degree if num_points is None else num_points
@@ -351,21 +357,11 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
 def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
     """Largest length (up to max_len) at which group, the automorphism
     group of g, still has a single orbit on arcs of that length."""
-    gens = group.generators
     best = 0
     for length in range(1, max_len + 1):
         arcs = enumerate_arcs(g, length)
-        start = tuple(arcs[0])
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop()
-            for p in gens:
-                b = tuple(p[v] for v in a)
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        if len(seen) != len(arcs):
+        orbit = _orbit(group.generators, tuple(arcs[0]), lambda p, a: tuple(p[v] for v in a))
+        if len(orbit) != len(arcs):
             break
         best = length
     return best
@@ -374,28 +370,15 @@ def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
 def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
     """Whether the orbit partition of group, the automorphism group of g,
     on ordered vertex pairs equals the partition by distance."""
-    gens = group.generators
     table = distances(g)
     classes: dict[int, set[tuple[int, int]]] = {}
     for u in range(g.order):
         for v in range(g.order):
             classes.setdefault(table.dist[u][v], set()).add((u, v))
-    for pairs in classes.values():
-        start = min(pairs)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u, v = frontier.pop()
-            for p in gens:
-                q = (p[u], p[v])
-                if q not in pairs:
-                    return False
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        if len(seen) != len(pairs):
-            return False
-    return True
+    return all(
+        _orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])) == pairs
+        for pairs in classes.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +500,18 @@ def graph_isomorphic(a: Graph, b: Graph):
 
 def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     """All subgroups of index at most 2 acting regularly on
-    0..num_points-1, in a deterministic order (possibly several: distinct
-    index-2 subgroups can each act regularly).
+    0..num_points-1, in a deterministic order (distinct index-2 subgroups
+    can each act regularly).
 
-    Index-2 subgroups are the kernels of the homomorphisms onto the
-    2-element group, enumerated through the normal closure of the
-    generator squares and commutators.
+    An index-2 subgroup is the kernel of a character, which gives each
+    generator the value 0 or 1.  A character vanishes on K, the normal
+    closure of the generator squares and commutators, so it is fixed by
+    its values on the generators independent modulo K: every other
+    generator takes the sum over the independent ones whose product it
+    equals modulo K.  The kernel is generated by K, the generators of
+    value 0 and g*g0 for the others, g0 the first of value 1.  Its order
+    is |G|/2 by construction, so transitivity alone decides regularity
+    and only K's stabilizer chain is built.
     """
     order = group.order()
     if order % num_points != 0:
@@ -542,35 +531,25 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         if kernel.extend(w):
             kernel_gens.append(w)
             words += [compose(g, compose(w, inverse(g))) for g in gens]
-    reps = [kernel.identity]
-    pending = [kernel.identity]
-    while pending:
-        r = pending.pop()
-        for g in gens:
-            x = compose(g, r)
-            if not any(kernel.contains(compose(inverse(s), x)) for s in reps):
-                reps.append(x)
-                pending.append(x)
-    if len(reps) > 8:
-        raise GroupError("abelianized 2-quotient unexpectedly large")
-
-    def rep_class(x):
-        for i, s in enumerate(reps):
-            if kernel.contains(compose(inverse(s), x)):
-                return i
-        raise GroupError("element escapes the computed cosets")
-
-    half = len(reps) // 2
+    # Each generator as a bit mask over the independent generators whose
+    # product it equals modulo K; products[m] is the product for mask m.
+    products = [kernel.identity]
+    masks = []
+    for g in gens:
+        mask = next((m for m, r in enumerate(products) if kernel.contains(compose(r, g))), None)
+        if mask is None:
+            if len(products) == 8:
+                raise GroupError("abelianized 2-quotient unexpectedly large")
+            mask = len(products)
+            products += [compose(g, r) for r in products]
+        masks.append(mask)
     found = []
-    for extra in itertools.combinations(range(1, len(reps)), half - 1):
-        chosen = (0,) + extra
-        closed = all(
-            rep_class(compose(reps[j], reps[i])) in chosen for i in chosen for j in chosen
-        )
-        if not closed:
-            continue
-        sub = PermGroup(group.degree, tuple(kernel_gens + [reps[i] for i in chosen]))
-        if sub.order() == num_points and sub.is_transitive(num_points):
+    for character in range(1, len(products)):
+        values = [(m & character).bit_count() % 2 for m in masks]
+        g0 = gens[values.index(1)]
+        sub_gens = [g if v == 0 else compose(g, g0) for g, v in zip(gens, values) if g != g0]
+        sub = PermGroup(group.degree, tuple(kernel_gens + sub_gens))
+        if sub.is_transitive(num_points):
             found.append(sub)
     return found
 

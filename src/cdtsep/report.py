@@ -43,6 +43,7 @@ __all__ = [
     "run_graph_report",
     "run_report",
     "run_ingest_report",
+    "ingest_analysis",
     "report_to_json",
     "report_from_json",
     "KNOWN_DISCREPANCIES",
@@ -420,13 +421,9 @@ def run_report(
     return VerificationReport(SCHEMA_VERSION, reports)
 
 
-def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
-    """Pipeline for an ingested cubic graph outside the catalog.  With
-    no reference row, every check reports a computed value.
-
-    Raises ReportInputError when the graph misses the structural
-    preconditions (cubic, connected, uniform two-cycles-per-key-path).
-    """
+def ingest_analysis(g: Graph) -> Analysis:
+    """The Analysis of an ingested graph, which must be cubic, connected
+    and 2-arc-transitive; ReportInputError names the first one it misses."""
     if not g.is_cubic():
         raise ReportInputError("input graph is not cubic")
     if not g.is_connected():
@@ -434,6 +431,18 @@ def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
     a = Analysis(g)
     if a.k < 2:
         raise ReportInputError("input graph is not 2-arc-transitive")
+    return a
+
+
+def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
+    """Pipeline for an ingested cubic graph outside the catalog.  With
+    no reference row, every check reports a computed value.
+
+    Raises ReportInputError when the graph misses the structural
+    preconditions (those of ingest_analysis, and uniform
+    two-cycles-per-key-path).
+    """
+    a = ingest_analysis(g)
     parameters = {
         "n": g.order,
         "d": a.table.diameter,

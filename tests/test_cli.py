@@ -3,6 +3,8 @@ import json
 import pytest
 
 from cdtsep.cli import main
+from cdtsep.graph6 import parse_graph6
+from cdtsep.report import ReportInputError, run_ingest_report
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
 SQUARE_GRAPH6 = "Cr"  # 4-cycle: not cubic, rejected
@@ -113,6 +115,21 @@ class TestExport:
     def test_needs_a_format(self, capsys):
         assert main(["export", "k4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestIngestPreconditions:
+    @pytest.mark.parametrize(
+        "text",
+        # not cubic; two disjoint K4s; the triangular prism
+        [SQUARE_GRAPH6, "G~?GW[", "E{Sw"],
+        ids=["square", "two-k4", "prism"],
+    )
+    def test_verbs_and_report_name_the_same_precondition(self, text, capsys):
+        with pytest.raises(ReportInputError) as exc:
+            run_ingest_report(parse_graph6(text))
+        for verb in ("analyze", "orient", "separator", "verify"):
+            assert main([verb, text]) == 2
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 class TestOutsideFasteningPrecondition:

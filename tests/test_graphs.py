@@ -114,6 +114,15 @@ class TestPredicates:
         assert is_hamiltonian(petersen()) is False
         assert is_hamiltonian(build_graph(2, [(0, 1)])) is False
 
+    def test_hamiltonian_search_deeper_than_the_recursion_limit(self):
+        # the prism C_1500 x K2: 3000 vertices, every path through all of
+        # them is far deeper than the interpreter's recursion limit
+        m = 1500
+        edges = [(i, (i + 1) % m) for i in range(m)]
+        edges += [(m + i, m + (i + 1) % m) for i in range(m)]
+        edges += [(i, m + i) for i in range(m)]
+        assert is_hamiltonian(build_graph(2 * m, edges), budget=120.0) is True
+
     def test_planarity(self):
         assert is_planar(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])

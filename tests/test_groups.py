@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cdtsep
+from cdtsep import groups
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graphs import build_digraph, build_graph, underlying
 from cdtsep.groups import (
@@ -63,6 +64,32 @@ def element_order(p):
     q, out = p, 1
     while q != ident:
         q, out = compose(p, q), out + 1
+    return out
+
+
+def index_two_subgroups(group):
+    """Reference: every index-2 subgroup, as an element set, by a walk
+    over unions of cosets of the subgroup the squares generate."""
+    elements = sorted(closure(group))
+    square_gens = []
+    squares = closure(PermGroup(group.degree, ()))
+    for p in elements:
+        if compose(p, p) not in squares:
+            square_gens.append(compose(p, p))
+            squares = closure(PermGroup(group.degree, tuple(square_gens)))
+    cosets = []
+    for p in elements:
+        if not any(p in c for c in cosets):
+            cosets.append(frozenset(compose(p, s) for s in squares))
+    if len(cosets) == 1:
+        return []
+    out = []
+    for extra in itertools.combinations(cosets[1:], len(cosets) // 2 - 1):
+        chosen = (cosets[0],) + extra
+        sub = frozenset().union(*chosen)
+        reps = [min(c) for c in chosen]
+        if all(compose(a, b) in sub for a in reps for b in reps):
+            out.append(sub)
     return out
 
 
@@ -229,6 +256,59 @@ class TestRegularSubgroups:
         s3 = PermGroup(3, ((1, 2, 0), (1, 0, 2)))
         found = regular_subgroups(s3, 3)
         assert [g.order() for g in found] == [3]
+
+    @pytest.mark.parametrize(
+        "text,candidates,regular", [("k33", 3, 2), ("desargues", 3, 2), ("tutte", 3, 2)]
+    )
+    def test_separator_groups_against_reference(self, text, candidates, regular, analysis_of):
+        a = analysis_of(text)
+        group, n = a.separator_group, a.separator.order
+        reference = index_two_subgroups(group)
+        transitive = {h for h in reference if len({p[0] for p in h}) == n}
+        assert (len(reference), len(transitive)) == (candidates, regular)
+        found = regular_subgroups(group, n)
+        assert [frozenset(closure(h)) for h in found] == [
+            frozenset(closure(h)) for h in regular_subgroups(group, n)
+        ]
+        assert len(found) == regular
+        assert {frozenset(closure(h)) for h in found} == transitive
+
+    def test_one_chain_for_all_candidates(self, analysis_of, monkeypatch):
+        a = analysis_of("k33")
+        group = a.separator_group
+        group.order()
+        chains = []
+
+        class Counted(groups._Chain):
+            def __init__(self, *args):
+                chains.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(groups, "_Chain", Counted)
+        assert len(regular_subgroups(group, a.separator.order)) == 2
+        assert len(chains) == 1
+
+    def test_no_index_two_subgroup(self):
+        # A4 on the six edges of the tetrahedron: order 12 on 6 points,
+        # and A4 has no subgroup of index 2
+        edges = list(itertools.combinations(range(4), 2))
+
+        def on_edges(p):
+            return tuple(edges.index(tuple(sorted((p[u], p[v])))) for u, v in edges)
+
+        a4 = PermGroup(6, (on_edges((1, 2, 0, 3)), on_edges((1, 0, 3, 2))))
+        assert a4.order() == 12 and a4.is_transitive()
+        assert index_two_subgroups(a4) == []
+        assert regular_subgroups(a4, 6) == []
+
+    def test_quotient_too_large(self):
+        # four disjoint transpositions: an elementary abelian group of
+        # order 16 on 8 points, with 15 index-2 subgroups
+        swaps = [tuple(j ^ 1 if j // 2 == i else j for j in range(8)) for i in range(4)]
+        group = PermGroup(8, tuple(swaps))
+        assert len(index_two_subgroups(group)) == 15
+        with pytest.raises(GroupError):
+            regular_subgroups(group, 8)
 
 
 class TestSeparatorAutomorphisms:
