@@ -261,11 +261,11 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
     # avail[v]: neighbors of v not yet interior to the path
     avail = [len(a) for a in adj]
 
-    def feasible() -> bool:
+    def feasible(vertices) -> bool:
         # every off-path vertex still needs 2 usable incident edges;
         # edges to the path endpoint and back to the start stay usable
         end = path[-1]
-        for v in range(n):
+        for v in vertices:
             if on_path[v]:
                 continue
             usable = avail[v]
@@ -287,6 +287,8 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
     # so the depth of the search is not bounded by the interpreter's.
     if time.monotonic() > deadline:
         return None
+    if not feasible(range(n)):
+        return False
     choices = [iter(sorted(adj[start]))]
     while choices:
         for v in choices[-1]:
@@ -301,7 +303,8 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
         on_path[v] = True
         for w in adj[v]:
             avail[w] -= 1
-        if feasible():
+        # only the neighbors of the old and the new end lose usable edges
+        if feasible(adj[v] | adj[path[-2]]):
             if time.monotonic() > deadline:
                 return None
             if len(path) < n:
@@ -314,8 +317,12 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
 
 
 def is_planar(g: Graph) -> bool:
-    """Planarity test (delegates to networkx's linear-time check)."""
-    if g.order >= 3 and g.num_edges() > 3 * g.order - 6:
+    """Planarity test: Euler's bound for the girth, then networkx's
+    linear-time check for the graphs that bound cannot refute."""
+    v, e = g.order, g.num_edges()
+    # e >= v means a cycle, so the girth c is defined; a planar graph
+    # has e(c-2) <= c(v-2), that is c(e-v+2) <= 2e
+    if v >= 3 and e >= v and girth(g) * (e - v + 2) > 2 * e:
         return False
     import networkx as nx
 

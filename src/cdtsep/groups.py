@@ -2,18 +2,18 @@
 groups, transitivity tests, Cayley digraphs, regular subgroups and
 explicit isomorphisms.
 
-Generator discovery uses partition-refinement backtracking.  Orders,
-membership, stabilizer orbits and element enumeration come from an
-in-repo stabilizer chain built by deterministic Schreier-Sims on tuple
-permutations (Sims 1970; Seress, *Permutation Group Algorithms*, 2003,
-ch. 4).
+Automorphism groups come from partition-refinement backtracking, which
+also reads their orders off its search tree.  Membership, and the order
+of a group given by bare generators, come from an in-repo stabilizer
+chain built by deterministic Schreier-Sims on tuple permutations (Sims
+1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm, prod
 
@@ -103,18 +103,11 @@ class _Chain:
     computed when needed, not stored.
     """
 
-    def __init__(self, degree: int, base=()):
+    def __init__(self, degree: int):
         self.identity = tuple(range(degree))
         self.base: list[int] = []
         self.strong: list[list[tuple[int, ...]]] = []
         self.transversals: list[dict[int, tuple[int, ...]]] = []
-        for b in base:
-            self._add_level(b)
-
-    def _add_level(self, b: int) -> None:
-        self.base.append(b)
-        self.strong.append([])
-        self.transversals.append({b: self.identity})
 
     def order(self) -> int:
         return prod(len(t) for t in self.transversals)
@@ -147,7 +140,10 @@ class _Chain:
                 continue
             grew = True
             if hi == len(self.base):
-                self._add_level(next(x for x in self.identity if h[x] != x))
+                b = next(x for x in self.identity if h[x] != x)
+                self.base.append(b)
+                self.strong.append([])
+                self.transversals.append({b: self.identity})
             for i in range(lo, hi + 1):
                 strong, trans = self.strong[i], self.transversals[i]
                 strong.append(h)
@@ -165,25 +161,20 @@ class _Chain:
                         work.append((r, i + 1))
         return grew
 
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every element, as a product of one transversal element per level."""
-        out = [self.identity]
-        for trans in reversed(self.transversals):
-            out = [compose(u, p) for u in trans.values() for p in out]
-        return out
-
 
 @dataclass
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators.
 
-    Orders, membership and element enumeration come from the in-repo
-    stabilizer chain; orbits and transitivity are read from the
-    generators directly.
+    The order is the one known at construction where the builder knows
+    it (automorphism_group, regular_subgroups), and otherwise comes from
+    the in-repo stabilizer chain, as membership does.  Orbits,
+    transitivity and the elements are walked over the generators.
     """
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
+    _order: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ident = tuple(range(self.degree))
@@ -204,7 +195,7 @@ class PermGroup:
         return chain
 
     def order(self) -> int:
-        return self._chain.order()
+        return self._order or self._chain.order()
 
     def orbit(self, x: int) -> set[int]:
         return _orbit(self.generators, x, tuple.__getitem__)
@@ -214,12 +205,11 @@ class PermGroup:
         return len(self.orbit(0)) == n if n > 0 else True
 
     def elements(self) -> list[tuple[int, ...]]:
-        return sorted(self._chain.elements())
+        return sorted(_orbit(self.generators, tuple(range(self.degree)), compose))
 
     def order_spectrum(self) -> set[int]:
-        """Orders of all elements; cheap fingerprint separating the
-        candidate groups considered here."""
-        return {_perm_order(p) for p in self._chain.elements()}
+        """Orders of all elements, over the whole element list."""
+        return {_perm_order(p) for p in self.elements()}
 
     def contains(self, p) -> bool:
         return self._chain.contains(p)
@@ -309,16 +299,17 @@ def _search(ta, tb, forced):
 
 
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
-    """Full automorphism group, as generators with exact order.
+    """Full automorphism group, as generators with its exact order.
 
-    The base comes first: each base point is the first member of the
-    first non-singleton cell of the partition refined with the earlier
-    base points fixed.  One stabilizer chain on that base then absorbs
-    the seeds (candidate permutations, checked first, which skip the
-    searches they already explain) and every generator found.  At each
-    level, every cell member outside the chain's orbit is settled by an
-    explicit search: success extends the chain, failure certifies the
-    gap.  The returned group keeps the chain.
+    Base point b_i is the first member of the first non-singleton cell
+    of the partition refined with b_0..b_{i-1} fixed.  The levels are
+    settled deepest first: the generators found at levels >= i fix
+    b_0..b_{i-1}, and a search settles each cell member outside the
+    orbit of b_i under them, adding a generator or certifying the gap.
+    The seeds (candidate permutations, verified here) fix no base point,
+    so they join at level 0 only.  The orbit of b_i is then that of the
+    stabilizer of b_0..b_{i-1}, and |G| is the product of the orbit
+    sizes (McKay 1981); no stabilizer chain is built.
     """
     ta = _tagged_adj(x)
     n = len(ta)
@@ -332,25 +323,25 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
         if target is None:
             break
         base_cells.append(sorted(cells[target]))
-    chain = _Chain(n, [c[0] for c in base_cells])
     gens: list[tuple[int, ...]] = []
-    for s in seeds:
-        s = tuple(s)
-        if s != chain.identity and _verify_mapping(ta, ta, s) and s not in gens:
-            gens.append(s)
-            chain.extend(s)
-    for level, (b, *rest) in enumerate(base_cells):
-        forced = {v: v for v in chain.base[:level]}
+    order = 1
+    for level in reversed(range(len(base_cells))):
+        b, *rest = base_cells[level]
+        if level == 0:
+            gens += [s for s in map(tuple, seeds) if _verify_mapping(ta, ta, s)]
+        forced = {c[0]: c[0] for c in base_cells[:level]}
+        orbit = _orbit(gens, b, tuple.__getitem__)
         for u in rest:
-            if u in chain.transversals[level]:
+            if u in orbit:
                 continue
             forced[b] = u
             m = _search(ta, ta, forced)
             if m is not None:
                 gens.append(m)
-                chain.extend(m)
+                orbit = _orbit(gens, b, tuple.__getitem__)
+        order *= len(orbit)
     group = PermGroup(n, tuple(gens))
-    group._chain = chain
+    group._order = order
     return group
 
 
@@ -549,6 +540,7 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         g0 = gens[values.index(1)]
         sub_gens = [g if v == 0 else compose(g, g0) for g, v in zip(gens, values) if g != g0]
         sub = PermGroup(group.degree, tuple(kernel_gens + sub_gens))
+        sub._order = order // 2
         if sub.is_transitive(num_points):
             found.append(sub)
     return found

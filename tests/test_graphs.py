@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from cdtsep.graphs import (
@@ -19,6 +23,44 @@ def petersen():
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
     return build_graph(10, edges)
+
+
+def prism(m):
+    """The prism C_m x K2 on 2m vertices."""
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(m + i, m + (i + 1) % m) for i in range(m)]
+    edges += [(i, m + i) for i in range(m)]
+    return build_graph(2 * m, edges)
+
+
+def random_graphs(count, max_order, seed):
+    """Seeded random graphs on 0..max_order vertices; about one in five
+    is a random forest, and sparse ones are often disconnected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, max_order)
+        if rng.random() < 0.2:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        else:
+            density = rng.random()
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        yield build_graph(n, edges)
+
+
+def has_hamilton_cycle(g):
+    """Reference: Held-Karp reachability over vertex subsets."""
+    n = g.order
+    if n < 3:
+        return False
+    # ends[mask]: the ends of the paths from 0 through exactly mask
+    ends = [set() for _ in range(1 << n)]
+    ends[1].add(0)
+    for mask in range(1 << n):
+        for v in ends[mask]:
+            for w in g.adj[v]:
+                if not mask >> w & 1:
+                    ends[mask | 1 << w].add(w)
+    return any(0 in g.adj[v] for v in ends[-1])
 
 
 class TestBuildGraph:
@@ -117,13 +159,25 @@ class TestPredicates:
     def test_hamiltonian_search_deeper_than_the_recursion_limit(self):
         # the prism C_1500 x K2: 3000 vertices, every path through all of
         # them is far deeper than the interpreter's recursion limit
-        m = 1500
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        edges += [(m + i, m + (i + 1) % m) for i in range(m)]
-        edges += [(i, m + i) for i in range(m)]
-        assert is_hamiltonian(build_graph(2 * m, edges), budget=120.0) is True
+        assert is_hamiltonian(prism(1500), budget=120.0) is True
+
+    def test_hamiltonian_search_is_not_quadratic(self):
+        # 12000 vertices found without backtracking; rescanning every
+        # vertex after every step runs out of the budget
+        assert is_hamiltonian(prism(6000), budget=2.0) is True
+
+    def test_hamiltonian_against_brute_force(self):
+        for g in random_graphs(400, 8, seed=1):
+            assert is_hamiltonian(g) is has_hamilton_cycle(g), g
 
     def test_planarity(self):
         assert is_planar(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         assert not is_planar(k5)
+
+    def test_planarity_against_networkx(self):
+        for g in random_graphs(3000, 11, seed=0):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.order))
+            h.add_edges_from(g.edges())
+            assert is_planar(g) == nx.check_planarity(h)[0], g

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cdtsep
 from cdtsep import groups
+from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graphs import build_digraph, build_graph, underlying
 from cdtsep.groups import (
@@ -57,6 +58,30 @@ def closure(group):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def brute_force_automorphisms(n, arcs):
+    """Reference: every permutation of 0..n-1 that maps the arc set onto
+    itself (an undirected edge given as both arcs)."""
+    arcs = set(arcs)
+    return {
+        p for p in itertools.permutations(range(n)) if all((p[u], p[v]) in arcs for u, v in arcs)
+    }
+
+
+def random_structures(count, directed, seed):
+    """Seeded random graphs or digraphs on at most 7 vertices, with the
+    arc set of each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        if directed:
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+            yield build_digraph(n, arcs), arcs
+        else:
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            yield build_graph(n, edges), edges + [(v, u) for u, v in edges]
 
 
 def element_order(p):
@@ -142,6 +167,40 @@ class TestAutomorphisms:
         plain = automorphism_group(g)
         seeded = automorphism_group(g, seeds=plain.elements()[:40])
         assert seeded.order() == plain.order() == 120
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["plain", "seeded"])
+    def test_order_against_brute_force(self, directed, seeded):
+        rng = random.Random(2)
+        for x, arcs in random_structures(150, directed, seed=int(directed)):
+            reference = brute_force_automorphisms(x.order, arcs)
+            seeds = ()
+            if seeded:
+                # some automorphisms, and one permutation that may not be one
+                seeds = rng.sample(sorted(reference), rng.randint(0, min(4, len(reference))))
+                seeds.append(tuple(rng.sample(range(x.order), x.order)))
+            group = automorphism_group(x, seeds=seeds)
+            assert group.order() == len(reference), arcs
+            assert closure(group) == reference, arcs
+
+    def test_catalog_groups_build_no_chain(self, monkeypatch):
+        chains = []
+
+        class Counted(groups._Chain):
+            def __init__(self, *args):
+                chains.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(groups, "_Chain", Counted)
+        built = []
+        for name in CdtName:
+            a = Analysis.from_catalog(name)
+            built.append((a.host_group, a.row.a))
+            if a.solved:
+                built.append((a.separator_group, a.row.a))
+        assert len(built) == 19
+        assert all(group.order() == order for group, order in built)
+        assert chains == []
 
 
 class TestTransitivity:
@@ -345,10 +404,10 @@ class TestSeparatorAutomorphisms:
 
 
 class TestStabilizerChain:
-    """The chain against the closure walk: orders, enumeration and
-    membership on every catalog host group and separator group, both as
-    automorphism_group hands it over and rebuilt from the generators
-    alone."""
+    """Orders and membership against the closure walk on every catalog
+    host group and separator group: the order automorphism_group reads
+    off its search tree, and the order of a chain rebuilt from the
+    generators alone."""
 
     @pytest.fixture(scope="class", params=CHAIN_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
     def group_and_closure(self, request, analysis_of):
@@ -393,12 +452,12 @@ class TestStabilizerChain:
             assert group.contains(p) == (p in reference)
 
 
-def test_import_loads_no_third_party_package():
-    """The group layer needs no third-party package, and networkx is
-    imported only when planarity is tested."""
+def loaded_packages(statement):
+    """Top-level packages outside the standard library that a fresh
+    interpreter loads while running statement."""
     src = Path(cdtsep.__file__).resolve().parent.parent
     code = (
-        "import sys; before = set(sys.modules); import cdtsep; "
+        f"import sys; before = set(sys.modules); {statement}; "
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names)))"
     )
@@ -406,4 +465,20 @@ def test_import_loads_no_third_party_package():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "['cdtsep']"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_third_party_package():
+    """The group layer needs no third-party package, and networkx is
+    imported only inside is_planar."""
+    assert loaded_packages("import cdtsep") == "['cdtsep']"
+
+
+def test_girth_bound_settles_planarity_without_networkx():
+    """Tutte's graph has girth 8, so Euler's bound refutes planarity
+    and classifying kappa loads no third-party package."""
+    statement = (
+        "from cdtsep.analysis import Analysis; from cdtsep.catalog import CdtName; "
+        "a = Analysis.from_catalog(CdtName.TUTTE); assert a.kappa == a.row.kappa"
+    )
+    assert loaded_packages(statement) == "['cdtsep']"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cdtsep.catalog import CdtName
@@ -69,6 +71,14 @@ class TestFullRun:
 
     def test_schema_version(self, full_report):
         assert full_report.schema_version == SCHEMA_VERSION
+
+    def test_report_bytes_are_pinned(self, full_report):
+        # the report stays byte-identical unless SCHEMA_VERSION changes;
+        # a change that means to alter it bumps the schema and this digest
+        digest = hashlib.sha256(report_to_json(full_report).encode()).hexdigest()
+        assert (SCHEMA_VERSION, digest) == (
+            2, "76afe1cba0da13c230a6d180fbff4e91b534dc72ff963ae4a052dfa37e200171"
+        )
 
     def test_one_group_per_host_and_separator(self, counted_run):
         # 12 host groups plus 7 separator groups, each computed once
