@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", help="list the twelve catalog rows")
 
-    for verb, fn in [("analyze", None), ("orient", None), ("separator", None)]:
+    for verb in ("analyze", "orient", "separator"):
         sp = sub.add_parser(verb)
         sp.add_argument("graph", help="catalog name or graph6 text")
 

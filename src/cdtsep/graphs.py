@@ -263,15 +263,14 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
 
     def feasible(vertices) -> bool:
         # every off-path vertex still needs 2 usable incident edges;
-        # edges to the path endpoint and back to the start stay usable
+        # avail counts the edge back to the start, which was never
+        # appended, so only the edge to a later path end is added back
         end = path[-1]
         for v in vertices:
             if on_path[v]:
                 continue
             usable = avail[v]
-            if end in adj[v]:
-                usable += 1
-            if start in adj[v]:
+            if end != start and end in adj[v]:
                 usable += 1
             if usable < 2:
                 return False

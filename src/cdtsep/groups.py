@@ -3,10 +3,9 @@ groups, transitivity tests, Cayley digraphs, regular subgroups and
 explicit isomorphisms.
 
 Automorphism groups come from partition-refinement backtracking, which
-also reads their orders off its search tree.  Membership, and the order
-of a group given by bare generators, come from an in-repo stabilizer
-chain built by deterministic Schreier-Sims on tuple permutations (Sims
-1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+also reads their orders and a base off its search tree.  A group's
+elements and its index-2 subgroups are read off one walk over the
+images of its base (Seress, *Permutation Group Algorithms*, 2003).
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
 from .graphs import Digraph, Graph, build_digraph, distances, enumerate_arcs, underlying
 from .separator import SeparatorDigraph
@@ -77,104 +75,46 @@ def _perm_order(p) -> int:
     return out
 
 
-def _orbit(gens, start, act) -> set:
+def _orbit(gens, start, act) -> dict:
     """Orbit of start under the group generated by gens, where act(g, x)
-    is the image of x under g."""
-    seen = {start}
+    is the image of x under g, as a Schreier vector: each point maps to
+    the point it was first reached from and the index of the generator
+    that carried it there, start to None.  Every point is listed after
+    the point it was reached from."""
+    tree = {start: None}
     frontier = [start]
+    indexed = tuple(enumerate(gens))
     while frontier:
         x = frontier.pop()
-        for g in gens:
+        for i, g in indexed:
             y = act(g, x)
-            if y not in seen:
-                seen.add(y)
+            if y not in tree:
+                tree[y] = x, i
                 frontier.append(y)
-    return seen
+    return tree
 
 
-class _Chain:
-    """Stabilizer chain of a permutation group on 0..degree-1.
-
-    Level i keeps a base point, the strong generators fixing the earlier
-    base points, and a transversal mapping each point of the base
-    point's orbit to an element carrying the base point there.  extend()
-    keeps the chain complete, so that orbit is the one under the
-    pointwise stabilizer of the earlier base points.  Inverses are
-    computed when needed, not stored.
-    """
-
-    def __init__(self, degree: int):
-        self.identity = tuple(range(degree))
-        self.base: list[int] = []
-        self.strong: list[list[tuple[int, ...]]] = []
-        self.transversals: list[dict[int, tuple[int, ...]]] = []
-
-    def order(self) -> int:
-        return prod(len(t) for t in self.transversals)
-
-    def sift(self, p, level: int = 0):
-        """(residue, stop level) of p stripped from level on; the residue
-        fixes the base points before the stop level."""
-        for i in range(level, len(self.base)):
-            x = p[self.base[i]]
-            if x != self.base[i]:
-                u = self.transversals[i].get(x)
-                if u is None:
-                    return p, i
-                p = compose(inverse(u), p)
-        return p, len(self.base)
-
-    def contains(self, p) -> bool:
-        return self.sift(tuple(p))[0] == self.identity
-
-    def extend(self, g) -> bool:
-        """Add g to the group; whether the group grew.  A non-trivial
-        residue joins the levels it was sifted through, and the Schreier
-        generators this makes go on a work stack for the next level."""
-        grew = False
-        work = [(tuple(g), 0)]
-        while work:
-            h, lo = work.pop()
-            h, hi = self.sift(h, lo)
-            if h == self.identity:
-                continue
-            grew = True
-            if hi == len(self.base):
-                b = next(x for x in self.identity if h[x] != x)
-                self.base.append(b)
-                self.strong.append([])
-                self.transversals.append({b: self.identity})
-            for i in range(lo, hi + 1):
-                strong, trans = self.strong[i], self.transversals[i]
-                strong.append(h)
-                pairs = [(x, h) for x in trans]
-                while pairs:
-                    x, s = pairs.pop()
-                    sx = compose(s, trans[x])
-                    u = trans.get(s[x])
-                    if u is None:
-                        trans[s[x]] = sx
-                        pairs += [(s[x], t) for t in strong]
-                        continue
-                    r, _ = self.sift(compose(inverse(u), sx), i + 1)
-                    if r != self.identity:
-                        work.append((r, i + 1))
-        return grew
+def _image(g, points) -> tuple[int, ...]:
+    """Image of a tuple of points under g."""
+    return tuple(g[x] for x in points)
 
 
 @dataclass
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators.
 
-    The order is the one known at construction where the builder knows
-    it (automorphism_group, regular_subgroups), and otherwise comes from
-    the in-repo stabilizer chain, as membership does.  Orbits,
-    transitivity and the elements are walked over the generators.
+    A base is a tuple of points that only the identity fixes, so the
+    group acts regularly on the images of its base and each element is
+    named by its base image.  automorphism_group and regular_subgroups
+    record a short base and the order; a group given by bare generators
+    takes every point as its base, so its order() enumerates the group.
+    Orbits, transitivity and the elements are walked over the generators.
     """
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
     _order: int | None = field(default=None, init=False, repr=False, compare=False)
+    _base: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ident = tuple(range(self.degree))
@@ -187,32 +127,36 @@ class PermGroup:
                 gens.append(g)
         self.generators = tuple(gens)
 
-    @cached_property
-    def _chain(self) -> _Chain:
-        chain = _Chain(self.degree)
-        for g in self.generators:
-            chain.extend(g)
-        return chain
+    def _base_orbit(self) -> dict:
+        """Schreier vector of the orbit of the base: one entry per element."""
+        base = tuple(range(self.degree)) if self._base is None else self._base
+        return _orbit(self.generators, base, _image)
 
     def order(self) -> int:
-        return self._order or self._chain.order()
+        return self._order or len(self._base_orbit())
 
     def orbit(self, x: int) -> set[int]:
-        return _orbit(self.generators, x, tuple.__getitem__)
+        return set(_orbit(self.generators, x, tuple.__getitem__))
 
     def is_transitive(self, num_points: int | None = None) -> bool:
         n = self.degree if num_points is None else num_points
         return len(self.orbit(0)) == n if n > 0 else True
 
     def elements(self) -> list[tuple[int, ...]]:
-        return sorted(_orbit(self.generators, tuple(range(self.degree)), compose))
+        """The element carrying the base to each of its images: the
+        generator that reached the image times the element of the image
+        it was reached from, one compose per element."""
+        named: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for y, step in self._base_orbit().items():
+            if step is None:
+                named[y] = tuple(range(self.degree))
+            else:
+                named[y] = compose(self.generators[step[1]], named[step[0]])
+        return sorted(named.values())
 
     def order_spectrum(self) -> set[int]:
         """Orders of all elements, over the whole element list."""
         return {_perm_order(p) for p in self.elements()}
-
-    def contains(self, p) -> bool:
-        return self._chain.contains(p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +253,8 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     The seeds (candidate permutations, verified here) fix no base point,
     so they join at level 0 only.  The orbit of b_i is then that of the
     stabilizer of b_0..b_{i-1}, and |G| is the product of the orbit
-    sizes (McKay 1981); no stabilizer chain is built.
+    sizes (McKay 1981).  The refinement is discrete once b_0..b_{k-1}
+    are fixed, so they are a base of the group.
     """
     ta = _tagged_adj(x)
     n = len(ta)
@@ -342,6 +287,7 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
         order *= len(orbit)
     group = PermGroup(n, tuple(gens))
     group._order = order
+    group._base = tuple(c[0] for c in base_cells)
     return group
 
 
@@ -351,7 +297,7 @@ def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
     best = 0
     for length in range(1, max_len + 1):
         arcs = enumerate_arcs(g, length)
-        orbit = _orbit(group.generators, tuple(arcs[0]), lambda p, a: tuple(p[v] for v in a))
+        orbit = _orbit(group.generators, tuple(arcs[0]), _image)
         if len(orbit) != len(arcs):
             break
         best = length
@@ -367,7 +313,7 @@ def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
         for v in range(g.order):
             classes.setdefault(table.dist[u][v], set()).add((u, v))
     return all(
-        _orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])) == pairs
+        _orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])).keys() == pairs
         for pairs in classes.values()
     )
 
@@ -495,14 +441,15 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     can each act regularly).
 
     An index-2 subgroup is the kernel of a character, which gives each
-    generator the value 0 or 1.  A character vanishes on K, the normal
-    closure of the generator squares and commutators, so it is fixed by
-    its values on the generators independent modulo K: every other
-    generator takes the sum over the independent ones whose product it
-    equals modulo K.  The kernel is generated by K, the generators of
-    value 0 and g*g0 for the others, g0 the first of value 1.  Its order
-    is |G|/2 by construction, so transitivity alone decides regularity
-    and only K's stabilizer chain is built.
+    generator the value 0 or 1.  The orbit of the base is a Cayley graph
+    of the group: each image gets the bit mask over the generators of
+    its word in the orbit's spanning tree, and each edge outside the tree
+    closes a relation whose mask is the sum of the two words and its
+    generator.  The characters are the masks with an even overlap with
+    every relation, found by elimination.  The kernel of one is generated
+    by the Schreier generators of the transversal {1, g0}, g0 its first
+    generator of value 1.  Its order is |G|/2, so transitivity alone
+    decides regularity.
     """
     order = group.order()
     if order % num_points != 0:
@@ -513,34 +460,43 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     if index == 1:
         return [group] if group.is_transitive(num_points) else []
     gens = group.generators
-    words = [compose(g, g) for g in gens]
-    words += [compose(inverse(compose(b, a)), compose(a, b)) for a in gens for b in gens]
-    kernel = _Chain(group.degree)
-    kernel_gens = []
-    while words:
-        w = words.pop()
-        if kernel.extend(w):
-            kernel_gens.append(w)
-            words += [compose(g, compose(w, inverse(g))) for g in gens]
-    # Each generator as a bit mask over the independent generators whose
-    # product it equals modulo K; products[m] is the product for mask m.
-    products = [kernel.identity]
-    masks = []
-    for g in gens:
-        mask = next((m for m, r in enumerate(products) if kernel.contains(compose(r, g))), None)
-        if mask is None:
-            if len(products) == 8:
-                raise GroupError("abelianized 2-quotient unexpectedly large")
-            mask = len(products)
-            products += [compose(g, r) for r in products]
-        masks.append(mask)
+    words: dict[tuple[int, ...], int] = {}
+    for y, step in group._base_orbit().items():
+        words[y] = 0 if step is None else words[step[0]] ^ 1 << step[1]
+    relations = {
+        words[x] ^ 1 << i ^ words[_image(g, x)] for x in words for i, g in enumerate(gens)
+    }
+    # Reduced rows keyed by their pivot, the lowest bit; no row holds
+    # another row's pivot.
+    rows: dict[int, int] = {}
+    for r in relations:
+        for pivot, row in rows.items():
+            if r & pivot:
+                r ^= row
+        if r:
+            pivot = r & -r
+            for other, row in rows.items():
+                if row & pivot:
+                    rows[other] = row ^ r
+            rows[pivot] = r
+    free = [1 << i for i in range(len(gens)) if 1 << i not in rows]
+    if len(free) > 3:
+        raise GroupError("abelianized 2-quotient unexpectedly large")
     found = []
-    for character in range(1, len(products)):
-        values = [(m & character).bit_count() % 2 for m in masks]
-        g0 = gens[values.index(1)]
-        sub_gens = [g if v == 0 else compose(g, g0) for g, v in zip(gens, values) if g != g0]
-        sub = PermGroup(group.degree, tuple(kernel_gens + sub_gens))
+    for choice in range(1, 1 << len(free)):
+        character = sum(bit for j, bit in enumerate(free) if choice >> j & 1)
+        character |= sum(p for p, row in rows.items() if (row & character).bit_count() % 2)
+        g0 = gens[(character & -character).bit_length() - 1]
+        g0_inv = inverse(g0)
+        sub_gens = []
+        for i, g in enumerate(gens):
+            if character >> i & 1:
+                sub_gens += [compose(g, g0_inv), compose(g0, g)]
+            else:
+                sub_gens += [g, compose(g0, compose(g, g0_inv))]
+        sub = PermGroup(group.degree, tuple(sub_gens))
         sub._order = order // 2
+        sub._base = group._base
         if sub.is_transitive(num_points):
             found.append(sub)
     return found

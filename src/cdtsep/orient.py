@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, enumerate_arcs
-from .cycles import CycleSet, cycles_through, unordered_paths
+from .cycles import CycleSet, canonical_cycle, cycles_through, unordered_paths
 
 __all__ = [
     "ConstraintError",
@@ -209,8 +209,6 @@ def assignment_from_cycles(cs: CycleSet, cycles) -> OrientationAssignment:
     """Convert explicit oriented cycle sequences into an assignment over
     the canonical cycle set.  Raises ValueError if the collection does
     not cover the cycle set exactly once."""
-    from .cycles import canonical_cycle
-
     pos = {c: i for i, c in enumerate(cs.cycles)}
     flips: list[bool | None] = [None] * len(cs.cycles)
     for seq in cycles:

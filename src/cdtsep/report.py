@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .analysis import Analysis
 from .catalog import CdtName, reference_ooc
+from .cycles import cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian, underlying
 from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
@@ -174,8 +175,6 @@ def _truncated_tetrahedron() -> Graph:
 
 def _witness_is_valid(g, cs, k, witness: OddWitness) -> bool:
     """Re-check an odd witness from scratch against the cycle set."""
-    from .cycles import cycles_through
-
     if not witness.is_odd():
         return False
     m = len(witness.paths)

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import GraphError, underlying
+from .orient import OddWitness, ParityConstraintGraph, solve
 from .separator import AlternateCensus, SeparatorDigraph, alternate_census
 
 __all__ = ["FaceComplex", "EulerReport", "face_complex", "euler"]
@@ -61,47 +62,27 @@ def face_complex(
 
 
 def euler(fc: FaceComplex) -> EulerReport:
-    """Euler characteristic, orientability by 2-coloring face directions,
-    and genus when orientable.
+    """Euler characteristic, orientability, and genus when orientable.
 
     Orientable means the faces can be flipped so that the two boundary
-    slots of every edge traverse it in opposite directions; decided by
-    parity propagation over the face-adjacency structure.
+    slots of every edge traverse it in opposite directions: a parity
+    constraint per edge between its two faces, solved as the girth-cycle
+    orientation problem is.
     """
     chi = fc.vertices - len(fc.edges) + len(fc.faces)
-    # slots[edge] = list of (face id, direction)
-    slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # slots[edge] = list of (face id, traversed from its lower end)
+    slots: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for fid, face in enumerate(fc.faces):
         n = len(face)
         for i in range(n):
             u, v = face[i], face[(i + 1) % n]
-            key = (min(u, v), max(u, v))
-            slots.setdefault(key, []).append((fid, 1 if u < v else -1))
-    sign: list[int | None] = [None] * len(fc.faces)
-    orientable = True
-    from collections import deque
-
-    adj: dict[int, list[tuple[int, bool]]] = {}
-    for pair in slots.values():
-        (f1, d1), (f2, d2) = pair
-        must_differ = d1 == d2  # same natural direction: one face flips
-        adj.setdefault(f1, []).append((f2, must_differ))
-        adj.setdefault(f2, []).append((f1, must_differ))
-    for root in range(len(fc.faces)):
-        if sign[root] is not None:
-            continue
-        sign[root] = 0
-        queue = deque([root])
-        while queue and orientable:
-            f = queue.popleft()
-            for h, differ in adj.get(f, []):
-                want = sign[f] ^ int(differ)
-                if sign[h] is None:
-                    sign[h] = want
-                    queue.append(h)
-                elif sign[h] != want:
-                    orientable = False
-                    break
+            slots.setdefault((min(u, v), max(u, v)), []).append((fid, u < v))
+    # same natural direction in both slots: one of the two faces flips
+    constraints = tuple(
+        (f1, f2, d1 == d2, key) for key, ((f1, d1), (f2, d2)) in slots.items()
+    )
+    outcome = solve(ParityConstraintGraph(len(fc.faces), constraints))
+    orientable = not isinstance(outcome, OddWitness)
     genus = (2 - chi) // 2 if orientable else None
     if orientable and chi % 2 != 0:
         raise GraphError("orientable complex with odd Euler characteristic")

@@ -2,7 +2,7 @@ import pytest
 
 from cdtsep.graphs import GraphError
 from cdtsep.separator import AlternateCensus, AlternateOrbit
-from cdtsep.topology import euler, face_complex
+from cdtsep.topology import FaceComplex, euler, face_complex
 
 # text name -> (faces, chi, genus); all seven complexes are orientable
 EXPECTED = {
@@ -55,3 +55,18 @@ class TestEuler:
         assert report.vertices - report.edges + report.faces == chi
         assert report.orientable
         assert report.genus == genus
+
+    def test_projective_plane_is_not_orientable(self):
+        # the hemi-icosahedron: ten triangles on six vertices, every edge
+        # in two of them, triangulating the projective plane
+        faces = (
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+        )
+        slots = [tuple(sorted((f[i], f[i - 1]))) for f in faces for i in range(3)]
+        edges = tuple(sorted(set(slots)))
+        assert all(slots.count(e) == 2 for e in edges)
+        report = euler(FaceComplex(6, edges, faces))
+        assert (report.edges, report.faces, report.chi) == (15, 10, 1)
+        assert report.orientable is False
+        assert report.genus is None
