@@ -99,10 +99,9 @@ def enumerate_girth_cycles(g: Graph) -> CycleSet:
         # paths root -> ... with all interior vertices > root; closing
         # edge back to root yields each cycle twice, deduped by direction
         stack = [(root, v) for v in g.adj[root] if v > root]
-        paths: list[tuple[int, ...]] = []
         while stack:
             path = stack.pop()
-            if isinstance(path, tuple) and len(path) == glen:
+            if len(path) == glen:
                 if g.has_edge(path[-1], root):
                     found.add(canonical_cycle(path))
                 continue

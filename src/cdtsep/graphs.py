@@ -22,6 +22,8 @@ __all__ = [
     "distances",
     "girth",
     "enumerate_arcs",
+    "ParityColoring",
+    "parity_coloring",
     "is_bipartite",
     "is_hamiltonian",
     "is_planar",
@@ -56,10 +58,7 @@ class Graph:
         return all(len(a) == 3 for a in self.adj)
 
     def is_connected(self) -> bool:
-        if self.order == 0:
-            return True
-        seen = _bfs_reach(self.adj, 0)
-        return len(seen) == self.order
+        return self.order == 0 or -1 not in _bfs_dist(self.adj, 0, self.order)
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,6 @@ def underlying(d: Digraph) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(d.order, tuple(tuple(sorted(a)) for a in adj))
-
-
-def _bfs_reach(adj, root: int) -> set[int]:
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
 
 
 def _bfs_dist(adj, root: int, n: int) -> list[int]:
@@ -225,23 +212,84 @@ def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_bipartite(g: Graph) -> bool:
-    """2-coloring existence by BFS parity."""
-    color = [-1] * g.order
-    for root in range(g.order):
-        if color[root] >= 0:
+@dataclass(frozen=True)
+class ParityColoring:
+    """Outcome of parity_coloring.  When odd_walk is None, bits holds one
+    bit per node and components counts the connected components.
+    Otherwise bits is empty, components is 0, and odd_walk lists the
+    constraint indices of a closed walk whose differ flags sum to odd:
+    it starts and ends at the second node of its last constraint."""
+
+    bits: tuple[bool, ...]
+    components: int
+    odd_walk: tuple[int, ...] | None = None
+
+
+def parity_coloring(n: int, constraints) -> ParityColoring:
+    """Give nodes 0..n-1 bits so that the two nodes of each constraint
+    (a, b, differ, ...) get unequal bits exactly when differ is true.
+
+    BFS from the least node of each component, which gets bit 0, so the
+    bits are the unique solution pinning those nodes.  On the first
+    constraint whose bits clash, the odd walk is the BFS-tree path from
+    its b up to the lowest common ancestor, down to its a, closed by the
+    clashing constraint itself.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, c in enumerate(constraints):
+        incident[c[0]].append(i)
+        incident[c[1]].append(i)
+    bit = [-1] * n
+    tree = [-1] * n  # index of the constraint that coloured each node
+    depth = [0] * n
+    components = 0
+    for root in range(n):
+        if bit[root] >= 0:
             continue
-        color[root] = 0
+        components += 1
+        bit[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in g.adj[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
+            for i in incident[u]:
+                a, b, differ = constraints[i][:3]
+                v = b if a == u else a
+                want = bit[u] ^ differ
+                if bit[v] < 0:
+                    bit[v], tree[v], depth[v] = want, i, depth[u] + 1
                     queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+                elif bit[v] != want:
+                    return ParityColoring((), 0, _odd_walk(constraints, tree, depth, i))
+    return ParityColoring(tuple(map(bool, bit)), components)
+
+
+def _odd_walk(constraints, tree, depth, clash: int) -> tuple[int, ...]:
+    """Tree path from b up to the lowest common ancestor and down to a,
+    then the clashing constraint (a, b, ...)."""
+    a, b = constraints[clash][:2]
+    up_from_a: list[int] = []
+    up_from_b: list[int] = []
+
+    def climb(node: int, steps: list[int]) -> int:
+        steps.append(tree[node])
+        x, y = constraints[tree[node]][:2]
+        return y if x == node else x
+
+    while depth[a] > depth[b]:
+        a = climb(a, up_from_a)
+    while depth[b] > depth[a]:
+        b = climb(b, up_from_b)
+    while a != b:
+        a = climb(a, up_from_a)
+        b = climb(b, up_from_b)
+    return tuple(up_from_b + up_from_a[::-1] + [clash])
+
+
+def is_bipartite(g: Graph) -> bool:
+    """2-coloring existence: the parity coloring with every edge a
+    differ constraint."""
+    edges = [(u, v, True) for u, v in g.edges()]
+    return parity_coloring(g.order, edges).odd_walk is None
 
 
 def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:

@@ -59,16 +59,18 @@ def inverse(p) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _perm_order(p) -> int:
-    seen = [False] * len(p)
+def _perm_order(p, points) -> int:
+    """Lcm of the lengths of p's cycles through points: the order of p
+    when only the identity fixes every one of the points."""
+    seen: set[int] = set()
     out = 1
-    for v in range(len(p)):
-        if seen[v]:
+    for x in points:
+        if x in seen:
             continue
-        length = 0
-        u = v
-        while not seen[u]:
-            seen[u] = True
+        seen.add(x)
+        u, length = p[x], 1
+        while u != x:
+            seen.add(u)
             u = p[u]
             length += 1
         out = lcm(out, length)
@@ -127,10 +129,12 @@ class PermGroup:
                 gens.append(g)
         self.generators = tuple(gens)
 
+    def _base_points(self) -> tuple[int, ...]:
+        return tuple(range(self.degree)) if self._base is None else self._base
+
     def _base_orbit(self) -> dict:
         """Schreier vector of the orbit of the base: one entry per element."""
-        base = tuple(range(self.degree)) if self._base is None else self._base
-        return _orbit(self.generators, base, _image)
+        return _orbit(self.generators, self._base_points(), _image)
 
     def order(self) -> int:
         return self._order or len(self._base_orbit())
@@ -155,8 +159,10 @@ class PermGroup:
         return sorted(named.values())
 
     def order_spectrum(self) -> set[int]:
-        """Orders of all elements, over the whole element list."""
-        return {_perm_order(p) for p in self.elements()}
+        """Orders of all elements, each read off its cycles through the
+        base, since only the identity fixes the base."""
+        base = self._base_points()
+        return {_perm_order(p, base) for p in self.elements()}
 
 
 # ---------------------------------------------------------------------------

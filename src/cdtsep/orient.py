@@ -2,17 +2,16 @@
 cycles through every key path traverse it oppositely.
 
 The decision reduces to parity constraints between per-cycle orientation
-bits, solved by union-find with parity.  A failure is returned as a
-closed alternating cycle/path sequence of odd parity, re-checkable
-independently of the solver.
+bits, solved by the BFS parity 2-coloring of graphs.parity_coloring.  A
+failure is returned as a closed alternating cycle/path sequence of odd
+parity, re-checkable independently of the solver.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, enumerate_arcs
+from .graphs import Graph, enumerate_arcs, parity_coloring
 from .cycles import CycleSet, canonical_cycle, cycles_through, unordered_paths
 
 __all__ = [
@@ -54,7 +53,9 @@ class OrientationAssignment:
 @dataclass(frozen=True)
 class OddWitness:
     """Closed alternating sequence cycle_0, path_0, ..., cycle_m = cycle_0
-    whose parity labels multiply to odd, refuting any valid assignment."""
+    whose parity labels sum to odd, refuting any valid assignment.  It
+    runs along the solver's BFS tree through one conflicting path, so it
+    is short but not always the shortest such sequence."""
 
     cycle_ids: tuple[int, ...]
     paths: tuple[tuple[int, ...], ...]
@@ -82,104 +83,25 @@ def build_constraints(g: Graph, cs: CycleSet, k: int) -> ParityConstraintGraph:
     return ParityConstraintGraph(len(cs), tuple(edges))
 
 
-class _ParityUnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.parity = [0] * n  # parity relative to parent
-
-    def find(self, x: int) -> tuple[int, int]:
-        """Root of x and the parity of x relative to it, with path compression."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        par = 0
-        for v in reversed(path):
-            par ^= self.parity[v]
-            self.parent[v] = x
-            self.parity[v] = par
-        return x, par
-
-    def union(self, x: int, y: int, differ: bool) -> bool:
-        """Merge; returns False on parity conflict."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        want = px ^ py ^ int(differ)
-        if rx == ry:
-            return want == 0
-        self.parent[ry] = rx
-        self.parity[ry] = want
-        return True
-
-
-def _odd_witness(pcg: ParityConstraintGraph, upto: int) -> OddWitness:
-    """Shortest odd closed sequence through the conflicting edge,
-    found by BFS over (node, parity) states."""
-    c1, c2, differ, path = pcg.edges[upto]
-    adj: dict[int, list[tuple[int, bool, tuple[int, ...]]]] = {}
-    for a, b, d, p in pcg.edges[:upto]:
-        adj.setdefault(a, []).append((b, d, p))
-        adj.setdefault(b, []).append((a, d, p))
-    # closed walk parity must be odd: path c2 -> c1 of parity (1 - differ)
-    target = (c1, 1 ^ int(differ))
-    start = (c2, 0)
-    prev: dict[tuple[int, int], tuple[tuple[int, int], bool, tuple[int, ...]]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state == target:
-            break
-        node, par = state
-        for nxt, d, p in adj.get(node, []):
-            ns = (nxt, par ^ int(d))
-            if ns not in seen:
-                seen.add(ns)
-                prev[ns] = (state, d, p)
-                queue.append(ns)
-    else:
-        raise AssertionError("conflicting edge without a connecting path")
-    cycle_ids = [target[0]]
-    paths: list[tuple[int, ...]] = []
-    parities: list[bool] = []
-    state = target
-    while state != start:
-        state, d, p = prev[state]
-        cycle_ids.append(state[0])
-        paths.append(p)
-        parities.append(d)
-    cycle_ids.reverse()
-    paths.reverse()
-    parities.reverse()
-    # close the walk with the conflicting edge itself
-    cycle_ids.append(c2)
-    paths.append(path)
-    parities.append(differ)
-    # rotate so the sequence starts at c2 = the first listed node
-    return OddWitness(tuple(cycle_ids), tuple(paths), tuple(parities))
-
-
 def solve(pcg: ParityConstraintGraph) -> OrientationAssignment | OddWitness:
     """Satisfy all parity constraints or exhibit an odd closed sequence.
 
-    Deterministic: the representative (least cycle id) of every
-    connected component keeps its canonical direction.
+    Deterministic: the least cycle id of every connected component keeps
+    its canonical direction.
     """
-    uf = _ParityUnionFind(pcg.num_nodes)
-    for i, (a, b, differ, _p) in enumerate(pcg.edges):
-        if not uf.union(a, b, differ):
-            return _odd_witness(pcg, i)
-    rep_parity: dict[int, int] = {}
-    flips = []
-    components = 0
-    for node in range(pcg.num_nodes):
-        root, par = uf.find(node)
-        if root not in rep_parity:
-            # least node of the component arrives first and is pinned to +
-            rep_parity[root] = par
-            components += 1
-        flips.append(bool(par ^ rep_parity[root]))
-    return OrientationAssignment(tuple(flips), components)
+    coloring = parity_coloring(pcg.num_nodes, pcg.edges)
+    if coloring.odd_walk is None:
+        return OrientationAssignment(coloring.bits, coloring.components)
+    walk = [pcg.edges[i] for i in coloring.odd_walk]
+    # the walk starts at the second cycle of its last, conflicting, edge
+    node = walk[-1][1]
+    cycle_ids = [node]
+    for a, b, _differ, _path in walk:
+        node = b if a == node else a
+        cycle_ids.append(node)
+    return OddWitness(
+        tuple(cycle_ids), tuple(e[3] for e in walk), tuple(e[2] for e in walk)
+    )
 
 
 def oriented_cycles(cs: CycleSet, a: OrientationAssignment) -> list[tuple[int, ...]]:

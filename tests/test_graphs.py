@@ -150,6 +150,20 @@ class TestPredicates:
         assert is_bipartite(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         assert not is_bipartite(petersen())
 
+    def test_bipartite_against_networkx(self):
+        for g in random_graphs(1000, 9, seed=3):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.order))
+            h.add_edges_from(g.edges())
+            assert is_bipartite(g) == nx.is_bipartite(h), g
+
+    def test_connected_against_networkx(self):
+        for g in random_graphs(1000, 9, seed=4):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.order))
+            h.add_edges_from(g.edges())
+            assert g.is_connected() == (g.order == 0 or nx.is_connected(h)), g
+
     def test_hamiltonian(self):
         k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert is_hamiltonian(k4) is True

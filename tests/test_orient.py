@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
@@ -137,3 +141,52 @@ class TestKappa:
             classify_kappa(False, True, 5, 3)
         with pytest.raises(ValueError):
             classify_kappa(True, False, 3, 3)
+
+
+def random_parity_systems(count, max_nodes, seed):
+    """Seeded parity constraint graphs on 1..max_nodes nodes; about one
+    edge in twenty joins a node to itself, and each edge's path label is
+    its own index."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_nodes)
+        edges = []
+        for i in range(rng.randint(0, 2 * n)):
+            if n > 1 and rng.random() < 0.95:
+                a, b = rng.sample(range(n), 2)
+            else:
+                a = b = rng.randrange(n)
+            edges.append((a, b, rng.random() < 0.5, (i,)))
+        yield ParityConstraintGraph(n, tuple(edges))
+
+
+class TestAgainstBruteForce:
+    def test_solve_matches_exhaustive_search(self):
+        for pcg in random_parity_systems(1500, 8, seed=11):
+            n = pcg.num_nodes
+            solutions = [
+                bits for bits in itertools.product((False, True), repeat=n)
+                if all((bits[a] != bits[b]) == d for a, b, d, _p in pcg.edges)
+            ]
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from((a, b) for a, b, _d, _p in pcg.edges)
+            least = [min(c) for c in nx.connected_components(h)]
+            outcome = solve(pcg)
+            assert isinstance(outcome, OrientationAssignment) == bool(solutions), pcg
+            if solutions:
+                pinned = [s for s in solutions if not any(s[v] for v in least)]
+                assert [outcome.flips] == pinned, pcg
+                assert outcome.components == len(least), pcg
+            else:
+                self.assert_odd_closed_walk(pcg, outcome)
+
+    @staticmethod
+    def assert_odd_closed_walk(pcg, w):
+        assert w.is_odd(), pcg
+        assert len(w.cycle_ids) == len(w.paths) + 1 == len(w.parities) + 1, pcg
+        assert w.cycle_ids[0] == w.cycle_ids[-1], pcg
+        for i, (path, parity) in enumerate(zip(w.paths, w.parities)):
+            a, b, d, _p = pcg.edges[path[0]]
+            assert {a, b} == {w.cycle_ids[i], w.cycle_ids[i + 1]}, pcg
+            assert parity == d, pcg
