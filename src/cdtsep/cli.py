@@ -180,7 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="time budget gating hamiltonicity and group searches",
+        help="time budget: the hamiltonicity search stops when it runs out, and"
+        " verify starts no group check after it has run out (a running group"
+        " search is not interrupted)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

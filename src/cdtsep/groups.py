@@ -2,8 +2,16 @@
 groups, transitivity tests, Cayley digraphs, regular subgroups and
 explicit isomorphisms.
 
-Automorphism groups come from partition-refinement backtracking, which
-also reads their orders and a base off its search tree.  A group's
+Automorphisms and isomorphisms come from one partition-refinement
+backtrack search over a coloring shared by two sides (McKay 1981; McKay
+& Piperno, JSC 2014).  Refinement is incremental: a color class is
+re-split only next to a vertex recolored in the round before, a split
+class keeps its id for its first part, and a class that gets different
+sizes on the two sides ends the node.  Each search node refines from its
+parent's partition with one new color, on an explicit stack.  An
+isomorphism test starts from the vertices' distance profiles, and
+unequal multisets of them refute it at the root.  The automorphism
+search also reads the group's order and a base off its tree.  A group's
 elements and its index-2 subgroups are read off one walk over the
 images of its base (Seress, *Permutation Group Algorithms*, 2003).
 """
@@ -181,34 +189,77 @@ def _tagged_adj(x: Graph | Digraph):
     return tuple(tuple((0, w) for w in x.adj[v]) for v in range(x.order))
 
 
-def _refine_pair(ta, tb, forced):
-    """Equitable refinement of both sides with a shared palette, the
-    forced pairs individualized.  Returns (colors_a, colors_b) or None
-    when the color class sizes cannot match."""
-    n = len(ta)
-    ca = [0] * n
-    cb = [0] * n
-    nxt = 1
-    for v, u in forced.items():
-        ca[v] = nxt
-        cb[u] = nxt
-        nxt += 1
-    ncolors = nxt
-    while True:
-        siga = [
-            (ca[v], tuple(sorted((t, ca[w]) for t, w in ta[v]))) for v in range(n)
-        ]
-        sigb = [
-            (cb[v], tuple(sorted((t, cb[w]) for t, w in tb[v]))) for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(siga) | set(sigb)))}
-        ca = [palette[s] for s in siga]
-        cb = [palette[s] for s in sigb]
-        if Counter(ca) != Counter(cb):
-            return None
-        if len(palette) == ncolors:
-            return ca, cb
-        ncolors = len(palette)
+def _pair(ca, cb):
+    """Two-sided coloring from dense color ids: (ca, cb, cells), where
+    cells[c] holds the members of color c on each side."""
+    members = [([], []) for _ in range(max(ca, default=-1) + 1)]
+    for v, c in enumerate(ca):
+        members[c][0].append(v)
+    for v, c in enumerate(cb):
+        members[c][1].append(v)
+    return ca, cb, [(tuple(a), tuple(b)) for a, b in members]
+
+
+def _refine(ta, tb, pair, moved_a, moved_b):
+    """Refine pair in place to the coarsest equitable two-sided coloring
+    below it, or return None when a color class gets different sizes on
+    the two sides.  pair must be equitable except around moved_a and
+    moved_b, the vertices of each side recolored since it was.
+
+    Each round re-splits, by neighbor signature over both sides together,
+    the classes next to a vertex recolored in the round before.  The
+    part with the least signature keeps the class's id and each other
+    part gets a fresh one, so ids are stable and no id is reused (McKay
+    1981).
+    """
+    ca, cb, cells = pair
+    while moved_a:
+        touched = {ca[w] for v in moved_a for _, w in ta[v]}
+        touched.update(cb[w] for v in moved_b for _, w in tb[v])
+        moved_a, moved_b = [], []
+        for c in sorted(touched):
+            members_a, members_b = cells[c]
+            if len(members_a) == 1:
+                continue
+            # A member's signature: its neighbors' colors, each tagged.
+            parts: dict[tuple, tuple[list[int], list[int]]] = {}
+            for side, t, colors, members in ((0, ta, ca, members_a), (1, tb, cb, members_b)):
+                for v in members:
+                    key = tuple(sorted([2 * colors[w] + tag for tag, w in t[v]]))
+                    parts.setdefault(key, ([], []))[side].append(v)
+            if len(parts) == 1:
+                continue
+            for i, key in enumerate(sorted(parts)):
+                part_a, part_b = parts[key]
+                if len(part_a) != len(part_b):
+                    return None
+                if i == 0:
+                    cells[c] = tuple(part_a), tuple(part_b)
+                    continue
+                fresh = len(cells)
+                cells.append((tuple(part_a), tuple(part_b)))
+                for v in part_a:
+                    ca[v] = fresh
+                for v in part_b:
+                    cb[v] = fresh
+                moved_a += part_a
+                moved_b += part_b
+    return pair
+
+
+def _individualize(ta, tb, pair, v, u):
+    """Copy of pair, an equitable pair in which v and u share a color,
+    with v and u alone in a fresh color, refined from them; or None."""
+    ca, cb, cells = pair
+    ca, cb, cells = ca[:], cb[:], cells[:]
+    members_a, members_b = cells[ca[v]]
+    cells[ca[v]] = (
+        tuple(x for x in members_a if x != v),
+        tuple(x for x in members_b if x != u),
+    )
+    ca[v] = cb[u] = len(cells)
+    cells.append(((v,), (u,)))
+    return _refine(ta, tb, (ca, cb, cells), [v], [u])
 
 
 def _verify_mapping(ta, tb, m) -> bool:
@@ -220,80 +271,96 @@ def _verify_mapping(ta, tb, m) -> bool:
     return True
 
 
-def _search(ta, tb, forced):
-    """Find a tagged-adjacency-preserving bijection extending forced, or
-    None.  Branches on the smallest non-singleton color class."""
-    res = _refine_pair(ta, tb, forced)
-    if res is None:
-        return None
-    ca, cb = res
-    cells_a: dict[int, list[int]] = {}
-    cells_b: dict[int, list[int]] = {}
-    for v, c in enumerate(ca):
-        cells_a.setdefault(c, []).append(v)
-    for v, c in enumerate(cb):
-        cells_b.setdefault(c, []).append(v)
-    split = [(len(vs), c) for c, vs in cells_a.items() if len(vs) > 1]
-    if not split:
-        m = [cells_b[c][0] for c in ca]
-        return tuple(m) if _verify_mapping(ta, tb, m) else None
-    _, c = min(split)
-    v = min(cells_a[c])
-    branch = dict(forced)
-    for u in sorted(cells_b[c]):
-        branch[v] = u
-        m = _search(ta, tb, branch)
-        if m is not None:
-            return m
-    return None
+def _search(ta, tb, pair):
+    """Tagged-adjacency-preserving bijection from side a to side b that
+    maps each color class of pair, an equitable pair or None, onto its
+    twin; or None when there is none.
+
+    The root pair is colored by distance profile for an isomorphism
+    test; for an automorphism search it is a base level's partition
+    with the base point individualized against one candidate image.
+    Depth first over an explicit stack of frames, each a node's pair and
+    the candidates it has left, so no depth raises RecursionError.  A
+    node branches on its smallest non-singleton class: the least member
+    on side a is individualized against each member on side b in turn.
+    Each child copies its node's pair, gives the two one fresh color and
+    refines incrementally from them alone; ids are stable, so the
+    child's classes are its parent's, split.
+    """
+    stack = []
+    while True:
+        if pair is not None:
+            ca, _cb, cells = pair
+            split = [(len(a), c) for c, (a, _b) in enumerate(cells) if len(a) > 1]
+            if not split:
+                m = [cells[c][1][0] for c in ca]
+                if _verify_mapping(ta, tb, m):
+                    return tuple(m)
+            else:
+                members_a, members_b = cells[min(split)[1]]
+                stack.append((pair, min(members_a), sorted(members_b, reverse=True)))
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return None
+        node, v, candidates = stack[-1]
+        pair = _individualize(ta, tb, node, v, candidates.pop())
 
 
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """Full automorphism group, as generators with its exact order.
 
-    Base point b_i is the first member of the first non-singleton cell
-    of the partition refined with b_0..b_{i-1} fixed.  The levels are
-    settled deepest first: the generators found at levels >= i fix
-    b_0..b_{i-1}, and a search settles each cell member outside the
-    orbit of b_i under them, adding a generator or certifying the gap.
-    The seeds (candidate permutations, verified here) fix no base point,
-    so they join at level 0 only.  The orbit of b_i is then that of the
-    stabilizer of b_0..b_{i-1}, and |G| is the product of the orbit
-    sizes (McKay 1981).  The refinement is discrete once b_0..b_{k-1}
-    are fixed, so they are a base of the group.
+    The unit partition is refined to an equitable one, P_0; both sides
+    are one graph, so no distance profiles are computed.  Base point b_i
+    is the least member of the largest non-singleton class of P_i (the
+    oldest id among equals), and P_{i+1} is P_i with b_i individualized
+    and refined incrementally from it alone, so each level partition is
+    built once.  The levels are settled deepest first: the generators
+    found at levels >= i fix b_0..b_{i-1}, and a search from P_i with
+    b_i individualized against each class member outside the orbit of
+    b_i under them adds a generator or certifies the gap.  The seeds
+    (candidate permutations) fix no base point, so they are tried at
+    level 0 only.  One joins, after verification, only when it moves b_0
+    outside the orbit found so far: the deeper generators already
+    generate the stabilizer of b_0, so any other seed is in their group.
+    The orbit of b_i is then that of the stabilizer of b_0..b_{i-1}, and
+    |G| is the product of the orbit sizes (McKay 1981).  The partition
+    is discrete once b_0..b_{k-1} are individualized, so they are a base
+    of the group.
     """
     ta = _tagged_adj(x)
     n = len(ta)
-    base_cells: list[list[int]] = []
+    pair = _refine(ta, ta, _pair([0] * n, [0] * n), range(n), range(n))
+    levels = []
     while True:
-        ca, _cb = _refine_pair(ta, ta, {c[0]: c[0] for c in base_cells})
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(ca):
-            cells.setdefault(c, []).append(v)
-        target = min((c for c, vs in cells.items() if len(vs) > 1), default=None)
-        if target is None:
+        split = [a for a, _b in pair[2] if len(a) > 1]
+        if not split:
             break
-        base_cells.append(sorted(cells[target]))
+        target = max(split, key=len)
+        b = min(target)
+        levels.append((pair, b, sorted(target)))
+        pair = _individualize(ta, ta, pair, b, b)
     gens: list[tuple[int, ...]] = []
     order = 1
-    for level in reversed(range(len(base_cells))):
-        b, *rest = base_cells[level]
-        if level == 0:
-            gens += [s for s in map(tuple, seeds) if _verify_mapping(ta, ta, s)]
-        forced = {c[0]: c[0] for c in base_cells[:level]}
+    for level in reversed(range(len(levels))):
+        pair, b, cell = levels[level]
         orbit = _orbit(gens, b, tuple.__getitem__)
-        for u in rest:
+        if level == 0:
+            for s in map(tuple, seeds):
+                if len(s) == n and s[b] not in orbit and _verify_mapping(ta, ta, s):
+                    gens.append(s)
+                    orbit = _orbit(gens, b, tuple.__getitem__)
+        for u in cell:
             if u in orbit:
                 continue
-            forced[b] = u
-            m = _search(ta, ta, forced)
+            m = _search(ta, ta, _individualize(ta, ta, pair, b, u))
             if m is not None:
                 gens.append(m)
                 orbit = _orbit(gens, b, tuple.__getitem__)
         order *= len(orbit)
     group = PermGroup(n, tuple(gens))
     group._order = order
-    group._base = tuple(c[0] for c in base_cells)
+    group._base = tuple(b for _pair, b, _cell in levels)
     return group
 
 
@@ -427,18 +494,52 @@ def matrix_order(m) -> int:
 # Digraph isomorphism and regular subgroups.
 
 
+def _distance_profiles(t) -> list[tuple[int, ...]]:
+    """Each vertex's out-distance profile: the number of vertices at
+    each distance from it along out-arcs (edges of a graph)."""
+    n = len(t)
+    out = [[w for tag, w in nbrs if tag == 0] for nbrs in t]
+    profiles = []
+    for root in range(n):
+        seen = [False] * n
+        seen[root] = True
+        frontier = [root]
+        counts = []
+        while frontier:
+            counts.append(len(frontier))
+            reached = []
+            for x in frontier:
+                for w in out[x]:
+                    if not seen[w]:
+                        seen[w] = True
+                        reached.append(w)
+            frontier = reached
+        profiles.append(tuple(counts))
+    return profiles
+
+
+def _isomorphism(a: Graph | Digraph, b: Graph | Digraph):
+    """Explicit bijection from a to b preserving tagged adjacency, or
+    None.  The multisets of distance profiles (the distance invariant of
+    McKay & Piperno 2014) must be equal, which also equates order and
+    size; their ranks in one sorted palette are the starting colors."""
+    ta, tb = _tagged_adj(a), _tagged_adj(b)
+    pa, pb = _distance_profiles(ta), _distance_profiles(tb)
+    if Counter(pa) != Counter(pb):
+        return None
+    rank = {p: i for i, p in enumerate(sorted(set(pa)))}
+    pair = _pair([rank[p] for p in pa], [rank[p] for p in pb])
+    return _search(ta, tb, _refine(ta, tb, pair, range(len(ta)), range(len(tb))))
+
+
 def digraph_isomorphic(a: Digraph, b: Digraph):
     """Explicit arc-preserving bijection from a to b, or None."""
-    if a.order != b.order or len(a.arcs()) != len(b.arcs()):
-        return None
-    return _search(_tagged_adj(a), _tagged_adj(b), {})
+    return _isomorphism(a, b)
 
 
 def graph_isomorphic(a: Graph, b: Graph):
     """Explicit edge-preserving bijection from a to b, or None."""
-    if a.order != b.order or a.num_edges() != b.num_edges():
-        return None
-    return _search(_tagged_adj(a), _tagged_adj(b), {})
+    return _isomorphism(a, b)
 
 
 def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:

@@ -228,10 +228,10 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
         checks.append(
             _check("odd-witness-valid", True, _witness_is_valid(g, cs, p.k, a.outcome))
         )
-        checks.extend(_transitivity_checks(a))
         if over_budget():
             checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
         else:
+            checks.extend(_transitivity_checks(a))
             checks.append(_check("automorphism-order", p.a, a.host_group.order()))
         checks.append(_hamiltonian_check(g, p, budget, start))
         return GraphReport(name.value, tuple(checks))
@@ -306,13 +306,12 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     checks.append(_check("orientable", True, rep.orientable))
     checks.append(_check("genus", genus, rep.genus))
 
-    checks.extend(_transitivity_checks(a))
-
     if over_budget():
         checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
         checks.append(_hamiltonian_check(g, p, budget, start))
         return GraphReport(name.value, tuple(checks))
 
+    checks.extend(_transitivity_checks(a))
     checks.append(_check("automorphism-order", p.a, a.host_group.order()))
     sep_aut = a.separator_group
     checks.append(_check("separator-automorphism-order", p.a, sep_aut.order()))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
+from cdtsep.report import GL32_SEPARATOR_GENERATORS
 
 
 def path3():
@@ -115,6 +117,33 @@ def index_two_subgroups(group):
         if all(compose(a, b) in sub for a in reps for b in reps):
             out.append(sub)
     return out
+
+
+def isomorphic(n, arcs, target, directed):
+    """digraph_isomorphic or graph_isomorphic on two arc (edge) lists."""
+    if directed:
+        return digraph_isomorphic(build_digraph(n, arcs), build_digraph(n, target))
+    return graph_isomorphic(build_graph(n, arcs), build_graph(n, target))
+
+
+def two_in_two_out(rng, n):
+    """Arcs v -> p(v) and v -> q(v) for two random permutations p and q
+    that fix no point and agree nowhere."""
+    while True:
+        p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+        if all(v != p[v] != q[v] != v for v in range(n)):
+            return [(v, p[v]) for v in range(n)] + [(v, q[v]) for v in range(n)]
+
+
+def maps_onto(m, n, arcs, target, directed):
+    """Whether m is a permutation of 0..n-1 carrying the arcs (edges)
+    onto target."""
+    if m is None or sorted(m) != list(range(n)):
+        return False
+    image = [(m[u], m[v]) for u, v in arcs]
+    if directed:
+        return set(image) == set(target)
+    return {frozenset(e) for e in image} == {frozenset(e) for e in target}
 
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
@@ -274,6 +303,88 @@ class TestIsomorphism:
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
         assert graph_isomorphic(hexagon, two_triangles) is None
+
+    def test_edgeless_beyond_recursion_limit(self):
+        # one search level per vertex, deeper than the recursion limit
+        n = sys.getrecursionlimit() + 1
+        m = graph_isomorphic(build_graph(n, []), build_graph(n, []))
+        assert m is not None and sorted(m) == list(range(n))
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_relabelled_copies(self, directed):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            density = rng.random()
+            pool = itertools.permutations(range(n), 2) if directed else itertools.combinations(range(n), 2)
+            arcs = [e for e in pool if rng.random() < density]
+            relabel = rng.sample(range(n), n)
+            moved = [(relabel[u], relabel[v]) for u, v in arcs]
+            m = isomorphic(n, arcs, moved, directed)
+            assert maps_onto(m, n, arcs, moved, directed), arcs
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_equal_order_and_size_against_networkx(self, directed):
+        # every other pair is regular: two random cubic graphs, or two
+        # digraphs with two out-arcs and two in-arcs at every vertex.  They
+        # share their degrees and often their distance profiles, so the
+        # search itself has to refute them
+        rng = random.Random(13)
+        searched = 0
+        for case in range(400):
+            if case % 2:
+                n = 2 * rng.randint(2, 7)
+                if directed:
+                    sides = [two_in_two_out(rng, n) for _ in range(2)]
+                else:
+                    sides = [
+                        list(nx.random_regular_graph(3, n, seed=rng.randrange(10**6)).edges())
+                        for _ in range(2)
+                    ]
+            else:
+                n = rng.randint(1, 12)
+                pool = list(itertools.combinations(range(n), 2))
+                size = rng.randint(0, len(pool))
+                sides = [rng.sample(pool, size) for _ in range(2)]
+                if directed:
+                    sides = [[(u, v) if rng.random() < 0.5 else (v, u) for u, v in x] for x in sides]
+            oracle = [nx.DiGraph() if directed else nx.Graph() for _ in sides]
+            for graph, edges in zip(oracle, sides):
+                graph.add_nodes_from(range(n))
+                graph.add_edges_from(edges)
+            matcher = nx.isomorphism.DiGraphMatcher if directed else nx.isomorphism.GraphMatcher
+            m = isomorphic(n, *sides, directed)
+            if matcher(*oracle).is_isomorphic():
+                assert maps_onto(m, n, *sides, directed), sides
+            else:
+                assert m is None, sides
+                build = build_digraph if directed else build_graph
+                profiles = [
+                    sorted(groups._distance_profiles(groups._tagged_adj(build(n, x)))) for x in sides
+                ]
+                searched += profiles[0] == profiles[1]
+        assert searched > 10
+
+    def test_coxeter_reference_matrices_refuted_at_the_root(self, analysis_of, monkeypatch):
+        # the reference pair's Cayley digraph has other distance profiles
+        # than the separator, so no branch is tried; the corrected pair's
+        # has the same, and its search branches
+        s = analysis_of("coxeter").separator
+        branches = []
+        original = groups._individualize
+
+        def counted(*args):
+            branches.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(groups, "_individualize", counted)
+        elements = gl32_elements()
+        reference = cayley_digraph(elements, gl32_mult, list(GL32_GENERATORS))
+        assert digraph_isomorphic(s.digraph, reference) is None
+        assert branches == []
+        corrected = cayley_digraph(elements, gl32_mult, list(GL32_SEPARATOR_GENERATORS))
+        assert digraph_isomorphic(s.digraph, corrected) is not None
+        assert branches
 
 
 class TestRegularSubgroups:

@@ -1,7 +1,9 @@
 import hashlib
+import sys
 
 import pytest
 
+from cdtsep import groups
 from cdtsep.catalog import CdtName
 from cdtsep.graph6 import parse_graph6
 from cdtsep.report import (
@@ -46,6 +48,27 @@ class TestSingleGraph:
         assert "group-checks" in skipped
         assert "hamiltonian" in skipped
         assert "automorphism-order" not in [c.name for c in r.checks]
+
+    @pytest.mark.parametrize("name", [CdtName.K4, CdtName.PETERSEN, CdtName.TUTTE],
+                             ids=lambda n: n.value)
+    def test_budget_zero_builds_no_group(self, name, monkeypatch):
+        # K4 and Tutte take the solvable branch, Petersen the other one
+        original = groups.automorphism_group
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "cdtsep" and vars(module).get("automorphism_group") is original:
+                monkeypatch.setattr(module, "automorphism_group", counted)
+        r = run_graph_report(name, budget=0)
+        assert calls == []
+        names = [c.name for c in r.checks]
+        assert "group-checks" in names
+        assert "distance-transitive" not in names
+        assert "arc-transitivity" not in names
 
 
 class TestFullRun:
