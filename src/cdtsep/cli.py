@@ -60,7 +60,7 @@ def _report(spec: str, budget) -> VerificationReport:
     """Verification report of one catalog name or graph6 text."""
     name, g, _table = _resolve(spec)
     if name is None:
-        graph_report = run_ingest_report(g, budget=budget)
+        graph_report = run_ingest_report(g)
     else:
         graph_report = run_graph_report(name, budget=budget)
     return VerificationReport(SCHEMA_VERSION, (graph_report,))
@@ -181,8 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="time budget: the hamiltonicity search stops when it runs out, and"
-        " verify starts no group check after it has run out (a running group"
-        " search is not interrupted)",
+        " verify on a catalog graph starts no group check after it has run out"
+        " (a running group search is not interrupted); graph6 input is not"
+        " gated, since its precondition k >= 2 needs the host group",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

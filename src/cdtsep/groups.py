@@ -11,9 +11,14 @@ sizes on the two sides ends the node.  Each search node refines from its
 parent's partition with one new color, on an explicit stack.  An
 isomorphism test starts from the vertices' distance profiles, and
 unequal multisets of them refute it at the root.  The automorphism
-search also reads the group's order and a base off its tree.  A group's
-elements and its index-2 subgroups are read off one walk over the
-images of its base (Seress, *Permutation Group Algorithms*, 2003).
+search also reads the group's order, a base and the stabilizer of the
+first base point off its tree.  A group's elements and its index-2
+subgroups are read off one walk over the images of its base (Seress,
+*Permutation Group Algorithms*, 2003).  Distance- and s-arc-transitivity
+are read off that recorded point stabilizer: a vertex-transitive group
+has either property exactly when the stabilizer of one vertex has it
+locally, on the distance spheres or on the s-arcs around that vertex
+(Tutte 1947; Biggs, *Algebraic Graph Theory*, 1993).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 
-from .graphs import Digraph, Graph, build_digraph, distances, enumerate_arcs, underlying
+from .graphs import Digraph, Graph, _bfs_dist, build_digraph, underlying
 from .separator import SeparatorDigraph
 
 __all__ = [
@@ -118,13 +123,17 @@ class PermGroup:
     named by its base image.  automorphism_group and regular_subgroups
     record a short base and the order; a group given by bare generators
     takes every point as its base, so its order() enumerates the group.
-    Orbits, transitivity and the elements are walked over the generators.
+    automorphism_group also records _stabilizer, the stabilizer of the
+    first base point (the group itself when the base is empty), which
+    arc_transitivity and is_distance_transitive read.  Orbits,
+    transitivity and the elements are walked over the generators.
     """
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
     _order: int | None = field(default=None, init=False, repr=False, compare=False)
     _base: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _stabilizer: PermGroup | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ident = tuple(range(self.degree))
@@ -326,7 +335,9 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     The orbit of b_i is then that of the stabilizer of b_0..b_{i-1}, and
     |G| is the product of the orbit sizes (McKay 1981).  The partition
     is discrete once b_0..b_{k-1} are individualized, so they are a base
-    of the group.
+    of the group.  The generators found before level 0 generate the
+    point stabilizer G_{b_0}, of order |G| / |b_0^G| and base
+    b_1..b_{k-1}; the group records it as _stabilizer.
     """
     ta = _tagged_adj(x)
     n = len(ta)
@@ -342,10 +353,14 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
         pair = _individualize(ta, ta, pair, b, b)
     gens: list[tuple[int, ...]] = []
     order = 1
+    stabilizer = None
     for level in reversed(range(len(levels))):
         pair, b, cell = levels[level]
         orbit = _orbit(gens, b, tuple.__getitem__)
         if level == 0:
+            stabilizer = PermGroup(n, tuple(gens))
+            stabilizer._order = order
+            stabilizer._base = tuple(b for _pair, b, _cell in levels[1:])
             for s in map(tuple, seeds):
                 if len(s) == n and s[b] not in orbit and _verify_mapping(ta, ta, s):
                     gens.append(s)
@@ -361,34 +376,72 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     group = PermGroup(n, tuple(gens))
     group._order = order
     group._base = tuple(b for _pair, b, _cell in levels)
+    group._stabilizer = group if stabilizer is None else stabilizer
     return group
 
 
+def _vertex_stabilizer(g: Graph, group: PermGroup) -> tuple[int, PermGroup] | None:
+    """(b_0, G_{b_0}) for group, the automorphism group of g as
+    automorphism_group returns it, when the group is transitive on the
+    vertices of g; otherwise None."""
+    if group._stabilizer is None:
+        raise GroupError("no recorded point stabilizer: pass automorphism_group's result")
+    b0 = group._base[0] if group._base else 0
+    if len(group.orbit(b0)) != g.order:
+        return None
+    return b0, group._stabilizer
+
+
 def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
-    """Largest length (up to max_len) at which group, the automorphism
-    group of g, still has a single orbit on arcs of that length."""
+    """Largest length s (up to max_len) at which group, the automorphism
+    group of g as automorphism_group returns it, still has a single orbit
+    on the s-arcs of g; 0 when it is not transitive on the vertices.
+
+    A vertex-transitive group is transitive on the s-arcs exactly when
+    the recorded point stabilizer G_{b_0} is transitive on the s-arcs
+    that start at b_0 (Tutte 1947; Biggs 1993, ch. 17).  g is then
+    regular, of degree d say, so there are d(d-1)^(s-1) of them; the
+    orbit of one under G_{b_0} is compared with that count.  Raises
+    GroupError for a group with no recorded stabilizer.
+    """
+    found = _vertex_stabilizer(g, group)
+    if found is None:
+        return 0
+    b0, stabilizer = found
+    degree = len(g.adj[b0])
+    arc = (b0,)
     best = 0
     for length in range(1, max_len + 1):
-        arcs = enumerate_arcs(g, length)
-        orbit = _orbit(group.generators, tuple(arcs[0]), _image)
-        if len(orbit) != len(arcs):
+        ahead = [w for w in g.adj[arc[-1]] if length == 1 or w != arc[-2]]
+        if not ahead:
+            break
+        arc += (ahead[0],)
+        count = degree * (degree - 1) ** (length - 1)
+        if len(_orbit(stabilizer.generators, arc, _image)) != count:
             break
         best = length
     return best
 
 
 def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
-    """Whether the orbit partition of group, the automorphism group of g,
-    on ordered vertex pairs equals the partition by distance."""
-    table = distances(g)
-    classes: dict[int, set[tuple[int, int]]] = {}
-    for u in range(g.order):
-        for v in range(g.order):
-            classes.setdefault(table.dist[u][v], set()).add((u, v))
-    return all(
-        _orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])).keys() == pairs
-        for pairs in classes.values()
-    )
+    """Whether group, the automorphism group of g as automorphism_group
+    returns it, is transitive on the ordered vertex pairs at each
+    distance.
+
+    A vertex-transitive group is distance-transitive exactly when the
+    orbits of the recorded point stabilizer G_{b_0} are the distance
+    spheres around b_0 (Biggs 1993, ch. 20), so one BFS from b_0 and
+    one orbit per sphere decide it.  Raises GroupError for a group with
+    no recorded stabilizer.
+    """
+    found = _vertex_stabilizer(g, group)
+    if found is None:
+        return False
+    b0, stabilizer = found
+    spheres: dict[int, set[int]] = {}
+    for v, d in enumerate(_bfs_dist(g.adj, b0, g.order)):
+        spheres.setdefault(d, set()).add(v)
+    return all(stabilizer.orbit(min(sphere)) == sphere for sphere in spheres.values())
 
 
 # ---------------------------------------------------------------------------

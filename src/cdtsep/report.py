@@ -432,9 +432,11 @@ def ingest_analysis(g: Graph) -> Analysis:
     return a
 
 
-def run_ingest_report(g: Graph, budget: float | None = None) -> GraphReport:
+def run_ingest_report(g: Graph) -> GraphReport:
     """Pipeline for an ingested cubic graph outside the catalog.  With
-    no reference row, every check reports a computed value.
+    no reference row, every check reports a computed value.  It takes no
+    budget: the precondition k >= 2 is read off the host automorphism
+    group, so there is no group work left to gate once it holds.
 
     Raises ReportInputError when the graph misses the structural
     preconditions (those of ingest_analysis, and uniform

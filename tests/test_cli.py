@@ -7,6 +7,7 @@ from cdtsep.graph6 import parse_graph6
 from cdtsep.report import ReportInputError, run_ingest_report
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
+PETERSEN_GRAPH6 = "IheA@GUAo"
 SQUARE_GRAPH6 = "Cr"  # 4-cycle: not cubic, rejected
 # GP(8,3): cubic and 2-arc-transitive, but each key path lies in 6 girth
 # cycles, outside the fastening precondition
@@ -96,6 +97,13 @@ class TestVerify:
     def test_ingested_graph(self, capsys):
         assert main(["verify", K4_GRAPH6]) == 0
         assert "== ingested" in capsys.readouterr().out
+
+    def test_budget_does_not_gate_graph6_input(self, capsys):
+        # the ingest precondition k >= 2 already needs the host group,
+        # so a spent budget leaves nothing to skip
+        assert main(["--budget", "0", "verify", PETERSEN_GRAPH6, "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+        assert checks and {c["status"] for c in checks} == {"computed"}
 
 
 class TestExport:

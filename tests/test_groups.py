@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import cdtsep
 from cdtsep import groups
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
-from cdtsep.graphs import build_digraph, build_graph, underlying
+from cdtsep.graphs import build_digraph, build_graph, distances, enumerate_arcs, underlying
 from cdtsep.groups import (
     GL32_GENERATORS,
     GroupError,
@@ -83,6 +84,73 @@ def random_structures(count, directed, seed):
         else:
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             yield build_graph(n, edges), edges + [(v, u) for u, v in edges]
+
+
+def reference_arc_transitivity(g, group, max_len=7):
+    """Reference: the largest s up to max_len at which the orbit of one
+    s-arc under the whole group holds every s-arc of g, by a walk over
+    all of them (a length with no s-arc ends the walk)."""
+    best = 0
+    for length in range(1, max_len + 1):
+        arcs = enumerate_arcs(g, length)
+        if not arcs or len(groups._orbit(group.generators, arcs[0], groups._image)) != len(arcs):
+            break
+        best = length
+    return best
+
+
+def reference_is_distance_transitive(g, group):
+    """Reference: whether the group's orbits on ordered vertex pairs are
+    the classes of pairs at equal distance, by a walk over all n^2 pairs
+    of a connected g."""
+    table = distances(g)
+    classes = {}
+    for u in range(g.order):
+        for v in range(g.order):
+            classes.setdefault(table.dist[u][v], set()).add((u, v))
+    return all(
+        groups._orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])).keys() == pairs
+        for pairs in classes.values()
+    )
+
+
+def circulant(n, jumps):
+    return build_graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def generalized_petersen(n, k):
+    """GP(n, k) for 1 <= k < n/2: outer cycle 0..n-1, spokes i -- n+i,
+    inner edges n+i -- n+(i+k)."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return build_graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def transitivity_family(family):
+    """Connected graphs of one family, seeded where random."""
+    rng = random.Random(5)
+    if family == "circulant":
+        for _ in range(60):
+            n = rng.randint(3, 14)
+            g = circulant(n, rng.sample(range(1, n // 2 + 1), rng.randint(1, min(3, n // 2))))
+            if g.is_connected():
+                yield g
+    elif family == "generalized-petersen":
+        for n in range(3, 21):
+            for k in range(1, (n + 1) // 2):
+                yield generalized_petersen(n, k)
+    elif family == "prism":
+        for n in range(3, 13):
+            yield generalized_petersen(n, 1)
+    elif family == "moebius-ladder":
+        for n in range(3, 13):
+            yield circulant(2 * n, [1, n])
+    elif family == "random":
+        for _ in range(80):
+            n = rng.randint(2, 12)
+            density = rng.uniform(0.2, 0.8)
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+            if g.is_connected():
+                yield g
 
 
 def element_order(p):
@@ -232,6 +300,100 @@ class TestTransitivity:
         )
         group = automorphism_group(cycle_with_chord)
         assert not is_distance_transitive(cycle_with_chord, group)
+
+    def test_catalog_against_whole_group_walks(self, analysis_of):
+        for name in CdtName:
+            a = analysis_of(name.value)
+            assert arc_transitivity(a.graph, a.host_group) == a.row.k
+            assert reference_arc_transitivity(a.graph, a.host_group) == a.row.k
+            assert is_distance_transitive(a.graph, a.host_group)
+            assert reference_is_distance_transitive(a.graph, a.host_group)
+
+    @pytest.mark.parametrize(
+        "family", ["circulant", "generalized-petersen", "prism", "moebius-ladder", "random"]
+    )
+    def test_families_against_whole_group_walks(self, family):
+        verdicts = Counter()
+        for g in transitivity_family(family):
+            group = automorphism_group(g)
+            k = arc_transitivity(g, group)
+            distance = is_distance_transitive(g, group)
+            assert k == reference_arc_transitivity(g, group), g
+            assert distance == reference_is_distance_transitive(g, group), g
+            verdicts[k > 0, distance] += 1
+        # each family mixes distance-transitive members with members
+        # that are not even arc-transitive; random graphs are mostly the
+        # latter
+        assert verdicts[False, False] > 20 if family == "random" else verdicts[True, True]
+        assert verdicts[False, False]
+
+    def test_nauru_is_arc_but_not_distance_transitive(self):
+        nauru = generalized_petersen(12, 5)
+        group = automorphism_group(nauru)
+        assert group.order() == 144
+        assert arc_transitivity(nauru, group) == 2
+        assert not is_distance_transitive(nauru, group)
+
+    def test_vertex_transitivity_is_required(self):
+        # from an end of the path every sphere is one vertex and every
+        # s-arc is alone, but the group moves no end to the middle
+        group = automorphism_group(path3())
+        assert arc_transitivity(path3(), group) == 0
+        assert not is_distance_transitive(path3(), group)
+
+    def test_asymmetric_graph(self):
+        # a tree with legs of lengths 1, 2 and 3: refinement alone makes
+        # the partition discrete, so the base is empty
+        spider = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        group = automorphism_group(spider)
+        assert group.order() == 1 and group._base == ()
+        assert group._stabilizer is group
+        assert arc_transitivity(spider, group) == 0
+        assert not is_distance_transitive(spider, group)
+
+    def test_group_without_recorded_stabilizer_rejected(self):
+        hexagon = circulant(6, [1])
+        group = automorphism_group(hexagon)
+        subgroups = regular_subgroups(group, 6)
+        assert len(subgroups) == 2
+        for bare in [PermGroup(6, group.generators), *subgroups]:
+            with pytest.raises(GroupError):
+                arc_transitivity(hexagon, bare)
+            with pytest.raises(GroupError):
+                is_distance_transitive(hexagon, bare)
+
+    def test_tutte_order_identity(self, analysis_of):
+        # a cubic s-arc-transitive graph has |Aut| = 3n * 2^(s-1) for its
+        # largest s: the stabilizer of a vertex is regular on its s-arcs
+        for name in CdtName:
+            a = analysis_of(name.value)
+            group, k = a.host_group, arc_transitivity(a.graph, a.host_group)
+            assert group.order() == 3 * a.graph.order * 2 ** (k - 1)
+            assert group._stabilizer.order() == 3 * 2 ** (k - 1)
+
+
+class TestRecordedStabilizer:
+    """The point stabilizer automorphism_group records, against the
+    brute-force automorphisms that fix the first base point."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["plain", "seeded"])
+    def test_against_brute_force(self, directed, seeded):
+        rng = random.Random(3)
+        for x, arcs in random_structures(150, directed, seed=2 + int(directed)):
+            reference = brute_force_automorphisms(x.order, arcs)
+            seeds = []
+            if seeded:
+                seeds = rng.sample(sorted(reference), rng.randint(0, min(4, len(reference))))
+                seeds.append(tuple(rng.sample(range(x.order), x.order)))
+            group = automorphism_group(x, seeds=seeds)
+            stabilizer = group._stabilizer
+            b0 = group._base[0] if group._base else 0
+            fixing = {p for p in reference if p[b0] == b0}
+            assert closure(stabilizer) == fixing, arcs
+            assert stabilizer.elements() == sorted(fixing), arcs
+            assert stabilizer.order() * len(group.orbit(b0)) == group.order(), arcs
+            assert all(s[b0] == b0 for s in seeds if s in stabilizer.generators), arcs
 
 
 class TestCayley:
