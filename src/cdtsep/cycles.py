@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, GraphError, distances, enumerate_arcs, girth
 
 __all__ = [
+    "ConstraintError",
     "canonical_cycle",
     "CycleSet",
     "FasteningProfile",
@@ -18,6 +19,10 @@ __all__ = [
     "unordered_paths",
     "fastening_profile",
 ]
+
+
+class ConstraintError(ValueError):
+    """Input does not satisfy the two-cycles-per-path precondition."""
 
 
 def canonical_cycle(seq) -> tuple[int, ...]:
@@ -62,12 +67,17 @@ class CycleSet:
         if length not in self._indexes:
             index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
             g = self.girth
+            reps, rest = divmod(length, g)
             for cid, cyc in enumerate(self.cycles):
+                # cyc wrapped round far enough for every window to be a slice
+                ext = cyc * (reps + 1) + cyc[:rest]
                 for i in range(g):
-                    window = tuple(cyc[(i + j) % g] for j in range(length + 1))
-                    key = path_key(window)
-                    direction = 1 if window == key else -1
-                    index.setdefault(key, []).append((cid, direction))
+                    window = ext[i : i + length + 1]
+                    rev = window[::-1]
+                    if window <= rev:
+                        index.setdefault(window, []).append((cid, 1))
+                    else:
+                        index.setdefault(rev, []).append((cid, -1))
             self._indexes[length] = index
         return self._indexes[length]
 
@@ -94,16 +104,17 @@ def enumerate_girth_cycles(g: Graph) -> CycleSet:
     """
     glen = girth(g)
     dist = distances(g).dist
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     for root in range(g.order):
-        # paths root -> ... with all interior vertices > root; closing
-        # edge back to root yields each cycle twice, deduped by direction
+        # paths root -> ... with all interior vertices > root; a closing
+        # edge back to root meets each cycle in both directions, and
+        # path[1] < path[-1] keeps the one that is already canonical
         stack = [(root, v) for v in g.adj[root] if v > root]
         while stack:
             path = stack.pop()
             if len(path) == glen:
-                if g.has_edge(path[-1], root):
-                    found.add(canonical_cycle(path))
+                if path[1] < path[-1] and g.has_edge(path[-1], root):
+                    found.append(path)
                 continue
             last = path[-1]
             # adding nxt uses len(path) edges; the rest must reach root
@@ -113,8 +124,7 @@ def enumerate_girth_cycles(g: Graph) -> CycleSet:
                 if dist[nxt][root] > glen - len(path):
                     continue
                 stack.append(path + (nxt,))
-    cycles = tuple(sorted(found))
-    return CycleSet(g, glen, cycles)
+    return CycleSet(g, glen, tuple(sorted(found)))
 
 
 def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
@@ -144,17 +154,51 @@ def unordered_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _path_counts(g: Graph, length: int) -> list[int]:
+    """Entry l is the number of unordered non-backtracking walks of
+    length l, for l = 0..length.  For 1 <= l < girth every such walk is
+    a simple path, so entry l then counts the simple paths of length l.
+    """
+    deg = [len(a) for a in g.adj]
+    # older[v], old[v], new[v]: walks of length l-2, l-1, l from v
+    older, old = [], [1] * g.order
+    counts = [g.order]
+    for l in range(1, length + 1):
+        # a step to a neighbor w and a walk of length l-1 from w, less
+        # those that step straight back to v: each is a walk of length
+        # l-2 from v, entered from any neighbor but its own next vertex
+        new = [sum(old[w] for w in a) for a in g.adj]
+        if l > 1:
+            back = 1 if l > 2 else 0
+            new = [x - (d - back) * y for x, d, y in zip(new, deg, older)]
+        older, old = old, new
+        counts.append(sum(new) // 2)
+    return counts
+
+
 def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
-    """How many girth cycles share each path of length k-1-i, for
-    i = 0..k-2; uniform when the level-i count is always 2**(i+1)."""
+    """How many girth cycles share each simple path of length k-1-i, for
+    i = 0..k-2; uniform when the level-i count is always 2**(i+1).
+
+    Each level is read off the girth cycles: the keys of the level's
+    path index count the paths that lie in one or more cycles, and the
+    rest of the simple paths lie in none.  That needs k-1 < girth,
+    which Tutte's bound girth >= 2k-2 gives every cubic k-arc-transitive
+    graph with k >= 2; for k-1 >= girth it raises ConstraintError.
+    """
+    if k - 1 >= cs.girth:
+        raise ConstraintError(
+            f"paths of length {k - 1} are not shorter than the girth {cs.girth}"
+        )
+    paths = _path_counts(g, k - 1)
     levels: dict[int, Counter] = {}
     uniform = True
     for i in range(k - 1):
         length = k - 1 - i
         index = cs.path_index(length)
-        counter: Counter = Counter()
-        for p in unordered_paths(g, length):
-            counter[len(index.get(p, []))] += 1
+        counter = Counter(map(len, index.values()))
+        if paths[length] > len(index):
+            counter[0] = paths[length] - len(index)
         levels[i] = counter
         if set(counter) != {2 ** (i + 1)}:
             uniform = False

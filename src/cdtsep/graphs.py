@@ -2,7 +2,8 @@
 
 Vertices are dense integers 0..order-1.  All structures are immutable
 after construction and every function here is pure, so shared instances
-are safe to use concurrently.
+are safe to use concurrently.  A Graph computes its distance table and
+its girth on first use and keeps them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "GraphError",
@@ -36,7 +38,14 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with sorted per-vertex neighbor lists."""
+    """Simple undirected graph with sorted per-vertex neighbor lists.
+
+    The all-pairs distance table and the girth are each computed by one
+    all-roots BFS sweep, on the first call of distances() or girth(),
+    and kept on the instance outside the dataclass fields, so ==, hash
+    and repr see only order and adj.  A sweep that raises keeps nothing
+    and raises again on the next call.
+    """
 
     order: int
     adj: tuple[tuple[int, ...], ...]
@@ -59,6 +68,14 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.order == 0 or -1 not in _bfs_dist(self.adj, 0, self.order)
+
+    @cached_property
+    def _distances(self) -> DistanceTable:
+        return _distance_sweep(self)
+
+    @cached_property
+    def _girth(self) -> int:
+        return _girth_sweep(self)
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,12 @@ def _bfs_dist(adj, root: int, n: int) -> list[int]:
 
 
 def distances(g: Graph) -> DistanceTable:
-    """BFS-exact all-pairs distances; raises GraphError when disconnected."""
+    """BFS-exact all-pairs distances, computed once per Graph; raises
+    GraphError when disconnected."""
+    return g._distances
+
+
+def _distance_sweep(g: Graph) -> DistanceTable:
     rows = []
     for root in range(g.order):
         row = _bfs_dist(g.adj, root, g.order)
@@ -160,10 +182,15 @@ def distances(g: Graph) -> DistanceTable:
 
 
 def girth(g: Graph) -> int:
-    """Length of a shortest cycle, by BFS from every vertex.
+    """Length of a shortest cycle, by BFS from every vertex, computed
+    once per Graph.
 
     Raises GraphError on acyclic input.
     """
+    return g._girth
+
+
+def _girth_sweep(g: Graph) -> int:
     best = g.order + 1
     for root in range(g.order):
         dist = [-1] * g.order

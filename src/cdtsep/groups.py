@@ -52,7 +52,6 @@ __all__ = [
     "gl32_elements",
     "gl32_mult",
     "GL32_GENERATORS",
-    "matrix_order",
 ]
 
 
@@ -498,9 +497,6 @@ def gl32_mult(a, b):
     )
 
 
-_GL32_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def _gl32_invertible(m) -> bool:
     det = (
         m[0][0] & (m[1][1] & m[2][2] ^ m[1][2] & m[2][1])
@@ -530,17 +526,6 @@ GL32_GENERATORS = (
     _transpose(((1, 0, 0), (0, 0, 1), (0, 1, 0))),
     _transpose(((0, 0, 1), (1, 0, 1), (0, 1, 0))),
 )
-
-
-def matrix_order(m) -> int:
-    out = 1
-    x = m
-    while x != _GL32_IDENTITY:
-        x = gl32_mult(x, m)
-        out += 1
-        if out > 168:
-            raise GroupError("element order exceeds the group order")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, enumerate_arcs, parity_coloring
-from .cycles import CycleSet, canonical_cycle, cycles_through, unordered_paths
+from .cycles import (
+    ConstraintError, CycleSet, _path_counts, canonical_cycle, cycles_through, unordered_paths,
+)
 
 __all__ = [
     "ConstraintError",
@@ -26,10 +28,6 @@ __all__ = [
     "assignment_from_cycles",
     "classify_kappa",
 ]
-
-
-class ConstraintError(ValueError):
-    """Input does not satisfy the two-cycles-per-path precondition."""
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,26 @@ class OddWitness:
 
 
 def build_constraints(g: Graph, cs: CycleSet, k: int) -> ParityConstraintGraph:
-    """Parity constraints over all unordered paths of length k-1.
+    """Parity constraints over all unordered simple paths of length k-1,
+    in lexicographic order of the paths.
 
-    Raises ConstraintError when some path lies in a number of girth
-    cycles other than two.
+    The edges are read off cs.path_index(k-1) when 1 <= k-1 < girth,
+    every key lies in exactly two girth cycles and the keys are as many
+    as the simple paths, so that every path is a key.  Otherwise the
+    paths are listed and looked up one by one, and ConstraintError names
+    the first path that lies in a number of girth cycles other than two.
     """
+    index = cs.path_index(k - 1) if 1 <= k - 1 < cs.girth else {}
+    if (
+        index
+        and all(len(hits) == 2 for hits in index.values())
+        and len(index) == _path_counts(g, k - 1)[k - 1]
+    ):
+        pairs = ((p, sorted(hits)) for p, hits in sorted(index.items()))
+    else:
+        pairs = ((p, cycles_through(cs, p)) for p in unordered_paths(g, k - 1))
     edges = []
-    for p in unordered_paths(g, k - 1):
-        hits = cycles_through(cs, p)
+    for p, hits in pairs:
         if len(hits) != 2:
             raise ConstraintError(
                 f"path {p} lies in {len(hits)} girth cycles, expected 2"

@@ -1,11 +1,21 @@
+import random
 import sys
 
 import pytest
 
-from cdtsep import groups
+from cdtsep import graphs, groups
 from cdtsep.analysis import Analysis
-from cdtsep.catalog import CdtName
+from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
+from cdtsep.graph6 import parse_graph6, write_graph6
+from cdtsep.graphs import build_graph
 from cdtsep.report import run_report
+
+
+def triangular_prism():
+    """Edges split between two triangles and a belt of 4-cycles."""
+    return build_graph(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
 
 
 @pytest.fixture(scope="session")
@@ -22,22 +32,55 @@ def analysis_of():
 
 
 @pytest.fixture(scope="session")
-def counted_run():
-    """The one full run_report() of the session, with the number of
-    automorphism_group calls it made under every cdtsep binding."""
-    original = groups.automorphism_group
-    calls = []
+def layer_graphs():
+    """(label, graph, k) for the twelve catalog graphs, three seeded
+    relabelings of each passed through graph6, and two graphs where two
+    girth cycles per key path fail: the triangular prism with k = 2 and
+    k = 3, and the cube with a pendant edge, whose edges lie in two
+    girth cycles each except the pendant one, which lies in none."""
+    out = []
+    for name in CdtName:
+        g, _ = build_cdt(name)
+        k = cdt_parameters(name).k
+        out.append((name.value, g, k))
+        for seed in (1, 2, 3):
+            perm = list(range(g.order))
+            random.Random(seed).shuffle(perm)
+            h = build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+            out.append((f"{name.value}/{seed}", parse_graph6(write_graph6(h)), k))
+    cube, _ = build_cdt(CdtName.Q3)
+    pendant = build_graph(9, cube.edges() + [(0, 8)])
+    out += [("prism", triangular_prism(), 2), ("prism", triangular_prism(), 3),
+            ("cube+pendant", pendant, 2)]
+    return out
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+
+@pytest.fixture(scope="session")
+def counted_run():
+    """The one full run_report() of the session, with the number of calls
+    it made to automorphism_group, under every cdtsep binding, and to the
+    BFS sweeps behind distances and girth."""
+    counts = {}
+
+    def counted(name, original):
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
+        original = groups.automorphism_group
+        wrapper = counted("automorphism_group", original)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "cdtsep" and vars(module).get("automorphism_group") is original:
-                mp.setattr(module, "automorphism_group", counted)
+                mp.setattr(module, "automorphism_group", wrapper)
+        for name in ("_distance_sweep", "_girth_sweep"):
+            mp.setattr(graphs, name, counted(name, getattr(graphs, name)))
         report = run_report()
-    return report, len(calls)
+    return report, counts
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import (
+    ConstraintError,
+    FasteningProfile,
     canonical_cycle,
     cycles_through,
     enumerate_girth_cycles,
@@ -9,7 +13,55 @@ from cdtsep.cycles import (
     path_key,
     unordered_paths,
 )
-from cdtsep.graphs import GraphError, build_graph
+from cdtsep.graphs import GraphError, build_graph, distances, girth
+
+
+def reference_girth_cycles(g):
+    """Every girth cycle put in canonical form by canonical_cycle and
+    deduplicated through a set, the DFS pruned as in the library."""
+    glen, dist = girth(g), distances(g).dist
+    found = set()
+    for root in range(g.order):
+        stack = [(root, v) for v in g.adj[root] if v > root]
+        while stack:
+            path = stack.pop()
+            if len(path) == glen:
+                if g.has_edge(path[-1], root):
+                    found.add(canonical_cycle(path))
+                continue
+            for nxt in g.adj[path[-1]]:
+                if nxt > root and nxt not in path and dist[nxt][root] <= glen - len(path):
+                    stack.append(path + (nxt,))
+    return tuple(sorted(found))
+
+
+def reference_path_index(cs, length):
+    """Windows of each cycle taken vertex by vertex, modulo the girth."""
+    index = {}
+    g = cs.girth
+    for cid, cyc in enumerate(cs.cycles):
+        for i in range(g):
+            window = tuple(cyc[(i + j) % g] for j in range(length + 1))
+            key = path_key(window)
+            index.setdefault(key, []).append((cid, 1 if window == key else -1))
+    return index
+
+
+def reference_fastening_profile(g, cs, k):
+    """Every simple path of each level listed and looked up in the
+    reference index."""
+    levels = {}
+    uniform = True
+    for i in range(k - 1):
+        length = k - 1 - i
+        index = reference_path_index(cs, length)
+        counter = Counter()
+        for p in unordered_paths(g, length):
+            counter[len(index.get(p, []))] += 1
+        levels[i] = counter
+        if set(counter) != {2 ** (i + 1)}:
+            uniform = False
+    return FasteningProfile(k, levels, uniform)
 
 
 class TestCanonicalForms:
@@ -49,6 +101,24 @@ class TestEnumeration:
                 assert g.has_edge(a, b)
 
 
+class TestAgainstReferences:
+    def test_girth_cycles(self, layer_graphs):
+        for label, g, _k in layer_graphs:
+            assert enumerate_girth_cycles(g).cycles == reference_girth_cycles(g), label
+
+    def test_path_index(self, layer_graphs):
+        # lengths from single vertices to windows wrapping past the girth
+        for label, g, _k in layer_graphs:
+            cs = enumerate_girth_cycles(g)
+            for length in range(2 * cs.girth + 2):
+                assert cs.path_index(length) == reference_path_index(cs, length), (label, length)
+
+    def test_fastening_profile(self, layer_graphs):
+        for label, g, k in layer_graphs:
+            cs = enumerate_girth_cycles(g)
+            assert fastening_profile(g, cs, k) == reference_fastening_profile(g, cs, k), label
+
+
 class TestCyclesThrough:
     def test_direction_flips_with_path(self):
         g, _ = build_cdt(CdtName.K4)
@@ -86,6 +156,13 @@ class TestFastening:
         )
         cs = enumerate_girth_cycles(prism)
         assert not fastening_profile(prism, cs, 2).uniform
+
+    def test_key_paths_must_be_shorter_than_the_girth(self):
+        g, _ = build_cdt(CdtName.K4)
+        cs = enumerate_girth_cycles(g)
+        assert fastening_profile(g, cs, 3).levels[0] == Counter({1: 12})
+        with pytest.raises(ConstraintError):
+            fastening_profile(g, cs, 4)
 
     def test_unordered_paths_count(self):
         g, _ = build_cdt(CdtName.HEAWOOD)

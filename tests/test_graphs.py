@@ -132,6 +132,26 @@ class TestGirth:
             girth(g)
 
 
+class TestMemoizedSweeps:
+    def test_errors_are_not_kept(self):
+        disconnected = build_graph(4, [(0, 1), (2, 3)])
+        forest = build_graph(3, [(0, 1), (1, 2)])
+        for _ in range(2):
+            with pytest.raises(GraphError, match="disconnected"):
+                distances(disconnected)
+            with pytest.raises(GraphError, match="acyclic"):
+                girth(forest)
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        g, fresh = petersen(), petersen()
+        distances(g)
+        girth(g)
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        assert len({g, fresh}) == 1
+
+
 class TestArcs:
     def test_one_arcs_are_directed_edges(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])

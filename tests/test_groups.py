@@ -31,13 +31,23 @@ from cdtsep.groups import (
     induced_arc_permutation,
     inverse,
     is_distance_transitive,
-    matrix_order,
     perm_mult,
     regular_subgroups,
     separator_automorphism_group,
     symmetric_elements,
 )
 from cdtsep.report import GL32_SEPARATOR_GENERATORS
+
+
+def matrix_order(m) -> int:
+    """Order of an invertible 3x3 matrix over GF(2), by repeated products."""
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    out, x = 1, m
+    while x != identity:
+        x = gl32_mult(x, m)
+        out += 1
+        assert out <= 168, "element order exceeds the group order"
+    return out
 
 
 def path3():

@@ -5,8 +5,10 @@ import networkx as nx
 import pytest
 
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
-from cdtsep.cycles import cycles_through, enumerate_girth_cycles
+from cdtsep import orient
+from cdtsep.cycles import cycles_through, enumerate_girth_cycles, unordered_paths
 from cdtsep.orient import (
+    ConstraintError,
     OddWitness,
     OrientationAssignment,
     ParityConstraintGraph,
@@ -27,6 +29,55 @@ def pipeline(text):
     p = cdt_parameters(name)
     cs = enumerate_girth_cycles(g)
     return g, p, cs, solve(build_constraints(g, cs, p.k))
+
+
+def reference_build_constraints(g, cs, k):
+    """Every simple path of length k-1 listed in lexicographic order and
+    looked up in the cycle index, failing at the first path that does
+    not lie in exactly two girth cycles."""
+    edges = []
+    for p in unordered_paths(g, k - 1):
+        hits = cycles_through(cs, p)
+        if len(hits) != 2:
+            raise ConstraintError(f"path {p} lies in {len(hits)} girth cycles, expected 2")
+        (c1, d1), (c2, d2) = hits
+        edges.append((c1, c2, d1 == d2, p))
+    return ParityConstraintGraph(len(cs), tuple(edges))
+
+
+def constraints_or_error(build, g, cs, k):
+    try:
+        return build(g, cs, k)
+    except ConstraintError as exc:
+        return str(exc)
+
+
+class TestConstraintEdges:
+    def test_against_reference(self, layer_graphs):
+        for label, g, k in layer_graphs:
+            cs = enumerate_girth_cycles(g)
+            expected = constraints_or_error(reference_build_constraints, g, cs, k)
+            assert constraints_or_error(build_constraints, g, cs, k) == expected, label
+
+    def test_catalog_edges_are_read_off_the_index(self, monkeypatch):
+        monkeypatch.setattr(orient, "unordered_paths", None)
+        for name in CdtName:
+            g, _ = build_cdt(name)
+            build_constraints(g, enumerate_girth_cycles(g), cdt_parameters(name).k)
+
+    @pytest.mark.parametrize(
+        "text, k, message",
+        [
+            ("prism", 2, "path (0, 1) lies in 1 girth cycles, expected 2"),
+            ("k4", 4, "path (0, 1, 2, 3) lies in 0 girth cycles, expected 2"),
+            ("petersen", 4, "path (0, 1, 2, 3) lies in 1 girth cycles, expected 2"),
+        ],
+    )
+    def test_error_texts(self, layer_graphs, text, k, message):
+        g = next(g for label, g, _k in layer_graphs if label == text)
+        with pytest.raises(ConstraintError) as info:
+            build_constraints(g, enumerate_girth_cycles(g), k)
+        assert str(info.value) == message
 
 
 class TestSolverSplit:

@@ -105,7 +105,12 @@ class TestFullRun:
 
     def test_one_group_per_host_and_separator(self, counted_run):
         # 12 host groups plus 7 separator groups, each computed once
-        assert counted_run[1] == 19
+        assert counted_run[1]["automorphism_group"] == 19
+
+    def test_one_bfs_sweep_per_graph_invariant(self, counted_run):
+        # each catalog graph's distance table and girth, each built once
+        assert counted_run[1]["_distance_sweep"] == 12
+        assert counted_run[1]["_girth_sweep"] == 12
 
 
 class TestIngest:
