@@ -11,13 +11,6 @@ from cdtsep.graphs import build_graph
 from cdtsep.report import run_report
 
 
-def triangular_prism():
-    """Edges split between two triangles and a belt of 4-cycles."""
-    return build_graph(
-        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-    )
-
-
 @pytest.fixture(scope="session")
 def analysis_of():
     """Shared per-graph pipeline: text name -> its catalog Analysis."""
@@ -48,10 +41,12 @@ def layer_graphs():
             random.Random(seed).shuffle(perm)
             h = build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
             out.append((f"{name.value}/{seed}", parse_graph6(write_graph6(h)), k))
+    prism = build_graph(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
     cube, _ = build_cdt(CdtName.Q3)
     pendant = build_graph(9, cube.edges() + [(0, 8)])
-    out += [("prism", triangular_prism(), 2), ("prism", triangular_prism(), 3),
-            ("cube+pendant", pendant, 2)]
+    out += [("prism", prism, 2), ("prism", prism, 3), ("cube+pendant", pendant, 2)]
     return out
 
 

@@ -4,8 +4,8 @@ import random
 import networkx as nx
 import pytest
 
-from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
 from cdtsep import orient
+from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
 from cdtsep.cycles import cycles_through, enumerate_girth_cycles, unordered_paths
 from cdtsep.orient import (
     ConstraintError,
