@@ -11,6 +11,7 @@ from .graphs import Graph, GraphError, distances, enumerate_arcs, girth
 __all__ = [
     "ConstraintError",
     "canonical_cycle",
+    "cycle_windows",
     "CycleSet",
     "FasteningProfile",
     "enumerate_girth_cycles",
@@ -36,6 +37,15 @@ def canonical_cycle(seq) -> tuple[int, ...]:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def cycle_windows(cyc: tuple[int, ...], length: int) -> list[tuple[int, ...]]:
+    """The walks of the given length (in edges) along the closed cycle
+    cyc, one from each position, as slices of cyc wrapped round far
+    enough for every window to fit."""
+    reps, rest = divmod(length, len(cyc))
+    ext = cyc * (reps + 1) + cyc[:rest]
+    return [ext[i : i + length + 1] for i in range(len(cyc))]
 
 
 def path_key(seq) -> tuple[int, ...]:
@@ -66,13 +76,8 @@ class CycleSet:
         direction is +1 when the cycle traverses the key order forward."""
         if length not in self._indexes:
             index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            g = self.girth
-            reps, rest = divmod(length, g)
             for cid, cyc in enumerate(self.cycles):
-                # cyc wrapped round far enough for every window to be a slice
-                ext = cyc * (reps + 1) + cyc[:rest]
-                for i in range(g):
-                    window = ext[i : i + length + 1]
+                for window in cycle_windows(cyc, length):
                     rev = window[::-1]
                     if window <= rev:
                         index.setdefault(window, []).append((cid, 1))

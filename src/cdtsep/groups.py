@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 
-from .graphs import Digraph, Graph, _bfs_dist, build_digraph, underlying
+from .graphs import Digraph, Graph, _bfs_dist, build_digraph
 from .separator import SeparatorDigraph
 
 __all__ = [
@@ -660,9 +660,8 @@ def induced_arc_permutation(s: SeparatorDigraph, h) -> tuple[int, ...] | None:
     of them, composing with the transposition involution gives an
     automorphism of the underlying graph that inverts every cycle arc.
     """
-    index = {arc: i for i, arc in enumerate(s.arcs)}
     try:
-        m = tuple(index[tuple(h[x] for x in s.arcs[v])] for v in range(s.order))
+        m = tuple(s.index[tuple(h[x] for x in s.arcs[v])] for v in range(s.order))
     except KeyError:
         return None
     if all(m[s.trans[v]] == s.trans[m[v]] for v in range(s.order)):
@@ -695,4 +694,4 @@ def separator_automorphism_group(s: SeparatorDigraph, host_group: PermGroup) -> 
     host graph (orientation reversers included via the transposition
     correction)."""
     seeds = separator_seeds(s, host_group)
-    return automorphism_group(underlying(s.digraph), seeds=seeds)
+    return automorphism_group(s.under, seeds=seeds)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .graphs import Graph, enumerate_arcs, parity_coloring
 from .cycles import (
-    ConstraintError, CycleSet, _path_counts, canonical_cycle, cycles_through, unordered_paths,
+    ConstraintError, CycleSet, _path_counts, canonical_cycle, cycle_windows, cycles_through,
+    unordered_paths,
 )
 
 __all__ = [
@@ -128,10 +129,8 @@ def verify_ooa(g: Graph, cs: CycleSet, k: int, a: OrientationAssignment) -> bool
     if len(a.flips) != len(cs):
         return False
     count: dict[tuple[int, ...], int] = {}
-    glen = cs.girth
     for cyc in oriented_cycles(cs, a):
-        for i in range(glen):
-            arc = tuple(cyc[(i + j) % glen] for j in range(k))
+        for arc in cycle_windows(cyc, k - 1):
             count[arc] = count.get(arc, 0) + 1
     arcs = enumerate_arcs(g, k - 1)
     return all(count.get(tuple(arc), 0) == 1 for arc in arcs) and len(count) == len(arcs)

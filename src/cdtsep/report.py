@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from .analysis import Analysis
 from .catalog import CdtName, reference_ooc
 from .cycles import cycles_through
-from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian, underlying
+from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
 from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
     PermGroup,
@@ -243,19 +243,12 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
 
     s = a.separator
     checks.append(_check("separator-order", 3 * p.n * 2 ** (p.k - 2), s.order))
-    under = underlying(s.digraph)
-    in_deg = [0] * s.order
-    for _u, v in s.digraph.arcs():
-        in_deg[v] += 1
-    degree_ok = all(
-        len(s.digraph.out_adj[v]) == 2 and in_deg[v] == 2 for v in range(s.order)
-    )
-    checks.append(_check("separator-degrees", True, degree_ok))
+    checks.append(_check("separator-degrees", True, s.is_two_in_two_out()))
     checks.append(
         _check(
             "separator-underlying",
             {"cubic": True, "connected": True},
-            {"cubic": under.is_cubic(), "connected": under.is_connected()},
+            {"cubic": s.under.is_cubic(), "connected": s.under.is_connected()},
         )
     )
     checks.append(_check("oriented-cycle-count", p.eta, s.oriented_cycle_count))
@@ -342,7 +335,7 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
                 " tetrahedron, verified by explicit isomorphism",
             )
         )
-        tt_ok = graph_isomorphic(under, _truncated_tetrahedron()) is not None
+        tt_ok = graph_isomorphic(s.under, _truncated_tetrahedron()) is not None
         checks.append(_check("truncated-tetrahedron", True, tt_ok))
     if name is CdtName.COXETER:
         elements = gl32_elements()

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Digraph, Graph, GraphError, build_digraph, enumerate_arcs, underlying
-from .cycles import CycleSet
-from .orient import OrientationAssignment, oriented_cycles, verify_ooa
+from .cycles import CycleSet, cycle_windows
+from .orient import OrientationAssignment, oriented_cycles
 
 __all__ = [
     "SeparatorDigraph",
@@ -21,14 +21,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparatorDigraph:
     """Immutable after construction.
 
     arcs[i] is the vertex-id-sequence of separator vertex i (sorted
     lexicographically); succ follows the unique oriented girth cycle one
     step; trans maps a vertex to its reversal; digraph combines succ arcs
-    with both directions of every transposition pair.
+    with both directions of every transposition pair.  index maps each
+    arc back to its vertex and under is the underlying graph of digraph;
+    both are built once with the separator and kept outside ==, hash
+    and repr.
     """
 
     graph: Graph
@@ -39,6 +42,8 @@ class SeparatorDigraph:
     trans: tuple[int, ...]
     digraph: Digraph
     oriented_cycle_count: int
+    index: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    under: Graph = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -53,19 +58,28 @@ class SeparatorDigraph:
     def succ_orbits(self) -> list[tuple[int, ...]]:
         """The oriented girth cycles of the separator, as vertex orbits of
         succ, each starting at its least vertex."""
-        seen = [False] * self.order
-        orbits = []
-        for v in range(self.order):
-            if seen[v]:
-                continue
-            orbit = []
-            u = v
-            while not seen[u]:
-                seen[u] = True
-                orbit.append(u)
-                u = self.succ[u]
-            orbits.append(tuple(orbit))
-        return orbits
+        return _perm_cycles(self.succ)
+
+    def is_two_in_two_out(self) -> bool:
+        """Every vertex of digraph has two out-arcs and two in-arcs."""
+        d = self.digraph
+        return all(len(o) == 2 and len(i) == 2 for o, i in zip(d.out_adj, d.in_adj()))
+
+
+def _perm_cycles(f) -> list[tuple[int, ...]]:
+    """The cycles of the permutation f of range(len(f)), each starting
+    at its least point, in order of those points."""
+    seen = [False] * len(f)
+    cycles = []
+    for start in range(len(f)):
+        v, cycle = start, []
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = f[v]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -115,21 +129,23 @@ class SeparatorSummary:
 def build_separator(
     g: Graph, cs: CycleSet, k: int, a: OrientationAssignment
 ) -> SeparatorDigraph:
-    """Assemble the separator from a verified orientation assignment."""
-    if not verify_ooa(g, cs, k, a):
-        raise GraphError("assignment fails the one-oriented-cycle-per-arc check")
+    """Assemble the separator from an orientation assignment; raises
+    GraphError unless it has one flip per cycle and its oriented cycles
+    traverse every (k-1)-arc of g exactly once and nothing else."""
+    if len(a.flips) != len(cs):
+        raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
     arcs = tuple(tuple(x) for x in enumerate_arcs(g, k - 1))
     index = {arc: i for i, arc in enumerate(arcs)}
     succ: list[int | None] = [None] * len(arcs)
-    glen = cs.girth
-    for cyc in oriented_cycles(cs, a):
-        for i in range(glen):
-            window = tuple(cyc[(i + j) % glen] for j in range(k + 1))
-            cur = index[window[:k]]
-            nxt = index[window[1:]]
-            if succ[cur] is not None:
-                raise GraphError(f"arc {window[:k]} traversed more than once")
-            succ[cur] = nxt
+    try:
+        for cyc in oriented_cycles(cs, a):
+            for window in cycle_windows(cyc, k):
+                cur = index[window[:k]]
+                if succ[cur] is not None:
+                    raise GraphError(f"arc {window[:k]} traversed more than once")
+                succ[cur] = index[window[1:]]
+    except KeyError as exc:
+        raise GraphError(f"cycle walk {exc.args[0]} is not an arc of the graph") from None
     if any(s is None for s in succ):
         raise GraphError("some arc is not traversed by any oriented cycle")
     trans = tuple(index[arc[::-1]] for arc in arcs)
@@ -139,7 +155,8 @@ def build_separator(
     darcs += [(v, trans[v]) for v in range(len(arcs))]
     digraph = build_digraph(len(arcs), darcs)
     sep = SeparatorDigraph(
-        g, k, glen, arcs, tuple(succ), trans, digraph, len(cs)
+        g, k, cs.girth, arcs, tuple(succ), trans, digraph, len(cs),
+        index, underlying(digraph),
     )
     _check_invariants(sep)
     return sep
@@ -151,13 +168,9 @@ def _check_invariants(s: SeparatorDigraph) -> None:
         raise GraphError("wrong number of oriented cycles in the separator")
     if any(len(o) != s.girth for o in orbits):
         raise GraphError("oriented cycle of wrong length in the separator")
-    in_deg = [0] * s.order
-    for _u, v in s.digraph.arcs():
-        in_deg[v] += 1
-    if any(len(s.digraph.out_adj[v]) != 2 or in_deg[v] != 2 for v in range(s.order)):
+    if not s.is_two_in_two_out():
         raise GraphError("separator is not 2-in 2-out regular")
-    under = underlying(s.digraph)
-    if not (under.is_cubic() and under.is_connected()):
+    if not (s.under.is_cubic() and s.under.is_connected()):
         raise GraphError("separator underlying graph is not cubic connected")
 
 
@@ -170,17 +183,8 @@ def alternate_census(s: SeparatorDigraph, max_r: int = 4) -> AlternateCensus:
         for _ in range(r):
             step = [s.succ[v] for v in step]
         f = [s.trans[v] for v in step]
-        seen = [False] * s.order
         orbits = []
-        for v0 in range(s.order):
-            if seen[v0]:
-                continue
-            cycle_starts = []
-            v = v0
-            while not seen[v]:
-                seen[v] = True
-                cycle_starts.append(v)
-                v = f[v]
+        for cycle_starts in _perm_cycles(f):
             walk = []
             for u in cycle_starts:
                 w = u
@@ -202,13 +206,12 @@ def separator_summary(
 ) -> SeparatorSummary:
     if census is None:
         census = alternate_census(s)
-    under = underlying(s.digraph)
     rs = sorted(census.orbits)
     return SeparatorSummary(
         vertices=s.order,
         cycle_arcs=s.order,
         transposition_edges=s.order // 2,
-        underlying_edges=under.num_edges(),
+        underlying_edges=s.under.num_edges(),
         oriented_cycles=s.oriented_cycle_count,
         alternate_simple={r: census.simple_count(r) for r in rs},
         alternate_lengths={r: census.simple_lengths(r) for r in rs},

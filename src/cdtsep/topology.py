@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError, underlying
+from .graphs import GraphError
 from .orient import OddWitness, ParityConstraintGraph, solve
 from .separator import AlternateCensus, SeparatorDigraph, alternate_census
 
@@ -44,8 +44,7 @@ def face_complex(
         census = alternate_census(s, max_r=1)
     faces = [tuple(o) for o in s.succ_orbits()]
     faces += [o.walk for o in census.simple_cycles(1)]
-    under = underlying(s.digraph)
-    edges = tuple(under.edges())
+    edges = tuple(s.under.edges())
     coverage = {e: 0 for e in edges}
     for face in faces:
         n = len(face)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cdtsep import graphs, groups
+from cdtsep import graphs, groups, orient
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graph6 import parse_graph6, write_graph6
@@ -53,8 +53,9 @@ def layer_graphs():
 @pytest.fixture(scope="session")
 def counted_run():
     """The one full run_report() of the session, with the number of calls
-    it made to automorphism_group, under every cdtsep binding, and to the
-    BFS sweeps behind distances and girth."""
+    it made to automorphism_group, underlying, enumerate_arcs and
+    verify_ooa, under every cdtsep binding, and to the BFS sweeps behind
+    distances and girth."""
     counts = {}
 
     def counted(name, original):
@@ -67,11 +68,17 @@ def counted_run():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        original = groups.automorphism_group
-        wrapper = counted("automorphism_group", original)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "cdtsep" and vars(module).get("automorphism_group") is original:
-                mp.setattr(module, "automorphism_group", wrapper)
+        for owner, fname in (
+            (groups, "automorphism_group"),
+            (graphs, "underlying"),
+            (graphs, "enumerate_arcs"),
+            (orient, "verify_ooa"),
+        ):
+            original = getattr(owner, fname)
+            wrapper = counted(fname, original)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "cdtsep" and vars(module).get(fname) is original:
+                    mp.setattr(module, fname, wrapper)
         for name in ("_distance_sweep", "_girth_sweep"):
             mp.setattr(graphs, name, counted(name, getattr(graphs, name)))
         report = run_report()

@@ -33,6 +33,10 @@ class TestAnalyze:
         assert "girth cycles 12" in out
         assert "hamiltonian False" in out
 
+    def test_budget_zero_is_spent_not_unset(self, capsys):
+        assert main(["--budget", "0", "analyze", "petersen"]) == 0
+        assert "hamiltonian unknown (budget)" in capsys.readouterr().out
+
     def test_graph6_input(self, capsys):
         assert main(["analyze", K4_GRAPH6]) == 0
         assert "order 4" in capsys.readouterr().out

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from cdtsep import groups
-from cdtsep.catalog import CdtName
+from cdtsep.catalog import CdtName, build_cdt
+from cdtsep.dot import emit_dot
 from cdtsep.graph6 import parse_graph6
 from cdtsep.report import (
     KNOWN_DISCREPANCIES,
@@ -103,9 +104,36 @@ class TestFullRun:
             2, "76afe1cba0da13c230a6d180fbff4e91b534dc72ff963ae4a052dfa37e200171"
         )
 
+    # sha256 of each solvable catalog graph's separator DOT text, which
+    # pins its vertex numbering and its succ and trans order
+    DOT_DIGESTS = {
+        "k4": "c7a58b385f6f72af7182cb5ce5e06b0d06b1ac4881b1a5915b0fdcf1fbcd53c2",
+        "k33": "44b2634f22a978d8c7775ad3c9a07fa97d6386cecae525bd99d605cc58a59efd",
+        "q3": "2ed35869a2bf19ef1f18a0cb779339055fb606f19fa5d72d6fb952b42040ab2a",
+        "dodecahedral": "7217cac587e93f23c32d47b05a666d0647ef5abc1be3a20d4b81978b103e2541",
+        "desargues": "54762f4e3f962016eb5d4cfdbf8dc78990c645d20925b3b174e49cdf84f3b43e",
+        "coxeter": "54fe87197b615f5f2319756de864c8e82bc7135bd504891310277404ff78bbe8",
+        "tutte": "605549f15d6ef5ec326259ba8ab10ba776d9bd98e4e45ba5f24211c6cc2934d5",
+    }
+
+    @pytest.mark.parametrize("text", sorted(DOT_DIGESTS))
+    def test_separator_dot_is_pinned(self, text, analysis_of):
+        name = CdtName.from_string(text)
+        _g, table = build_cdt(name)
+        dot = emit_dot(analysis_of(text).separator, table, name.value)
+        assert hashlib.sha256(dot.encode()).hexdigest() == self.DOT_DIGESTS[text]
+
     def test_one_group_per_host_and_separator(self, counted_run):
         # 12 host groups plus 7 separator groups, each computed once
         assert counted_run[1]["automorphism_group"] == 19
+
+    def test_separator_structure_built_once(self, counted_run):
+        # one underlying graph and one arc listing per separator, and one
+        # more arc listing in each of the 7 reference-ooc-valid checks
+        counts = counted_run[1]
+        assert (counts["underlying"], counts["enumerate_arcs"], counts["verify_ooa"]) == (
+            7, 14, 7
+        )
 
     def test_one_bfs_sweep_per_graph_invariant(self, counted_run):
         # each catalog graph's distance table and girth, each built once

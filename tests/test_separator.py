@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
+from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import enumerate_girth_cycles
-from cdtsep.graphs import GraphError, underlying
+from cdtsep.graphs import GraphError, build_graph, underlying
 from cdtsep.orient import OrientationAssignment, build_constraints, solve
 from cdtsep.separator import build_separator, separator_summary
 
@@ -64,6 +67,39 @@ class TestStructure:
         flips[0] = not flips[0]
         with pytest.raises(GraphError):
             build_separator(g, cs, p.k, OrientationAssignment(tuple(flips), 1))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda flips: flips[:-1],
+        lambda flips: flips + (False,),
+        lambda flips: (not flips[0],) + flips[1:],
+    ], ids=["too-short", "too-long", "one-flipped"])
+    def test_rejects_bad_flips(self, corrupt):
+        g, _ = build_cdt(CdtName.K4)
+        k = cdt_parameters(CdtName.K4).k
+        cs = enumerate_girth_cycles(g)
+        flips = corrupt(solve(build_constraints(g, cs, k)).flips)
+        with pytest.raises(GraphError):
+            build_separator(g, cs, k, OrientationAssignment(flips, 1))
+
+    def test_rejects_cycles_of_another_graph(self):
+        g, _ = build_cdt(CdtName.Q3)
+        k = cdt_parameters(CdtName.Q3).k
+        perm = [3, 0, 6, 1, 7, 2, 5, 4]
+        h = build_graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
+        cs = enumerate_girth_cycles(h)
+        with pytest.raises(GraphError):
+            build_separator(g, cs, k, solve(build_constraints(h, cs, k)))
+
+    def test_frozen_and_compared_without_kept_structure(self):
+        # a separator of its own, so a failed freeze spoils no shared one
+        s = Analysis.from_catalog(CdtName.K4).separator
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.succ = s.succ[::-1]
+        other = dataclasses.replace(s, index={}, under=build_cdt(CdtName.K4)[0])
+        assert other == s
+        assert hash(other) == hash(s)
+        assert repr(other) == repr(s)
+        assert "index" not in repr(s) and "under" not in repr(s)
 
 
 class TestAlternateCensus:
