@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdtsep.graphs import (
     GraphError,
@@ -45,6 +48,59 @@ def random_graphs(count, max_order, seed):
             density = rng.random()
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         yield build_graph(n, edges)
+
+
+def stacked_triangulation(rng, n):
+    """Edges (u, v), u < v, of a random stacked triangulation on n >= 3
+    vertices: each new vertex goes into a random face and joins its
+    three corners."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+def kuratowski_subdivision(rng):
+    """Order and edges of a random subdivision of K5 or K3,3 with
+    pendant trees hung on it."""
+    if rng.random() < 0.5:
+        n, base = 5, list(itertools.combinations(range(5), 2))
+    else:
+        n, base = 6, [(i, j) for i in range(3) for j in range(3, 6)]
+    edges = []
+    for u, v in base:
+        for _ in range(rng.randint(0, 3)):
+            edges.append((u, n))
+            u, n = n, n + 1
+        edges.append((u, v))
+    for _ in range(rng.randint(0, 6)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return n, edges
+
+
+def planarity_family_member(family, n, rng):
+    """Order, edges and planarity, known by construction, of a random
+    member of family; n is the order of a forest, or bounds that of a
+    triangulation from below."""
+    if family == "kuratowski":
+        return *kuratowski_subdivision(rng), False
+    if family == "forest":
+        return n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8], True
+    n = max(n, 5 if family == "triangulation-plus-edge" else 3)  # K4 has no non-edge
+    edges = stacked_triangulation(rng, n)
+    if family == "triangulation":
+        return n, edges, True
+    if family == "triangulation-minus-edges":
+        return n, rng.sample(edges, rng.randrange(len(edges) + 1)), True
+    if family == "triangulation-plus-edge":
+        non_edges = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
+        return n, edges + [rng.choice(non_edges)], False
+    k, more = kuratowski_subdivision(rng)  # "union": planar plus non-planar
+    return n + k, edges + [(u + n, v + n) for u, v in more], False
 
 
 def has_hamilton_cycle(g):
@@ -205,9 +261,23 @@ class TestPredicates:
             assert is_hamiltonian(g) is has_hamilton_cycle(g), g
 
     def test_planarity(self):
+        assert is_planar(build_graph(0, []))
+        assert is_planar(build_graph(1, []))
+        assert is_planar(build_graph(2, [(0, 1)]))
         assert is_planar(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         assert not is_planar(k5)
+
+    def test_planarity_is_not_quadratic(self):
+        # a girth sweep from every root would be quadratic on a long
+        # cycle; the left-right test is linear
+        cycle = build_graph(20000, [(v, (v + 1) % 20000) for v in range(20000)])
+        for g in (cycle, prism(6000)):
+            start = time.perf_counter()
+            assert is_planar(g)
+            assert time.perf_counter() - start < 2.0
+        # a DFS 20000 deep, far beyond the interpreter's recursion limit
+        assert is_planar(build_graph(20000, [(v, v + 1) for v in range(19999)]))
 
     def test_planarity_against_networkx(self):
         for g in random_graphs(3000, 11, seed=0):
@@ -215,3 +285,24 @@ class TestPredicates:
             h.add_nodes_from(range(g.order))
             h.add_edges_from(g.edges())
             assert is_planar(g) == nx.check_planarity(h)[0], g
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([
+            "kuratowski", "forest", "triangulation", "triangulation-minus-edges",
+            "triangulation-plus-edge", "union",
+        ]),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_planarity_of_structured_families(self, family, n, seed):
+        rng = random.Random(seed)
+        order, edges, planar = planarity_family_member(family, n, rng)
+        g = build_graph(order, edges)
+        h = nx.Graph()
+        h.add_nodes_from(range(order))
+        h.add_edges_from(edges)
+        assert is_planar(g) is planar is nx.check_planarity(h)[0]
+        relabel = rng.sample(range(order), order)
+        relabeled = build_graph(order, [(relabel[u], relabel[v]) for u, v in edges])
+        assert is_planar(relabeled) is planar

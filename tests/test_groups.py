@@ -736,7 +736,7 @@ class TestStabilizerChain:
 
 def loaded_packages(statement):
     """Top-level packages outside the standard library that a fresh
-    interpreter loads while running statement."""
+    interpreter loads while running statement; the last line it prints."""
     src = Path(cdtsep.__file__).resolve().parent.parent
     code = (
         f"import sys; before = set(sys.modules); {statement}; "
@@ -747,20 +747,28 @@ def loaded_packages(statement):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    return out.stdout.strip()
+    return out.stdout.splitlines()[-1]
 
 
-def test_import_loads_no_third_party_package():
-    """The group layer needs no third-party package, and networkx is
-    imported only inside is_planar."""
-    assert loaded_packages("import cdtsep") == "['cdtsep']"
-
-
-def test_girth_bound_settles_planarity_without_networkx():
-    """Tutte's graph has girth 8, so Euler's bound refutes planarity
-    and classifying kappa loads no third-party package."""
-    statement = (
+def kappa_statement(name):
+    return (
         "from cdtsep.analysis import Analysis; from cdtsep.catalog import CdtName; "
-        "a = Analysis.from_catalog(CdtName.TUTTE); assert a.kappa == a.row.kappa"
+        f"a = Analysis.from_catalog(CdtName.{name}); assert a.kappa == a.row.kappa"
     )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import cdtsep",
+        kappa_statement("TUTTE"),
+        kappa_statement("K4"),
+        kappa_statement("DODECAHEDRAL"),
+        "from cdtsep.cli import main; main(['verify', 'k4', '--json'])",
+    ],
+    ids=["import", "tutte-kappa", "k4-kappa", "dodecahedral-kappa", "verify-k4-json"],
+)
+def test_loads_no_third_party_package(statement):
+    """The program needs no package outside the standard library; the
+    planar graphs' kappa and verify k4 run the in-repo planarity test."""
     assert loaded_packages(statement) == "['cdtsep']"

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cdtsep
 from cdtsep import groups
 from cdtsep.catalog import CdtName, build_cdt
 from cdtsep.dot import emit_dot
@@ -17,6 +21,9 @@ from cdtsep.report import (
     run_graph_report,
     run_ingest_report,
 )
+
+# sha256 of report_to_json(run_report()) at SCHEMA_VERSION 2
+REPORT_SHA256 = "76afe1cba0da13c230a6d180fbff4e91b534dc72ff963ae4a052dfa37e200171"
 
 
 class TestSingleGraph:
@@ -100,9 +107,22 @@ class TestFullRun:
         # the report stays byte-identical unless SCHEMA_VERSION changes;
         # a change that means to alter it bumps the schema and this digest
         digest = hashlib.sha256(report_to_json(full_report).encode()).hexdigest()
-        assert (SCHEMA_VERSION, digest) == (
-            2, "76afe1cba0da13c230a6d180fbff4e91b534dc72ff963ae4a052dfa37e200171"
+        assert (SCHEMA_VERSION, digest) == (2, REPORT_SHA256)
+
+    def test_verify_all_needs_no_networkx(self):
+        # with networkx blocked in a fresh interpreter, the CLI prints the
+        # same report and exits 1 for the by-design mismatches
+        code = (
+            "import sys; sys.modules['networkx'] = None; from cdtsep.cli import main; "
+            "sys.exit(main(['verify', '--all', '--json']))"
         )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cdtsep.__file__).resolve().parent.parent)},
+        )
+        assert out.returncode == 1, out.stderr
+        digest = hashlib.sha256(out.stdout.removesuffix("\n").encode()).hexdigest()
+        assert digest == REPORT_SHA256
 
     # sha256 of each solvable catalog graph's separator DOT text, which
     # pins its vertex numbering and its succ and trans order
