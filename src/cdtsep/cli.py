@@ -169,6 +169,19 @@ def _cmd_export(args) -> int:
     raise _InputError("export needs --dot PATH or --json PATH")
 
 
+def _seconds(text: str) -> float:
+    """A budget in seconds: a number >= 0, inf included.  NaN and
+    negative values are refused: every budget gate would read NaN as no
+    budget at all, and a negative budget as one already spent."""
+    try:
+        value = float(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected seconds >= 0 (or inf), got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdtsep",
@@ -177,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="time budget: the hamiltonicity search stops when it runs out, and"

@@ -9,16 +9,19 @@ re-split only next to a vertex recolored in the round before, a split
 class keeps its id for its first part, and a class that gets different
 sizes on the two sides ends the node.  Each search node refines from its
 parent's partition with one new color, on an explicit stack.  An
-isomorphism test starts from the vertices' distance profiles, and
+isomorphism test starts from the vertices' distance profiles, read off
+out-balls that grow as int bitsets for all vertices in one sweep, and
 unequal multisets of them refute it at the root.  The automorphism
 search also reads the group's order, a base and the stabilizer of the
 first base point off its tree.  A group's elements and its index-2
-subgroups are read off one walk over the images of its base (Seress,
-*Permutation Group Algorithms*, 2003).  Distance- and s-arc-transitivity
-are read off that recorded point stabilizer: a vertex-transitive group
-has either property exactly when the stabilizer of one vertex has it
-locally, on the distance spheres or on the s-arcs around that vertex
-(Tutte 1947; Biggs, *Algebraic Graph Theory*, 1993).
+subgroups are read off one breadth-first walk over the images of its
+base, and each element's order off its shortest word in that walk,
+with no element built (Seress, *Permutation Group Algorithms*, 2003).
+Distance- and s-arc-transitivity are read off that recorded point
+stabilizer: a vertex-transitive group has either property exactly when
+the stabilizer of one vertex has it locally, on the distance spheres or
+on the s-arcs around that vertex (Tutte 1947; Biggs, *Algebraic Graph
+Theory*, 1993).
 """
 
 from __future__ import annotations
@@ -71,35 +74,17 @@ def inverse(p) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _perm_order(p, points) -> int:
-    """Lcm of the lengths of p's cycles through points: the order of p
-    when only the identity fixes every one of the points."""
-    seen: set[int] = set()
-    out = 1
-    for x in points:
-        if x in seen:
-            continue
-        seen.add(x)
-        u, length = p[x], 1
-        while u != x:
-            seen.add(u)
-            u = p[u]
-            length += 1
-        out = lcm(out, length)
-    return out
-
-
 def _orbit(gens, start, act) -> dict:
     """Orbit of start under the group generated by gens, where act(g, x)
     is the image of x under g, as a Schreier vector: each point maps to
     the point it was first reached from and the index of the generator
-    that carried it there, start to None.  Every point is listed after
-    the point it was reached from."""
+    that carried it there, start to None.  The walk is breadth first, so
+    each point's path in the tree is a shortest word from start, and
+    every point is listed after the point it was reached from."""
     tree = {start: None}
     frontier = [start]
     indexed = tuple(enumerate(gens))
-    while frontier:
-        x = frontier.pop()
+    for x in frontier:
         for i, g in indexed:
             y = act(g, x)
             if y not in tree:
@@ -125,7 +110,9 @@ class PermGroup:
     automorphism_group also records _stabilizer, the stabilizer of the
     first base point (the group itself when the base is empty), which
     arc_transitivity and is_distance_transitive read.  Orbits,
-    transitivity and the elements are walked over the generators.
+    transitivity and the elements are walked over the generators, breadth
+    first, and order_spectrum reads each element's order off its shortest
+    word in the generators without building the element.
     """
 
     degree: int
@@ -175,10 +162,33 @@ class PermGroup:
         return sorted(named.values())
 
     def order_spectrum(self) -> set[int]:
-        """Orders of all elements, each read off its cycles through the
-        base, since only the identity fixes the base."""
+        """Orders of all elements, with no element built.  The element
+        carrying the base to an image is the word of generators on the
+        image's path in the orbit tree.  Only the identity fixes the
+        base, so its order is the lcm of the lengths of its cycles
+        through the base points, each walked point by point along the
+        word from the point's image; a base point already on a walked
+        cycle is skipped."""
         base = self._base_points()
-        return {_perm_order(p, base) for p in self.elements()}
+        words: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        spectrum = set()
+        for y, step in self._base_orbit().items():
+            word = () if step is None else words[step[0]] + (self.generators[step[1]],)
+            words[y] = word
+            seen: set[int] = set()
+            order = 1
+            for x, u in zip(base, y):
+                if x in seen:
+                    continue
+                length = 1
+                while u != x:
+                    seen.add(u)
+                    for g in word:
+                        u = g[u]
+                    length += 1
+                order = lcm(order, length)
+            spectrum.add(order)
+        return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -534,26 +544,32 @@ GL32_GENERATORS = (
 
 def _distance_profiles(t) -> list[tuple[int, ...]]:
     """Each vertex's out-distance profile: the number of vertices at
-    each distance from it along out-arcs (edges of a graph)."""
-    n = len(t)
+    each distance from it along out-arcs (edges of a graph), up to the
+    farthest one it reaches.  The out-balls of all vertices grow together
+    as int bitsets, B_{r+1}(v) = B_r(v) | the union of B_r(w) over the
+    out-neighbors w of v, and a vertex drops out of the sweep when its
+    ball stops growing; a stopped ball is final, so it serves as B_r for
+    every later r."""
     out = [[w for tag, w in nbrs if tag == 0] for nbrs in t]
-    profiles = []
-    for root in range(n):
-        seen = [False] * n
-        seen[root] = True
-        frontier = [root]
-        counts = []
-        while frontier:
-            counts.append(len(frontier))
-            reached = []
-            for x in frontier:
-                for w in out[x]:
-                    if not seen[w]:
-                        seen[w] = True
-                        reached.append(w)
-            frontier = reached
-        profiles.append(tuple(counts))
-    return profiles
+    balls = [1 << v for v in range(len(t))]
+    profiles = [[1] for _ in t]
+    sizes = [1] * len(t)
+    active = range(len(t))
+    while active:
+        grown = []
+        for v in active:
+            ball = balls[v]
+            for w in out[v]:
+                ball |= balls[w]
+            grown.append((v, ball))
+        active = []
+        for v, ball in grown:
+            size = ball.bit_count()
+            if size > sizes[v]:
+                profiles[v].append(size - sizes[v])
+                balls[v], sizes[v] = ball, size
+                active.append(v)
+    return [tuple(p) for p in profiles]
 
 
 def _isomorphism(a: Graph | Digraph, b: Graph | Digraph):

@@ -37,6 +37,21 @@ class TestAnalyze:
         assert main(["--budget", "0", "analyze", "petersen"]) == 0
         assert "hamiltonian unknown (budget)" in capsys.readouterr().out
 
+    def test_budget_inf_is_unbounded(self, capsys):
+        assert main(["--budget", "inf", "analyze", "petersen"]) == 0
+        assert "hamiltonian False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["nan", "NaN", "-nan", "-1", "-0.5", "-inf", "", "ten"])
+    def test_malformed_budget_is_an_input_error(self, budget, capsys):
+        # NaN compares false with every gate, so it would silently lift
+        # the budget; it and negative values are refused before any work
+        # (the joined form lets "-inf" through argparse as a value)
+        with pytest.raises(SystemExit) as exc:
+            main([f"--budget={budget}", "verify", "tutte"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and repr(budget) in err
+
     def test_graph6_input(self, capsys):
         assert main(["analyze", K4_GRAPH6]) == 0
         assert "order 4" in capsys.readouterr().out

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cdtsep
@@ -197,6 +197,28 @@ def index_two_subgroups(group):
     return out
 
 
+def bfs_distance_profiles(t):
+    """Reference: each vertex's out-distance profile by one breadth-first
+    search from it over the tagged adjacency's out-arcs."""
+    out = [[w for tag, w in nbrs if tag == 0] for nbrs in t]
+    profiles = []
+    for root in range(len(t)):
+        seen = {root}
+        frontier = [root]
+        counts = []
+        while frontier:
+            counts.append(len(frontier))
+            reached = []
+            for x in frontier:
+                for w in out[x]:
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+            frontier = reached
+        profiles.append(tuple(counts))
+    return profiles
+
+
 def isomorphic(n, arcs, target, directed):
     """digraph_isomorphic or graph_isomorphic on two arc (edge) lists."""
     if directed:
@@ -248,7 +270,43 @@ class TestPermBasics:
     def test_trivial_group(self):
         g = PermGroup(4, ())
         assert g.order() == 1
+        assert g.order_spectrum() == {1}
         assert not g.is_transitive()
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.permutations(range(n)), max_size=3),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+            )
+        )
+    )
+    def test_orbit_is_breadth_first(self, case):
+        # each entry's depth in the Schreier tree is its distance from
+        # the start in the orbit graph, for points and for point tuples
+        gens, start = case
+        gens = [tuple(g) for g in gens]
+        for start, act in ((start[0], tuple.__getitem__), (tuple(start), groups._image)):
+            tree = groups._orbit(gens, start, act)
+            distance = {start: 0}
+            frontier = [start]
+            while frontier:
+                reached = []
+                for x in frontier:
+                    for g in gens:
+                        y = act(g, x)
+                        if y not in distance:
+                            distance[y] = distance[x] + 1
+                            reached.append(y)
+                frontier = reached
+            assert tree.keys() == distance.keys()
+            for y in tree:
+                x, depth = y, 0
+                while tree[x] is not None:
+                    parent, i = tree[x]
+                    assert act(gens[i], parent) == x
+                    x, depth = parent, depth + 1
+                assert depth == distance[y]
 
 
 class TestAutomorphisms:
@@ -537,6 +595,37 @@ class TestIsomorphism:
                 searched += profiles[0] == profiles[1]
         assert searched > 10
 
+    @given(
+        st.integers(min_value=0, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))),
+                st.booleans(),
+            )
+        )
+    )
+    @example((0, [], True))
+    @example((1, [], False))
+    @example((4, [(0, 1), (1, 2)], True))  # 3 isolated, 0 reaches 2 but not 3
+    @example((5, [(0, 1), (2, 1), (1, 3), (3, 1)], True))  # 0 and 2 reach no one at all
+    @example((6, [(0, 1), (1, 2), (3, 4)], False))  # two components and an isolated vertex
+    def test_distance_profiles_against_bfs(self, case):
+        n, pairs, directed = case
+        arcs = {(u, v) for u, v in pairs if u != v}
+        if directed:
+            x = build_digraph(n, sorted(arcs))
+        else:
+            x = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in arcs}))
+        t = groups._tagged_adj(x)
+        assert groups._distance_profiles(t) == bfs_distance_profiles(t)
+
+    def test_distance_profiles_of_catalog_separators(self, analysis_of):
+        for text in SOLVABLE:
+            s = analysis_of(text).separator
+            for x in (s.digraph, s.under):
+                t = groups._tagged_adj(x)
+                assert groups._distance_profiles(t) == bfs_distance_profiles(t)
+
     def test_coxeter_reference_matrices_refuted_at_the_root(self, analysis_of, monkeypatch):
         # the reference pair's Cayley digraph has other distance profiles
         # than the separator, so no branch is tried; the corrected pair's
@@ -643,6 +732,22 @@ class TestRegularSubgroups:
             assert len(h.elements()) == h.order() == 720
             assert len(calls) == h.order() - 1
 
+    def test_order_spectrum_makes_no_compose(self, analysis_of, monkeypatch):
+        a = analysis_of("tutte")
+        found = regular_subgroups(a.separator_group, a.separator.order)
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return compose(p, q)
+
+        monkeypatch.setattr(groups, "compose", counted)
+        assert [sorted(h.order_spectrum()) for h in found] == [
+            [1, 2, 3, 4, 5, 8],
+            [1, 2, 3, 4, 5, 8, 10],
+        ]
+        assert calls == []
+
     def test_no_index_two_subgroup(self):
         # A4 on the six edges of the tetrahedron: order 12 on 6 points,
         # and A4 has no subgroup of index 2
@@ -718,6 +823,10 @@ class TestStabilizerChain:
         rebuilt = PermGroup(group.degree, group.generators)
         assert group.order() == rebuilt.order() == len(reference)
         assert group.elements() == rebuilt.elements() == sorted(reference)
+
+    def test_order_spectrum(self, group_and_closure):
+        group, reference = group_and_closure
+        assert group.order_spectrum() == {element_order(p) for p in reference}
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
