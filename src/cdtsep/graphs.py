@@ -320,73 +320,172 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
-    """Backtracking Hamilton-cycle search with degree pruning.
+    """Hamilton-cycle search over edge states, with forcing (Vandegriend
+    and Culberson 1998).
 
-    Returns True/False, or None when the time budget runs out.
+    Every edge is undecided, in or out, in one state that an undo trail
+    restores on backtrack.  The in-edges form vertex-disjoint paths, the
+    fragments, and a table maps each fragment end to its other end.
+    After every decision these rules run to a fixed point:
+
+    - a vertex with two in-edges puts its other edges out;
+    - a vertex with exactly two edges not out puts both in;
+    - a vertex with fewer than two edges not out refutes the node;
+    - an in-edge that joins the two ends of one fragment closes a
+      cycle: one through all n vertices is the answer, and a shorter
+      one refutes the node.
+
+    A node branches at a fragment end x over its undecided edges
+    e_1..e_r: child j puts e_1..e_{j-1} out and e_j in.  x has one
+    in-edge, so a Hamilton cycle that extends the node uses exactly one
+    e_j, and the child for the first one it uses contains it.  While no
+    fragment exists, a vertex with no in-edge is split the same way, by
+    the first of its edges the cycle uses.  So the children partition
+    the node's cycles and the search is complete.  It runs on an
+    explicit stack, and the deadline is checked at every node.
+
+    Returns True/False, or None when the time budget runs out.  A NaN
+    budget raises ValueError.
     """
+    if budget != budget:
+        raise ValueError("budget must be a number of seconds, not NaN")
     n = g.order
     if n < 3:
         return False
     deadline = time.monotonic() + budget
-    adj = [set(a) for a in g.adj]
-    start = 0
-    path = [start]
-    on_path = [False] * n
-    on_path[start] = True
-    # avail[v]: neighbors of v not yet interior to the path
-    avail = [len(a) for a in adj]
+    if time.monotonic() >= deadline:
+        return None
+    UNDECIDED, IN, OUT = 0, 1, 2
+    head, tail = [], []
+    inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex
+    for u, v in g.edges():
+        inc[u].append(len(head))
+        inc[v].append(len(head))
+        head.append(u)
+        tail.append(v)
+    state = [UNDECIDED] * len(head)
+    free = [len(a) for a in g.adj]  # edges not out, at each vertex
+    used = [0] * n  # in-edges at each vertex
+    ends: dict[int, int] = {}  # fragment end -> its other end
+    placed = 0  # in-edges
+    # trail: e for an edge put out; a, b, ~e for an edge e put in that
+    # made a and b the ends of one fragment
+    trail: list[int] = []
+    queue: list[int] = list(range(n))  # vertices whose counts changed
 
-    def feasible(vertices) -> bool:
-        # every off-path vertex still needs 2 usable incident edges;
-        # avail counts the edge back to the start, which was never
-        # appended, so only the edge to a later path end is added back
-        end = path[-1]
-        for v in vertices:
-            if on_path[v]:
-                continue
-            usable = avail[v]
-            if end != start and end in adj[v]:
-                usable += 1
-            if usable < 2:
-                return False
+    def exclude(e: int) -> bool:
+        if state[e] != UNDECIDED:
+            return state[e] == OUT
+        state[e] = OUT
+        trail.append(e)
+        u, v = head[e], tail[e]
+        free[u] -= 1
+        free[v] -= 1
+        queue.append(u)
+        queue.append(v)
         return True
 
-    def retreat() -> None:
-        v = path.pop()
-        on_path[v] = False
-        for w in adj[v]:
-            avail[w] += 1
+    def include(e: int) -> bool:
+        nonlocal placed
+        if state[e] != UNDECIDED:
+            return state[e] == IN
+        u, v = head[e], tail[e]
+        if used[u] == 2 or used[v] == 2:
+            return False
+        a = ends[u] if used[u] else u
+        if a == v:  # closes a cycle
+            if placed + 1 < n:
+                return False
+            placed = n
+            return True
+        b = ends[v] if used[v] else v
+        state[e] = IN
+        used[u] += 1
+        used[v] += 1
+        placed += 1
+        if a != u:
+            del ends[u]
+        if b != v:
+            del ends[v]
+        ends[a] = b
+        ends[b] = a
+        trail.extend((a, b, ~e))
+        queue.append(u)
+        queue.append(v)
+        return True
 
-    # choices[i]: the untried successors of path[i]; an explicit stack,
-    # so the depth of the search is not bounded by the interpreter's.
-    if time.monotonic() > deadline:
-        return None
-    if not feasible(range(n)):
-        return False
-    choices = [iter(sorted(adj[start]))]
-    while choices:
-        for v in choices[-1]:
-            if not on_path[v]:
-                break
-        else:
-            choices.pop()
-            if choices:
-                retreat()
-            continue
-        path.append(v)
-        on_path[v] = True
-        for w in adj[v]:
-            avail[w] -= 1
-        # only the neighbors of the old and the new end lose usable edges
-        if feasible(adj[v] | adj[path[-2]]):
-            if time.monotonic() > deadline:
-                return None
-            if len(path) < n:
-                choices.append(iter(sorted(adj[v])))
+    def propagate() -> bool:
+        while queue:
+            x = queue.pop()
+            if free[x] < 2:
+                return False
+            if used[x] == 2:
+                if free[x] > 2:
+                    for e in inc[x]:
+                        if state[e] == UNDECIDED:
+                            exclude(e)
+            elif free[x] == 2:
+                for e in inc[x]:
+                    if state[e] == UNDECIDED:
+                        if not include(e):
+                            return False
+                        if placed == n:
+                            return True
+        return True
+
+    def undo(mark: int) -> None:
+        nonlocal placed
+        while len(trail) > mark:
+            x = trail.pop()
+            if x >= 0:
+                state[x] = UNDECIDED
+                free[head[x]] += 1
+                free[tail[x]] += 1
                 continue
-            if start in adj[v]:
-                return True
-        retreat()
+            e = ~x
+            b = trail.pop()
+            a = trail.pop()
+            u, v = head[e], tail[e]
+            state[e] = UNDECIDED
+            used[u] -= 1
+            used[v] -= 1
+            placed -= 1
+            del ends[a], ends[b]
+            if a != u:
+                ends[u] = a
+                ends[a] = u
+            if b != v:
+                ends[v] = b
+                ends[b] = v
+
+    def branch() -> list:
+        # [choices, next child, trail mark]
+        x = next(iter(ends)) if ends else min(range(n), key=free.__getitem__)
+        return [[e for e in inc[x] if state[e] == UNDECIDED], 0, len(trail)]
+
+    if not propagate():
+        return False
+    if placed == n:
+        return True
+    stack = [branch()]
+    while stack:
+        if time.monotonic() >= deadline:
+            return None
+        frame = stack[-1]
+        choices, j, mark = frame
+        undo(mark)
+        if j == len(choices):
+            stack.pop()
+            continue
+        frame[1] = j + 1
+        queue.clear()
+        if not (all(map(exclude, choices[:j])) and include(choices[j])):
+            continue
+        if placed < n and not propagate():
+            continue
+        if placed == n:
+            return True
+        stack.append(branch())
     return False
 
 

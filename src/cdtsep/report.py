@@ -194,8 +194,17 @@ def _witness_is_valid(g, cs, k, witness: OddWitness) -> bool:
     return True
 
 
+def _refuse_nan(budget: float | None) -> None:
+    # every budget gate compares with >, which is False against NaN
+    if budget is not None and budget != budget:
+        raise ValueError("budget must be a number of seconds, not NaN")
+
+
 def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
-    """Execute the whole pipeline for one catalog graph."""
+    """Execute the whole pipeline for one catalog graph.  budget is in
+    seconds (None: unbounded; 0 or less: already spent); a NaN budget
+    raises ValueError."""
+    _refuse_nan(budget)
     start = time.monotonic()
 
     def over_budget() -> bool:
@@ -405,7 +414,9 @@ def _hamiltonian_check(g, p, budget, start) -> Check:
 def run_report(
     names=None, budget: float | None = None
 ) -> VerificationReport:
-    """Reports for the requested catalog graphs, in catalog order."""
+    """Reports for the requested catalog graphs, in catalog order; each
+    graph gets budget seconds of its own, as in run_graph_report."""
+    _refuse_nan(budget)
     if names is None:
         names = list(CdtName)
     reports = tuple(run_graph_report(n, budget=budget) for n in names)

@@ -11,6 +11,13 @@ from cdtsep.graphs import build_graph
 from cdtsep.report import run_report
 
 
+def generalized_petersen(n, k):
+    """GP(n, k) for 1 <= k < n/2: outer cycle 0..n-1, spokes i -- n+i,
+    inner edges n+i -- n+(i+k)."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return build_graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
 @pytest.fixture(scope="session")
 def analysis_of():
     """Shared per-graph pipeline: text name -> its catalog Analysis."""

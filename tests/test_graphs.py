@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graphs import (
     GraphError,
     build_digraph,
@@ -19,6 +20,7 @@ from cdtsep.graphs import (
     is_planar,
     underlying,
 )
+from conftest import generalized_petersen
 
 
 def petersen():
@@ -48,6 +50,17 @@ def random_graphs(count, max_order, seed):
             density = rng.random()
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         yield build_graph(n, edges)
+
+
+def random_cubic(n, rng):
+    """A random simple cubic graph on n vertices, n even: the pairing
+    model, redrawn until the pairing has no loop and no double edge."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return build_graph(n, edges)
 
 
 def stacked_triangulation(rng, n):
@@ -259,6 +272,43 @@ class TestPredicates:
     def test_hamiltonian_against_brute_force(self):
         for g in random_graphs(400, 8, seed=1):
             assert is_hamiltonian(g) is has_hamilton_cycle(g), g
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_hamiltonian_of_random_cubic_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            g = random_cubic(n, rng)
+            assert is_hamiltonian(g) is has_hamilton_cycle(g), g
+
+    def test_hamiltonian_is_invariant_under_relabeling(self, layer_graphs):
+        # the fixture carries three seeded relabelings of each catalog
+        # graph, passed through graph6, as "name/seed"
+        relabeled = [(label, g) for label, g, _ in layer_graphs if "/" in label]
+        assert len(relabeled) == 3 * len(CdtName)
+        for label, g in relabeled:
+            row = cdt_parameters(CdtName.from_string(label.split("/")[0]))
+            assert is_hamiltonian(g) is bool(row.h), label
+
+    def test_hamiltonian_against_alspach(self):
+        # Alspach (1983): GP(n, k) is Hamiltonian unless n = 5 (mod 6)
+        # and k is 2 or (n - 1) / 2
+        for n in range(3, 24):
+            for k in range(1, (n + 1) // 2):
+                expected = not (n % 6 == 5 and k in (2, (n - 1) // 2))
+                assert is_hamiltonian(generalized_petersen(n, k)) is expected, (n, k)
+        assert is_hamiltonian(generalized_petersen(29, 2), budget=120.0) is False
+
+    def test_hamiltonian_budget_is_checked_inside_the_search(self):
+        coxeter, _ = build_cdt(CdtName.COXETER)
+        assert is_hamiltonian(coxeter, budget=0.0) is None
+        # refuting GP(41, 2) takes far more than a second
+        start = time.monotonic()
+        assert is_hamiltonian(generalized_petersen(41, 2), budget=0.05) is None
+        assert time.monotonic() - start < 0.5
+
+    def test_hamiltonian_refuses_a_nan_budget(self):
+        with pytest.raises(ValueError, match="NaN"):
+            is_hamiltonian(petersen(), budget=float("nan"))
 
     def test_planarity(self):
         assert is_planar(build_graph(0, []))

@@ -37,6 +37,7 @@ from cdtsep.groups import (
     symmetric_elements,
 )
 from cdtsep.report import GL32_SEPARATOR_GENERATORS
+from conftest import generalized_petersen
 
 
 def matrix_order(m) -> int:
@@ -126,13 +127,6 @@ def reference_is_distance_transitive(g, group):
 
 def circulant(n, jumps):
     return build_graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
-
-
-def generalized_petersen(n, k):
-    """GP(n, k) for 1 <= k < n/2: outer cycle 0..n-1, spokes i -- n+i,
-    inner edges n+i -- n+(i+k)."""
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    return build_graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
 
 
 def transitivity_family(family):

@@ -20,6 +20,7 @@ from cdtsep.report import (
     report_to_json,
     run_graph_report,
     run_ingest_report,
+    run_report,
 )
 
 # sha256 of report_to_json(run_report()) at SCHEMA_VERSION 2
@@ -56,6 +57,11 @@ class TestSingleGraph:
         assert "group-checks" in skipped
         assert "hamiltonian" in skipped
         assert "automorphism-order" not in [c.name for c in r.checks]
+
+    def test_nan_budget_is_refused(self):
+        # a NaN budget would pass every "elapsed > budget" gate
+        with pytest.raises(ValueError, match="NaN"):
+            run_graph_report(CdtName.K4, budget=float("nan"))
 
     @pytest.mark.parametrize("name", [CdtName.K4, CdtName.PETERSEN, CdtName.TUTTE],
                              ids=lambda n: n.value)
@@ -96,6 +102,12 @@ class TestFullRun:
         assert sorted((g, c.name) for g, c in full_report.flags()) == sorted(
             KNOWN_DISCREPANCIES
         )
+
+    def test_nan_budget_is_refused(self):
+        # refused before any graph is built, even when no graph is asked for
+        for names in (None, []):
+            with pytest.raises(ValueError, match="NaN"):
+                run_report(names, budget=float("nan"))
 
     def test_json_round_trip(self, full_report):
         assert report_from_json(report_to_json(full_report)) == full_report
