@@ -301,7 +301,7 @@ class TestPredicates:
     def test_hamiltonian_budget_is_checked_inside_the_search(self):
         coxeter, _ = build_cdt(CdtName.COXETER)
         assert is_hamiltonian(coxeter, budget=0.0) is None
-        # refuting GP(41, 2) takes far more than a second
+        # refuting GP(41, 2) takes about twenty times this budget
         start = time.monotonic()
         assert is_hamiltonian(generalized_petersen(41, 2), budget=0.05) is None
         assert time.monotonic() - start < 0.5

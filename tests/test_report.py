@@ -59,7 +59,7 @@ class TestSingleGraph:
         assert "automorphism-order" not in [c.name for c in r.checks]
 
     def test_nan_budget_is_refused(self):
-        # a NaN budget would pass every "elapsed > budget" gate
+        # no "elapsed > budget" gate would ever trip on a NaN budget
         with pytest.raises(ValueError, match="NaN"):
             run_graph_report(CdtName.K4, budget=float("nan"))
 
