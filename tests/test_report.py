@@ -182,6 +182,19 @@ class TestIngest:
         names = [c.name for c in r.checks]
         assert "separator-order" in names
 
+    # sha256 of the JSON that `cdtsep verify <graph6> --json` prints: K4,
+    # and Petersen relabeled by random.Random(1).shuffle (as in layer_graphs)
+    INGEST_SHA256 = {
+        "C~": "1ed47de797d1f2e39c61ada12d6a65f66447e5bdbdf35f5f36d31a17455b749a",
+        "IqK_iIAAW": "5fd356edc70a03573372dcf2b84417c1be135e69e6229b263dfb668dc3682552",
+    }
+
+    @pytest.mark.parametrize("text", sorted(INGEST_SHA256))
+    def test_ingest_bytes_are_pinned(self, text):
+        report = VerificationReport(SCHEMA_VERSION, (run_ingest_report(parse_graph6(text)),))
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == self.INGEST_SHA256[text]
+
     def test_rejects_non_cubic(self):
         with pytest.raises(ReportInputError):
             run_ingest_report(parse_graph6("Cr"))
