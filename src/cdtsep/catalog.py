@@ -1,5 +1,6 @@
 """The twelve cubic distance-transitive graphs: constructors, reference
-parameters, label tables and the published oriented girth-cycle fixtures.
+parameters and per-graph reference records, label tables and the
+published oriented girth-cycle fixtures.
 
 Each graph is built from its classical edge rule over a documented label
 set, then relabeled to dense integer ids through a LabelTable.
@@ -11,14 +12,19 @@ import enum
 from dataclasses import dataclass, field
 
 from .graphs import Graph, build_graph
+from .groups import GL32_GENERATORS
 
 __all__ = [
     "CdtName",
     "CdtParameters",
+    "Flag",
+    "GL32_SEPARATOR_GENERATORS",
     "LabelTable",
     "OocFixture",
+    "Reference",
     "build_cdt",
     "cdt_parameters",
+    "reference",
     "reference_ooc",
     "CDT_NAMES",
 ]
@@ -85,6 +91,75 @@ _PARAMETERS: dict[CdtName, CdtParameters] = {
 
 
 @dataclass(frozen=True)
+class Flag:
+    """A documented inconsistency of the reference text: the value it
+    prints and why that is flagged rather than a mismatch."""
+
+    printed: object
+    note: str
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The reference values of one graph beyond its parameter row, all
+    empty for the five graphs without oriented girth cycles.  Generators
+    are 0-indexed image tuples."""
+
+    # (count, length) of the simple r-alternate cycles for r = 1, 2, ...;
+    # the count None where only the length is given
+    alternates: tuple[tuple[int | None, int], ...] = ()
+    chi: int | None = None
+    genus: int | None = None
+    # check name -> generators of a Cayley digraph isomorphic to the separator
+    cayley: dict[str, tuple] = field(default_factory=dict)
+    # generators, on the host vertices, of a regular subgroup of the
+    # separator's automorphism group, and the order spectrum of one
+    subgroup: tuple[tuple[int, ...], ...] = ()
+    spectrum: tuple[int, ...] = ()
+    flags: dict[str, Flag] = field(default_factory=dict)  # check name -> flag
+
+
+# Corrected involution for the Coxeter separator: the reference pair
+# multiplies to an order-3 element, which cannot reproduce the alternate
+# 8-cycles; the antidiagonal involution does (product order 4).
+GL32_SEPARATOR_GENERATORS = (((0, 0, 1), (0, 1, 0), (1, 0, 0)), GL32_GENERATORS[1])
+
+_REFERENCES: dict[CdtName, Reference] = {
+    CdtName.K4: Reference(
+        ((4, 6), (None, 9)), 2, 0, cayley={"cayley-a4": ((1, 2, 0, 3), (1, 0, 3, 2))},
+        flags={"truncated-solid-name": Flag("truncated octahedron", (
+            "the summary statement names the truncated octahedron; the underlying separator"
+            " graph is the truncated tetrahedron, verified by explicit isomorphism"))},
+    ),
+    CdtName.K33: Reference(  # subgroup: (0,5,4,1)(2,3) and (0,2)(1,5)
+        ((9, 8), (6, 9)), 0, 1, subgroup=((5, 0, 3, 2, 1, 4), (2, 5, 0, 3, 4, 1))
+    ),
+    CdtName.Q3: Reference(
+        ((8, 6), (None, 12)), 2, 0, cayley={"cayley-s4": ((1, 2, 3, 0), (1, 0, 2, 3))}
+    ),
+    CdtName.DODECAHEDRAL: Reference(
+        ((20, 6), (None, 15)), 2, 0, cayley={"cayley-a5": ((1, 2, 3, 4, 0), (0, 2, 1, 4, 3))}
+    ),
+    CdtName.DESARGUES: Reference(
+        ((30, 8), (20, 9)), -10, 6, spectrum=(1, 2, 3, 4, 5, 6),  # diagonal copy of S5
+        flags={"transposition-edge-count": Flag(120, (
+            "printed edge count double-counts: the 120 vertices pair into 60 transposition"
+            " edges"))},
+    ),
+    CdtName.COXETER: Reference(((42, 8), (None, 9)), -18, 10, cayley={
+        "cayley-gl32-reference-matrices": GL32_GENERATORS,
+        "cayley-gl32-corrected-involution": GL32_SEPARATOR_GENERATORS,
+    }),
+    CdtName.TUTTE: Reference(
+        ((180, 8), (180, 12), (90, 32), (240, 15)), -120, 61, spectrum=(1, 2, 3, 4, 5, 8),  # M10
+        flags={"bi-alternate-length-vs-census": Flag(9, (
+            "the general cycle-length statement says 9-cycles; the census itself lists"
+            " bi-alternate 12-cycles"))},
+    ),
+}
+
+
+@dataclass(frozen=True)
 class LabelTable:
     """Total, invertible mapping between text labels and dense vertex ids."""
 
@@ -118,6 +193,10 @@ class OocFixture:
 
 def cdt_parameters(name: CdtName) -> CdtParameters:
     return _PARAMETERS[name]
+
+
+def reference(name: CdtName) -> Reference:
+    return _REFERENCES.get(name, Reference())
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +483,28 @@ def _complete_short_cycle(g: Graph, seq: list[int], glen: int) -> tuple[int, ...
     return tuple(out)
 
 
+# The listing of each graph with oriented girth cycles, as label lists.
+_OOC_LISTINGS = {
+    CdtName.K4: lambda: [c.split() for c in _K4_OOC],
+    CdtName.K33: lambda: [c.split() for c in _K33_OOC],
+    CdtName.Q3: lambda: [c.split() for c in _Q3_OOC],
+    CdtName.DODECAHEDRAL: _dodecahedral_ooc,
+    CdtName.DESARGUES: _desargues_ooc,
+    CdtName.COXETER: lambda: [c.split() for c in _COXETER_OOC],
+    CdtName.TUTTE: _tutte_ooc,
+}
+
+
 def reference_ooc(name: CdtName) -> OocFixture | None:
     """The published oriented girth-cycle collection, or None for the
     five graphs that admit none."""
-    params = _PARAMETERS[name]
-    if name is CdtName.K4:
-        raw = [c.split() for c in _K4_OOC]
-    elif name is CdtName.K33:
-        raw = [c.split() for c in _K33_OOC]
-    elif name is CdtName.Q3:
-        raw = [c.split() for c in _Q3_OOC]
-    elif name is CdtName.DODECAHEDRAL:
-        raw = _dodecahedral_ooc()
-    elif name is CdtName.DESARGUES:
-        raw = _desargues_ooc()
-    elif name is CdtName.COXETER:
-        raw = [c.split() for c in _COXETER_OOC]
-    elif name is CdtName.TUTTE:
-        raw = _tutte_ooc()
-    else:
+    if name not in _OOC_LISTINGS:
         return None
-
+    params = _PARAMETERS[name]
     g, table = build_cdt(name)
     cycles: list[tuple[int, ...]] = []
     reconstructed: list[int] = []
-    for idx, labs in enumerate(raw):
+    for idx, labs in enumerate(_OOC_LISTINGS[name]()):
         ids = [table.to_id[lab] for lab in labs]
         if len(ids) == params.g - 1:
             ids = list(_complete_short_cycle(g, ids, params.g))

@@ -1,6 +1,8 @@
-"""Full verification pipeline: recompute every structural claim for a
-catalog graph (or an ingested cubic graph) and compare against the
-reference values, producing a deterministic, JSON-serializable report.
+"""The verification report and its JSON schema.  One ordered table of
+checks drives it: each row names the Analysis stage it needs, its
+reference value and its recomputed value.  A catalog graph runs every row
+its record has a value for, the budget gating the group stages; an
+ingested graph runs a fixed subset and reports computed values.
 
 Three reference-text inconsistencies are documented and expected; they
 surface as flagged-discrepancy entries rather than mismatches.  Any
@@ -12,27 +14,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .analysis import Analysis
-from .catalog import CdtName, reference_ooc
+from .catalog import CdtName, Flag, OocFixture, Reference, reference, reference_ooc
 from .cycles import cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
 from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
-    PermGroup,
-    alternating_elements,
-    arc_transitivity,
-    cayley_digraph,
-    digraph_isomorphic,
-    gl32_elements,
-    gl32_mult,
-    GL32_GENERATORS,
-    graph_isomorphic,
-    induced_arc_permutation,
-    is_distance_transitive,
-    perm_mult,
-    regular_subgroups,
-    symmetric_elements,
+    PermGroup, alternating_elements, arc_transitivity, cayley_digraph, digraph_isomorphic,
+    gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
+    is_distance_transitive, perm_mult, regular_subgroups, symmetric_elements,
 )
 
 __all__ = [
@@ -107,73 +100,17 @@ KNOWN_DISCREPANCIES = (
     ("tutte", "bi-alternate-length-vs-census"),
 )
 
-# Reference separator data: alternate (count, length), bi-alternate
-# (count or None, length), Euler characteristic, genus.
-_SEPARATOR_EXPECT = {
-    CdtName.K4: ((4, 6), (None, 9), 2, 0),
-    CdtName.K33: ((9, 8), (6, 9), 0, 1),
-    CdtName.Q3: ((8, 6), (None, 12), 2, 0),
-    CdtName.DODECAHEDRAL: ((20, 6), (None, 15), 2, 0),
-    CdtName.DESARGUES: ((30, 8), (20, 9), -10, 6),
-    CdtName.COXETER: ((42, 8), (None, 9), -18, 10),
-    CdtName.TUTTE: ((180, 8), (180, 12), -120, 61),
-}
-
-# Reference generating sets for the polyhedral Cayley identifications,
-# 0-indexed image tuples.
-_CAYLEY_TARGETS = {
-    CdtName.K4: ("A4", 4, ((1, 2, 0, 3), (1, 0, 3, 2))),
-    CdtName.Q3: ("S4", 4, ((1, 2, 3, 0), (1, 0, 2, 3))),
-    CdtName.DODECAHEDRAL: ("A5", 5, ((1, 2, 3, 4, 0), (0, 2, 1, 4, 3))),
-}
-
-# Corrected involution for the Coxeter separator: the reference pair
-# multiplies to an order-3 element, which cannot reproduce the alternate
-# 8-cycles; the antidiagonal involution does (product order 4).
-GL32_SEPARATOR_GENERATORS = (
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    GL32_GENERATORS[1],
-)
-
-# Generators of the regular subgroup for the K33 separator, acting on
-# the six host vertices: (0,5,4,1)(2,3) and (0,2)(1,5).
-_K33_SUBGROUP_GENERATORS = ((5, 0, 3, 2, 1, 4), (2, 5, 0, 3, 4, 1))
-
-_REGULAR_SPECTRA = {
-    CdtName.K33: None,
-    CdtName.DESARGUES: (1, 2, 3, 4, 5, 6),  # diagonal copy of S5
-    CdtName.TUTTE: (1, 2, 3, 4, 5, 8),  # M10
-}
-
-
-def _check(name, expected, actual, note="") -> Check:
-    status = MATCH if expected == actual else MISMATCH
-    return Check(name, status, expected, actual, note)
-
-
-def _computed(name, actual, note="") -> Check:
-    return Check(name, COMPUTED, None, actual, note)
-
-
-def _flag(name, printed, actual, note) -> Check:
-    return Check(name, FLAGGED, printed, actual, note)
-
 
 def _truncated_tetrahedron() -> Graph:
     """Independent construction: one triangle per host vertex on its
     outgoing arcs, plus an edge joining each arc to its reversal."""
-    verts = [(u, v) for u in range(4) for v in range(4) if u != v]
-    index = {a: i for i, a in enumerate(verts)}
-    edges = set()
-    for u, v in verts:
-        edges.add(tuple(sorted((index[(u, v)], index[(v, u)]))))
-        for w in range(4):
-            if w not in (u, v):
-                edges.add(tuple(sorted((index[(u, v)], index[(u, w)]))))
-    return build_graph(12, sorted(edges))
+    arcs = [(u, v) for u in range(4) for v in range(4) if u != v]
+    edges = [(i, j) for i, (u, v) in enumerate(arcs) for j, (w, z) in enumerate(arcs)
+             if i < j and (u == w or (u, v) == (z, w))]
+    return build_graph(12, edges)
 
 
-def _witness_is_valid(g, cs, k, witness: OddWitness) -> bool:
+def _witness_is_valid(cs, k, witness: OddWitness) -> bool:
     """Re-check an odd witness from scratch against the cycle set."""
     if not witness.is_odd():
         return False
@@ -195,9 +132,191 @@ def _witness_is_valid(g, cs, k, witness: OddWitness) -> bool:
 
 
 def _refuse_nan(budget: float | None) -> None:
-    # every budget gate compares with >, which is False against NaN
+    # every budget gate compares with the deadline, which is False against NaN
     if budget is not None and budget != budget:
         raise ValueError("budget must be a number of seconds, not NaN")
+
+
+# ---------------------------------------------------------------------------
+# The check table.
+
+# The pipeline stage a check needs.  A witness row runs only when the
+# orientation problem is unsolvable, a separator row only when it is
+# solved; the group stages are the ones the budget gates.
+GRAPH, WITNESS, SEPARATOR = "graph", "witness", "separator"
+GROUP, SEPARATOR_GROUP, HAMILTONIAN = "group", "separator group", "hamiltonian"
+_SOLVED_IN = {WITNESS: False, SEPARATOR: True, SEPARATOR_GROUP: True}
+_GATED = (GROUP, SEPARATOR_GROUP)
+
+
+@dataclass
+class _Subject:
+    """What the check rows read: one graph's pipeline, its reference record
+    and published oriented girth cycles (none for an ingested graph), and
+    the monotonic deadline of its budget (None: unbounded)."""
+
+    a: Analysis
+    ref: Reference = Reference()
+    ooc: OocFixture | None = None
+    deadline: float | None = None
+
+    @property
+    def census(self):
+        # as deep as the reference lists alternates, and r = 1 for the faces
+        return self.a.census(len(self.ref.alternates) or 1)
+
+    @cached_property
+    def regular(self):
+        return regular_subgroups(self.a.separator_group, self.a.separator.order)
+
+    def left(self) -> float | None:
+        return None if self.deadline is None else self.deadline - time.monotonic()
+
+    def spent(self) -> bool:
+        left = self.left()
+        return left is not None and left < 0
+
+
+class _Row(NamedTuple):
+    """One check: expect gives the reference value (None leaves the row
+    out, a Flag makes it a flagged discrepancy) and actual the recomputed
+    one, a _Noted value, or a finished skipped Check."""
+
+    name: str
+    stage: str
+    expect: Callable[[_Subject], object]
+    actual: Callable[[_Subject], object]
+
+
+class _Noted(NamedTuple):
+    value: object
+    note: str
+
+
+def _parameters(x: _Subject) -> dict[str, int]:
+    a = x.a
+    values = {"n": a.graph.order, "d": a.table.diameter, "g": a.girth,
+              "b": int(is_bipartite(a.graph))}
+    # k is a recomputed value only where no catalog row supplies it
+    return values if a.row else {**values, "k": a.k}
+
+
+def _alternate_rows(r: int, word: str) -> tuple[_Row, _Row]:
+    """Count and length of the simple r-alternate cycles, each left out
+    where the reference does not list it."""
+    def listed(x, i):
+        return x.ref.alternates[r - 1][i] if r <= len(x.ref.alternates) else None
+
+    return (
+        _Row(f"{word}-count", SEPARATOR, lambda x: listed(x, 0),
+             lambda x: x.census.simple_count(r)),
+        _Row(f"{word}-length", SEPARATOR, lambda x: listed(x, 1) and [listed(x, 1)],
+             lambda x: sorted(x.census.simple_lengths(r))),
+    )
+
+
+def _flag_row(name: str, stage: str, actual) -> _Row:
+    return _Row(name, stage, lambda x: x.ref.flags.get(name), actual)
+
+
+def _cayley_row(name: str, group, note: str = "") -> _Row:
+    """The separator against the Cayley digraph of group() = (elements,
+    product) on the record's generators for name."""
+    def actual(x):
+        elements, mult = group()
+        target = cayley_digraph(elements, mult, list(x.ref.cayley[name]))
+        return _Noted(digraph_isomorphic(x.a.separator.digraph, target) is not None, note)
+
+    return _Row(name, SEPARATOR_GROUP, lambda x: True if name in x.ref.cayley else None, actual)
+
+
+def _subgroup_is_regular(x: _Subject) -> bool:
+    s = x.a.separator
+    members = [induced_arc_permutation(s, h) for h in x.ref.subgroup]
+    if any(m is None for m in members):
+        return False
+    sub = PermGroup(s.order, tuple(members))
+    return sub.order() == s.order and sub.is_transitive()
+
+
+def _spectrum_found(x: _Subject) -> _Noted:
+    spectra = sorted(sorted(r.order_spectrum()) for r in x.regular)
+    return _Noted(list(x.ref.spectrum) in spectra,
+                  f"spectra of all regular subgroups found: {spectra}")
+
+
+def _hamiltonian(x: _Subject) -> bool | Check:
+    left = x.left()
+    if left is not None and left <= 0:
+        return Check("hamiltonian", SKIPPED, note="budget exhausted")
+    result = is_hamiltonian(x.a.graph, budget=60.0 if left is None else left)
+    if result is None:
+        return Check("hamiltonian", SKIPPED, note="search budget exhausted")
+    return result
+
+
+# Every check in report order.  Rows name pipeline functions inside
+# lambdas, so a call goes through this module's binding at call time.
+_ROWS: tuple[_Row, ...] = (
+    _Row("parameters", GRAPH, lambda x: {k: getattr(x.a.row, k) for k in "ndgb"}, _parameters),
+    _Row("girth-cycle-count", GRAPH, lambda x: x.a.row.eta, lambda x: len(x.a.cycles)),
+    _Row("fastening-uniform", GRAPH, lambda x: True, lambda x: x.a.fastening.uniform),
+    _Row("ooa-solvable", GRAPH, lambda x: x.a.row.kappa > 0, lambda x: x.a.solved),
+    _Row("kappa", GRAPH, lambda x: x.a.row.kappa, lambda x: x.a.kappa),
+    _Row("odd-witness-valid", WITNESS, lambda x: True,
+         lambda x: _witness_is_valid(x.a.cycles, x.a.k, x.a.outcome)),
+    _Row("reference-ooc-valid", SEPARATOR, lambda x: True if x.ooc else None,
+         lambda x: verify_ooa(x.a.graph, x.a.cycles, x.a.k,
+                              assignment_from_cycles(x.a.cycles, x.ooc.cycles))),
+    _Row("separator-order", SEPARATOR, lambda x: 3 * x.a.row.n * 2 ** (x.a.row.k - 2),
+         lambda x: x.a.separator.order),
+    _Row("separator-degrees", SEPARATOR, lambda x: True,
+         lambda x: x.a.separator.is_two_in_two_out()),
+    _Row("separator-underlying", SEPARATOR, lambda x: {"cubic": True, "connected": True},
+         lambda x: {"cubic": x.a.separator.under.is_cubic(),
+                    "connected": x.a.separator.under.is_connected()}),
+    _Row("oriented-cycle-count", SEPARATOR, lambda x: x.a.row.eta,
+         lambda x: x.a.separator.oriented_cycle_count),
+    *(row for r, word in enumerate(("alternate", "bi-alternate", "tri-alternate",
+                                    "tetra-alternate"), 1) for row in _alternate_rows(r, word)),
+    _flag_row("bi-alternate-length-vs-census", SEPARATOR,
+              lambda x: sorted(x.census.simple_lengths(2))),
+    _flag_row("transposition-edge-count", SEPARATOR, lambda x: x.a.separator.order // 2),
+    _Row("euler-characteristic", SEPARATOR, lambda x: x.ref.chi, lambda x: x.a.surface.chi),
+    _Row("orientable", SEPARATOR, lambda x: True, lambda x: x.a.surface.orientable),
+    _Row("genus", SEPARATOR, lambda x: x.ref.genus, lambda x: x.a.surface.genus),
+    _Row("distance-transitive", GROUP, lambda x: True,
+         lambda x: is_distance_transitive(x.a.graph, x.a.host_group)),
+    _Row("arc-transitivity", GROUP, lambda x: x.a.row.k,
+         lambda x: arc_transitivity(x.a.graph, x.a.host_group)),
+    _Row("automorphism-order", GROUP, lambda x: x.a.row.a, lambda x: x.a.host_group.order()),
+    _Row("separator-automorphism-order", SEPARATOR_GROUP, lambda x: x.a.row.a,
+         lambda x: x.a.separator_group.order()),
+    _cayley_row("cayley-a4", lambda: (alternating_elements(4), perm_mult)),
+    _cayley_row("cayley-s4", lambda: (symmetric_elements(4), perm_mult)),
+    _cayley_row("cayley-a5", lambda: (alternating_elements(5), perm_mult)),
+    _flag_row("truncated-solid-name", SEPARATOR_GROUP, lambda x: "truncated tetrahedron"),
+    # the identification the truncated-solid-name flag rests on
+    _Row("truncated-tetrahedron", SEPARATOR_GROUP,
+         lambda x: True if "truncated-solid-name" in x.ref.flags else None,
+         lambda x: graph_isomorphic(x.a.separator.under, _truncated_tetrahedron()) is not None),
+    _cayley_row("cayley-gl32-reference-matrices", lambda: (gl32_elements(), gl32_mult),
+                "reference matrix pair multiplies to an order-3 element;"
+                " the separator needs product order 4"),
+    _cayley_row("cayley-gl32-corrected-involution", lambda: (gl32_elements(), gl32_mult)),
+    _Row("reference-subgroup-regular", SEPARATOR_GROUP,
+         lambda x: True if x.ref.subgroup else None, _subgroup_is_regular),
+    _Row("regular-subgroup-found", SEPARATOR_GROUP,
+         lambda x: True if x.ref.subgroup or x.ref.spectrum else None,
+         lambda x: bool(x.regular)),
+    _Row("regular-subgroup-spectrum", SEPARATOR_GROUP,
+         lambda x: True if x.ref.spectrum else None, _spectrum_found),
+    _Row("hamiltonian", HAMILTONIAN, lambda x: bool(x.a.row.h), _hamiltonian),
+)
+
+
+def _reached(row: _Row, x: _Subject) -> bool:
+    return row.stage not in _SOLVED_IN or _SOLVED_IN[row.stage] == x.a.solved
 
 
 def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
@@ -205,215 +324,35 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     seconds (None: unbounded; 0 or less: already spent); a NaN budget
     raises ValueError."""
     _refuse_nan(budget)
-    start = time.monotonic()
-
-    def over_budget() -> bool:
-        return budget is not None and time.monotonic() - start > budget
-
-    a = Analysis.from_catalog(name)
-    g, p = a.graph, a.row
+    deadline = None if budget is None else time.monotonic() + budget
+    x = _Subject(Analysis.from_catalog(name), reference(name), reference_ooc(name), deadline)
     checks: list[Check] = []
-
-    checks.append(
-        _check(
-            "parameters",
-            {"n": p.n, "d": p.d, "g": p.g, "b": p.b},
-            {
-                "n": g.order,
-                "d": a.table.diameter,
-                "g": a.girth,
-                "b": int(is_bipartite(g)),
-            },
-        )
-    )
-
-    cs = a.cycles
-    checks.append(_check("girth-cycle-count", p.eta, len(cs)))
-    checks.append(_check("fastening-uniform", True, a.fastening.uniform))
-    checks.append(_check("ooa-solvable", p.kappa > 0, a.solved))
-    checks.append(_check("kappa", p.kappa, a.kappa))
-
-    if not a.solved:
-        checks.append(
-            _check("odd-witness-valid", True, _witness_is_valid(g, cs, p.k, a.outcome))
-        )
-        if over_budget():
-            checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
+    gated = False
+    for row in _ROWS:
+        if not _reached(row, x):
+            continue
+        expected = row.expect(x)
+        if expected is None:
+            continue
+        if row.stage in _GATED and (gated or x.spent()):
+            if not gated:
+                note = f"budget exhausted before the {row.stage} stage"
+                checks.append(Check("group-checks", SKIPPED, note=note))
+            gated = True
+            continue
+        actual = row.actual(x)
+        if isinstance(actual, Check):
+            checks.append(actual)
+        elif isinstance(expected, Flag):
+            checks.append(Check(row.name, FLAGGED, expected.printed, actual, expected.note))
         else:
-            checks.extend(_transitivity_checks(a))
-            checks.append(_check("automorphism-order", p.a, a.host_group.order()))
-        checks.append(_hamiltonian_check(g, p, budget, start))
-        return GraphReport(name.value, tuple(checks))
-
-    fixture = reference_ooc(name)
-    if fixture is not None:
-        ref = assignment_from_cycles(cs, fixture.cycles)
-        checks.append(_check("reference-ooc-valid", True, verify_ooa(g, cs, p.k, ref)))
-
-    s = a.separator
-    checks.append(_check("separator-order", 3 * p.n * 2 ** (p.k - 2), s.order))
-    checks.append(_check("separator-degrees", True, s.is_two_in_two_out()))
-    checks.append(
-        _check(
-            "separator-underlying",
-            {"cubic": True, "connected": True},
-            {"cubic": s.under.is_cubic(), "connected": s.under.is_connected()},
-        )
-    )
-    checks.append(_check("oriented-cycle-count", p.eta, s.oriented_cycle_count))
-
-    census = a.census(4 if name is CdtName.TUTTE else 2)
-    (alt_count, alt_len), (bi_count, bi_len), chi, genus = _SEPARATOR_EXPECT[name]
-    checks.append(_check("alternate-count", alt_count, census.simple_count(1)))
-    checks.append(
-        _check("alternate-length", [alt_len], sorted(census.simple_lengths(1)))
-    )
-    if bi_count is not None:
-        checks.append(_check("bi-alternate-count", bi_count, census.simple_count(2)))
-    checks.append(
-        _check("bi-alternate-length", [bi_len], sorted(census.simple_lengths(2)))
-    )
-    if name is CdtName.TUTTE:
-        checks.append(_check("tri-alternate-count", 90, census.simple_count(3)))
-        checks.append(
-            _check("tri-alternate-length", [32], sorted(census.simple_lengths(3)))
-        )
-        checks.append(_check("tetra-alternate-count", 240, census.simple_count(4)))
-        checks.append(
-            _check("tetra-alternate-length", [15], sorted(census.simple_lengths(4)))
-        )
-        checks.append(
-            _flag(
-                "bi-alternate-length-vs-census",
-                9,
-                sorted(census.simple_lengths(2)),
-                "the general cycle-length statement says 9-cycles; the"
-                " census itself lists bi-alternate 12-cycles",
-            )
-        )
-
-    if name is CdtName.DESARGUES:
-        checks.append(
-            _flag(
-                "transposition-edge-count",
-                120,
-                s.order // 2,
-                "printed edge count double-counts: the 120 vertices pair"
-                " into 60 transposition edges",
-            )
-        )
-
-    rep = a.surface
-    checks.append(_check("euler-characteristic", chi, rep.chi))
-    checks.append(_check("orientable", True, rep.orientable))
-    checks.append(_check("genus", genus, rep.genus))
-
-    if over_budget():
-        checks.append(Check("group-checks", SKIPPED, note="budget exhausted"))
-        checks.append(_hamiltonian_check(g, p, budget, start))
-        return GraphReport(name.value, tuple(checks))
-
-    checks.extend(_transitivity_checks(a))
-    checks.append(_check("automorphism-order", p.a, a.host_group.order()))
-    sep_aut = a.separator_group
-    checks.append(_check("separator-automorphism-order", p.a, sep_aut.order()))
-
-    if name in _CAYLEY_TARGETS:
-        label, degree, gens = _CAYLEY_TARGETS[name]
-        elements = (
-            alternating_elements(degree)
-            if label.startswith("A")
-            else symmetric_elements(degree)
-        )
-        target = cayley_digraph(elements, perm_mult, list(gens))
-        checks.append(
-            _check(
-                f"cayley-{label.lower()}",
-                True,
-                digraph_isomorphic(s.digraph, target) is not None,
-            )
-        )
-    if name is CdtName.K4:
-        checks.append(
-            _flag(
-                "truncated-solid-name",
-                "truncated octahedron",
-                "truncated tetrahedron",
-                "the summary statement names the truncated octahedron;"
-                " the underlying separator graph is the truncated"
-                " tetrahedron, verified by explicit isomorphism",
-            )
-        )
-        tt_ok = graph_isomorphic(s.under, _truncated_tetrahedron()) is not None
-        checks.append(_check("truncated-tetrahedron", True, tt_ok))
-    if name is CdtName.COXETER:
-        elements = gl32_elements()
-        ref = cayley_digraph(elements, gl32_mult, list(GL32_GENERATORS))
-        checks.append(
-            _check(
-                "cayley-gl32-reference-matrices",
-                True,
-                digraph_isomorphic(s.digraph, ref) is not None,
-                "reference matrix pair multiplies to an order-3 element;"
-                " the separator needs product order 4",
-            )
-        )
-        fixed = cayley_digraph(elements, gl32_mult, list(GL32_SEPARATOR_GENERATORS))
-        checks.append(
-            _check(
-                "cayley-gl32-corrected-involution",
-                True,
-                digraph_isomorphic(s.digraph, fixed) is not None,
-            )
-        )
-    if name is CdtName.K33:
-        members = [
-            induced_arc_permutation(s, h) for h in _K33_SUBGROUP_GENERATORS
-        ]
-        ok = all(m is not None for m in members)
-        if ok:
-            sub = PermGroup(s.order, tuple(members))
-            ok = sub.order() == s.order and sub.is_transitive()
-        checks.append(_check("reference-subgroup-regular", True, ok))
-    if name in _REGULAR_SPECTRA:
-        spectrum = _REGULAR_SPECTRA[name]
-        subs = regular_subgroups(sep_aut, s.order)
-        checks.append(_check("regular-subgroup-found", True, bool(subs)))
-        if spectrum is not None:
-            spectra = sorted(sorted(r.order_spectrum()) for r in subs)
-            checks.append(
-                _check(
-                    "regular-subgroup-spectrum",
-                    True,
-                    list(spectrum) in spectra,
-                    f"spectra of all regular subgroups found: {spectra}",
-                )
-            )
-
-    checks.append(_hamiltonian_check(g, p, budget, start))
+            actual, note = actual if isinstance(actual, _Noted) else (actual, "")
+            status = MATCH if expected == actual else MISMATCH
+            checks.append(Check(row.name, status, expected, actual, note))
     return GraphReport(name.value, tuple(checks))
 
 
-def _transitivity_checks(a: Analysis) -> list[Check]:
-    return [
-        _check("distance-transitive", True, is_distance_transitive(a.graph, a.host_group)),
-        _check("arc-transitivity", a.row.k, arc_transitivity(a.graph, a.host_group)),
-    ]
-
-
-def _hamiltonian_check(g, p, budget, start) -> Check:
-    remaining = None if budget is None else budget - (time.monotonic() - start)
-    if remaining is not None and remaining <= 0:
-        return Check("hamiltonian", SKIPPED, note="budget exhausted")
-    result = is_hamiltonian(g, budget=remaining if remaining is not None else 60.0)
-    if result is None:
-        return Check("hamiltonian", SKIPPED, note="search budget exhausted")
-    return _check("hamiltonian", bool(p.h), result)
-
-
-def run_report(
-    names=None, budget: float | None = None
-) -> VerificationReport:
+def run_report(names=None, budget: float | None = None) -> VerificationReport:
     """Reports for the requested catalog graphs, in catalog order; each
     graph gets budget seconds of its own, as in run_graph_report."""
     _refuse_nan(budget)
@@ -436,41 +375,33 @@ def ingest_analysis(g: Graph) -> Analysis:
     return a
 
 
+# The rows an ingested graph reports, with their notes.
+_INGESTED = dict.fromkeys(
+    ("girth-cycle-count", "ooa-solvable", "kappa", "separator-order", "alternate-count",
+     "euler-characteristic", "genus"), "",
+) | {"parameters": "no reference row; recomputed values only"}
+
+
 def run_ingest_report(g: Graph) -> GraphReport:
-    """Pipeline for an ingested cubic graph outside the catalog.  With
-    no reference row, every check reports a computed value.  It takes no
-    budget: the precondition k >= 2 is read off the host automorphism
-    group, so there is no group work left to gate once it holds.
+    """Pipeline for an ingested cubic graph outside the catalog: the
+    _INGESTED rows of the check table, each reporting a computed value.
+    It takes no budget: the precondition k >= 2 is read off the host
+    automorphism group, so no group work is left to gate once it holds.
 
     Raises ReportInputError when the graph misses the structural
     preconditions (those of ingest_analysis, and uniform
     two-cycles-per-key-path).
     """
-    a = ingest_analysis(g)
-    parameters = {
-        "n": g.order,
-        "d": a.table.diameter,
-        "g": a.girth,
-        "b": int(is_bipartite(g)),
-        "k": a.k,
-    }
-    checks = [
-        _computed("parameters", parameters, "no reference row; recomputed values only"),
-        _computed("girth-cycle-count", len(a.cycles)),
-    ]
+    x = _Subject(ingest_analysis(g))
     try:
-        solved = a.solved
+        checks = tuple(
+            Check(row.name, COMPUTED, None, row.actual(x), _INGESTED[row.name])
+            for row in _ROWS
+            if row.name in _INGESTED and _reached(row, x)
+        )
     except ConstraintError as exc:
         raise ReportInputError(str(exc)) from exc
-    checks.append(_computed("ooa-solvable", solved))
-    checks.append(_computed("kappa", a.kappa))
-    if solved:
-        checks.append(_computed("separator-order", a.separator.order))
-        checks.append(_computed("alternate-count", a.census(2).simple_count(1)))
-        rep = a.surface
-        checks.append(_computed("euler-characteristic", rep.chi))
-        checks.append(_computed("genus", rep.genus if rep.orientable else None))
-    return GraphReport("ingested", tuple(checks))
+    return GraphReport("ingested", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +413,13 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def _check_from_dict(d) -> Check:
-    return Check(
-        name=d["name"],
-        status=d["status"],
-        expected=d.get("expected"),
-        actual=d.get("actual"),
-        note=d.get("note", ""),
-    )
+    return Check(d["name"], d["status"], d.get("expected"), d.get("actual"), d.get("note", ""))
 
 
 def report_from_json(text: str) -> VerificationReport:
     data = json.loads(text)
     reports = tuple(
-        GraphReport(
-            graph=r["graph"],
-            checks=tuple(_check_from_dict(c) for c in r["checks"]),
-        )
+        GraphReport(r["graph"], tuple(_check_from_dict(c) for c in r["checks"]))
         for r in data["reports"]
     )
     return VerificationReport(data["schema_version"], reports)

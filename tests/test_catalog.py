@@ -3,8 +3,10 @@ import pytest
 from cdtsep.catalog import (
     CDT_NAMES,
     CdtName,
+    Reference,
     build_cdt,
     cdt_parameters,
+    reference,
     reference_ooc,
 )
 from cdtsep.graphs import distances, girth, is_bipartite
@@ -74,3 +76,13 @@ class TestReferenceOoc:
     def test_other_fixtures_are_verbatim(self):
         for name in SOLVABLE - {CdtName.COXETER}:
             assert reference_ooc(name).reconstructed == ()
+
+
+class TestReferenceRecords:
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_separator_data_exactly_where_kappa_is_positive(self, name):
+        ref, kappa = reference(name), cdt_parameters(name).kappa
+        separator_data = bool(ref.alternates) and None not in (ref.chi, ref.genus)
+        assert separator_data == (kappa > 0) == (reference_ooc(name) is not None)
+        if kappa == 0:
+            assert ref == Reference()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cdtsep
 from cdtsep import groups
-from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
+from cdtsep.catalog import GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters
 from cdtsep.graphs import build_digraph, build_graph, distances, enumerate_arcs, underlying
 from cdtsep.groups import (
     GL32_GENERATORS,
@@ -36,7 +36,6 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
-from cdtsep.report import GL32_SEPARATOR_GENERATORS
 from conftest import generalized_petersen
 
 

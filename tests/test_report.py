@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cdtsep
 from cdtsep import groups
-from cdtsep.catalog import CdtName, build_cdt
+from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.dot import emit_dot
 from cdtsep.graph6 import parse_graph6
 from cdtsep.report import (
@@ -57,6 +58,27 @@ class TestSingleGraph:
         assert "group-checks" in skipped
         assert "hamiltonian" in skipped
         assert "automorphism-order" not in [c.name for c in r.checks]
+        [gate] = [c for c in r.checks if c.name == "group-checks"]
+        assert gate.note == "budget exhausted before the group stage"
+
+    def test_budget_is_checked_before_each_group_check(self, monkeypatch):
+        # a clock that jumps past the deadline inside K4's first Cayley check
+        # stops the run at the next gated row, in the separator group stage
+        clock = [0.0]
+        monkeypatch.setattr(cdtsep.report, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        original = cdtsep.report.cayley_digraph
+
+        def slow(*args):
+            clock[0] += 100.0
+            return original(*args)
+
+        monkeypatch.setattr(cdtsep.report, "cayley_digraph", slow)
+        r = run_graph_report(CdtName.K4, budget=10.0)
+        names = [c.name for c in r.checks]
+        assert names[-3:] == ["cayley-a4", "group-checks", "hamiltonian"]
+        assert "separator-automorphism-order" in names
+        assert r.checks[-2].note == "budget exhausted before the separator group stage"
+        assert (r.checks[-1].status, r.checks[-1].note) == ("skipped", "budget exhausted")
 
     def test_nan_budget_is_refused(self):
         # no "elapsed > budget" gate would ever trip on a NaN budget
@@ -194,6 +216,24 @@ class TestIngest:
         report = VerificationReport(SCHEMA_VERSION, (run_ingest_report(parse_graph6(text)),))
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == self.INGEST_SHA256[text]
+
+    # the checks an ingested graph reports, in report order
+    INGESTED = ("parameters", "girth-cycle-count", "ooa-solvable", "kappa", "separator-order",
+                "alternate-count", "euler-characteristic", "genus")
+
+    def test_relabelings_reproduce_the_catalog_values(self, layer_graphs, full_report):
+        # each graph6 relabeling of a catalog graph reports the catalog
+        # report's recomputed values, not its reference values, plus the
+        # row's k among the parameters
+        actual = {r.graph: {c.name: c.actual for c in r.checks} for r in full_report.reports}
+        assert (actual["tutte"]["euler-characteristic"], actual["tutte"]["genus"]) == (-90, 46)
+        relabeled = [(label, g) for label, g, _k in layer_graphs if "/" in label]
+        assert len(relabeled) == 36
+        for label, g in relabeled:
+            name = label.split("/")[0]
+            want = [(n, actual[name][n]) for n in self.INGESTED if n in actual[name]]
+            want[0] = ("parameters", {**want[0][1], "k": cdt_parameters(CdtName(name)).k})
+            assert [(c.name, c.actual) for c in run_ingest_report(g).checks] == want, label
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ReportInputError):
