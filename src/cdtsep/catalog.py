@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Graph, build_graph
 from .groups import GL32_GENERATORS
@@ -90,8 +91,7 @@ _PARAMETERS: dict[CdtName, CdtParameters] = {
 }
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A documented inconsistency of the reference text: the value it
     prints and why that is flagged rather than a mismatch."""
 
@@ -105,8 +105,7 @@ class Reference:
     empty for the five graphs without oriented girth cycles.  Generators
     are 0-indexed image tuples."""
 
-    # (count, length) of the simple r-alternate cycles for r = 1, 2, ...;
-    # the count None where only the length is given
+    # (count or None, length) of the simple r-alternate cycles, r = 1, 2, ...
     alternates: tuple[tuple[int | None, int], ...] = ()
     chi: int | None = None
     genus: int | None = None

@@ -12,6 +12,7 @@ other disagreement is a genuine mismatch and fails the run.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -104,10 +105,15 @@ KNOWN_DISCREPANCIES = (
 def _truncated_tetrahedron() -> Graph:
     """Independent construction: one triangle per host vertex on its
     outgoing arcs, plus an edge joining each arc to its reversal."""
-    arcs = [(u, v) for u in range(4) for v in range(4) if u != v]
-    edges = [(i, j) for i, (u, v) in enumerate(arcs) for j, (w, z) in enumerate(arcs)
-             if i < j and (u == w or (u, v) == (z, w))]
-    return build_graph(12, edges)
+    verts = [(u, v) for u in range(4) for v in range(4) if u != v]
+    index = {a: i for i, a in enumerate(verts)}
+    edges = set()
+    for u, v in verts:
+        edges.add(tuple(sorted((index[(u, v)], index[(v, u)]))))
+        for w in range(4):
+            if w not in (u, v):
+                edges.add(tuple(sorted((index[(u, v)], index[(u, w)]))))
+    return build_graph(12, sorted(edges))
 
 
 def _witness_is_valid(cs, k, witness: OddWitness) -> bool:
@@ -149,16 +155,14 @@ _SOLVED_IN = {WITNESS: False, SEPARATOR: True, SEPARATOR_GROUP: True}
 _GATED = (GROUP, SEPARATOR_GROUP)
 
 
-@dataclass
 class _Subject:
     """What the check rows read: one graph's pipeline, its reference record
     and published oriented girth cycles (none for an ingested graph), and
     the monotonic deadline of its budget (None: unbounded)."""
 
-    a: Analysis
-    ref: Reference = Reference()
-    ooc: OocFixture | None = None
-    deadline: float | None = None
+    def __init__(self, a: Analysis, ref: Reference = Reference(),
+                 ooc: OocFixture | None = None, deadline: float | None = None):
+        self.a, self.ref, self.ooc, self.deadline = a, ref, ooc, deadline
 
     @property
     def census(self):
@@ -169,28 +173,27 @@ class _Subject:
     def regular(self):
         return regular_subgroups(self.a.separator_group, self.a.separator.order)
 
-    def left(self) -> float | None:
-        return None if self.deadline is None else self.deadline - time.monotonic()
+    @cached_property
+    def spectra(self):
+        return sorted(sorted(r.order_spectrum()) for r in self.regular)
 
-    def spent(self) -> bool:
-        left = self.left()
-        return left is not None and left < 0
+    def reaches(self, stage: str) -> bool:
+        return stage not in _SOLVED_IN or _SOLVED_IN[stage] == self.a.solved
+
+    def left(self) -> float:
+        return math.inf if self.deadline is None else self.deadline - time.monotonic()
 
 
 class _Row(NamedTuple):
     """One check: expect gives the reference value (None leaves the row
-    out, a Flag makes it a flagged discrepancy) and actual the recomputed
-    one, a _Noted value, or a finished skipped Check."""
+    out, a Flag makes it a flagged discrepancy), actual the recomputed one
+    or a finished skipped Check, and note the check's note."""
 
     name: str
     stage: str
     expect: Callable[[_Subject], object]
     actual: Callable[[_Subject], object]
-
-
-class _Noted(NamedTuple):
-    value: object
-    note: str
+    note: Callable[[_Subject], str] = lambda x: ""
 
 
 def _parameters(x: _Subject) -> dict[str, int]:
@@ -225,9 +228,10 @@ def _cayley_row(name: str, group, note: str = "") -> _Row:
     def actual(x):
         elements, mult = group()
         target = cayley_digraph(elements, mult, list(x.ref.cayley[name]))
-        return _Noted(digraph_isomorphic(x.a.separator.digraph, target) is not None, note)
+        return digraph_isomorphic(x.a.separator.digraph, target) is not None
 
-    return _Row(name, SEPARATOR_GROUP, lambda x: True if name in x.ref.cayley else None, actual)
+    return _Row(name, SEPARATOR_GROUP, lambda x: True if name in x.ref.cayley else None, actual,
+                lambda x: note)
 
 
 def _subgroup_is_regular(x: _Subject) -> bool:
@@ -239,17 +243,11 @@ def _subgroup_is_regular(x: _Subject) -> bool:
     return sub.order() == s.order and sub.is_transitive()
 
 
-def _spectrum_found(x: _Subject) -> _Noted:
-    spectra = sorted(sorted(r.order_spectrum()) for r in x.regular)
-    return _Noted(list(x.ref.spectrum) in spectra,
-                  f"spectra of all regular subgroups found: {spectra}")
-
-
 def _hamiltonian(x: _Subject) -> bool | Check:
     left = x.left()
-    if left is not None and left <= 0:
+    if left <= 0:
         return Check("hamiltonian", SKIPPED, note="budget exhausted")
-    result = is_hamiltonian(x.a.graph, budget=60.0 if left is None else left)
+    result = is_hamiltonian(x.a.graph, budget=60.0 if x.deadline is None else left)
     if result is None:
         return Check("hamiltonian", SKIPPED, note="search budget exhausted")
     return result
@@ -258,7 +256,8 @@ def _hamiltonian(x: _Subject) -> bool | Check:
 # Every check in report order.  Rows name pipeline functions inside
 # lambdas, so a call goes through this module's binding at call time.
 _ROWS: tuple[_Row, ...] = (
-    _Row("parameters", GRAPH, lambda x: {k: getattr(x.a.row, k) for k in "ndgb"}, _parameters),
+    _Row("parameters", GRAPH, lambda x: {k: getattr(x.a.row, k) for k in "ndgb"}, _parameters,
+         lambda x: "" if x.a.row else "no reference row; recomputed values only"),
     _Row("girth-cycle-count", GRAPH, lambda x: x.a.row.eta, lambda x: len(x.a.cycles)),
     _Row("fastening-uniform", GRAPH, lambda x: True, lambda x: x.a.fastening.uniform),
     _Row("ooa-solvable", GRAPH, lambda x: x.a.row.kappa > 0, lambda x: x.a.solved),
@@ -310,13 +309,10 @@ _ROWS: tuple[_Row, ...] = (
          lambda x: True if x.ref.subgroup or x.ref.spectrum else None,
          lambda x: bool(x.regular)),
     _Row("regular-subgroup-spectrum", SEPARATOR_GROUP,
-         lambda x: True if x.ref.spectrum else None, _spectrum_found),
+         lambda x: True if x.ref.spectrum else None, lambda x: list(x.ref.spectrum) in x.spectra,
+         lambda x: f"spectra of all regular subgroups found: {x.spectra}"),
     _Row("hamiltonian", HAMILTONIAN, lambda x: bool(x.a.row.h), _hamiltonian),
 )
-
-
-def _reached(row: _Row, x: _Subject) -> bool:
-    return row.stage not in _SOLVED_IN or _SOLVED_IN[row.stage] == x.a.solved
 
 
 def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
@@ -329,12 +325,12 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     checks: list[Check] = []
     gated = False
     for row in _ROWS:
-        if not _reached(row, x):
+        if not x.reaches(row.stage):
             continue
         expected = row.expect(x)
         if expected is None:
             continue
-        if row.stage in _GATED and (gated or x.spent()):
+        if row.stage in _GATED and (gated or x.left() < 0):
             if not gated:
                 note = f"budget exhausted before the {row.stage} stage"
                 checks.append(Check("group-checks", SKIPPED, note=note))
@@ -346,9 +342,8 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
         elif isinstance(expected, Flag):
             checks.append(Check(row.name, FLAGGED, expected.printed, actual, expected.note))
         else:
-            actual, note = actual if isinstance(actual, _Noted) else (actual, "")
             status = MATCH if expected == actual else MISMATCH
-            checks.append(Check(row.name, status, expected, actual, note))
+            checks.append(Check(row.name, status, expected, actual, row.note(x)))
     return GraphReport(name.value, tuple(checks))
 
 
@@ -375,11 +370,9 @@ def ingest_analysis(g: Graph) -> Analysis:
     return a
 
 
-# The rows an ingested graph reports, with their notes.
-_INGESTED = dict.fromkeys(
-    ("girth-cycle-count", "ooa-solvable", "kappa", "separator-order", "alternate-count",
-     "euler-characteristic", "genus"), "",
-) | {"parameters": "no reference row; recomputed values only"}
+# The rows an ingested graph reports.
+_INGESTED = ("parameters", "girth-cycle-count", "ooa-solvable", "kappa", "separator-order",
+             "alternate-count", "euler-characteristic", "genus")
 
 
 def run_ingest_report(g: Graph) -> GraphReport:
@@ -395,9 +388,9 @@ def run_ingest_report(g: Graph) -> GraphReport:
     x = _Subject(ingest_analysis(g))
     try:
         checks = tuple(
-            Check(row.name, COMPUTED, None, row.actual(x), _INGESTED[row.name])
+            Check(row.name, COMPUTED, None, row.actual(x), row.note(x))
             for row in _ROWS
-            if row.name in _INGESTED and _reached(row, x)
+            if row.name in _INGESTED and x.reaches(row.stage)
         )
     except ConstraintError as exc:
         raise ReportInputError(str(exc)) from exc
@@ -413,13 +406,22 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def _check_from_dict(d) -> Check:
-    return Check(d["name"], d["status"], d.get("expected"), d.get("actual"), d.get("note", ""))
+    return Check(
+        name=d["name"],
+        status=d["status"],
+        expected=d.get("expected"),
+        actual=d.get("actual"),
+        note=d.get("note", ""),
+    )
 
 
 def report_from_json(text: str) -> VerificationReport:
     data = json.loads(text)
     reports = tuple(
-        GraphReport(r["graph"], tuple(_check_from_dict(c) for c in r["checks"]))
+        GraphReport(
+            graph=r["graph"],
+            checks=tuple(_check_from_dict(c) for c in r["checks"]),
+        )
         for r in data["reports"]
     )
     return VerificationReport(data["schema_version"], reports)
