@@ -9,7 +9,7 @@ set, then relabeled to dense integer ids through a LabelTable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, build_graph
@@ -99,23 +99,22 @@ class Flag(NamedTuple):
     note: str
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """The reference values of one graph beyond its parameter row, all
     empty for the five graphs without oriented girth cycles.  Generators
-    are 0-indexed image tuples."""
+    are 0-indexed image tuples; no record is ever mutated."""
 
     # (count or None, length) of the simple r-alternate cycles, r = 1, 2, ...
     alternates: tuple[tuple[int | None, int], ...] = ()
     chi: int | None = None
     genus: int | None = None
     # check name -> generators of a Cayley digraph isomorphic to the separator
-    cayley: dict[str, tuple] = field(default_factory=dict)
+    cayley: dict[str, tuple] = {}
     # generators, on the host vertices, of a regular subgroup of the
     # separator's automorphism group, and the order spectrum of one
     subgroup: tuple[tuple[int, ...], ...] = ()
     spectrum: tuple[int, ...] = ()
-    flags: dict[str, Flag] = field(default_factory=dict)  # check name -> flag
+    flags: dict[str, Flag] = {}  # check name -> flag
 
 
 # Corrected involution for the Coxeter separator: the reference pair

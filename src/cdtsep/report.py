@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .analysis import Analysis
 from .catalog import CdtName, Flag, OocFixture, Reference, reference, reference_ooc
@@ -184,16 +184,16 @@ class _Subject:
         return math.inf if self.deadline is None else self.deadline - time.monotonic()
 
 
-class _Row(NamedTuple):
-    """One check: expect gives the reference value (None leaves the row
-    out, a Flag makes it a flagged discrepancy), actual the recomputed one
-    or a finished skipped Check, and note the check's note."""
+class _Row:
+    """One check: the stage it needs, and functions of a _Subject giving
+    its reference value (None leaves the row out, a Flag makes it a
+    flagged discrepancy), its recomputed value (or a finished skipped
+    Check) and its note."""
 
-    name: str
-    stage: str
-    expect: Callable[[_Subject], object]
-    actual: Callable[[_Subject], object]
-    note: Callable[[_Subject], str] = lambda x: ""
+    def __init__(self, name: str, stage: str, expect: Callable, actual: Callable,
+                 note: Callable = lambda x: ""):
+        self.name, self.stage, self.expect, self.actual, self.note = (
+            name, stage, expect, actual, note)
 
 
 def _parameters(x: _Subject) -> dict[str, int]:
