@@ -9,7 +9,6 @@ set, then relabeled to dense integer ids through a LabelTable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, build_graph
@@ -57,8 +56,7 @@ class CdtName(enum.Enum):
 CDT_NAMES: tuple[CdtName, ...] = tuple(CdtName)
 
 
-@dataclass(frozen=True)
-class CdtParameters:
+class CdtParameters(NamedTuple):
     """One reference row: order, diameter, girth, arc-transitivity,
     girth-cycle count, automorphism count, bipartite/hamiltonian flags and
     the orientation classification kappa."""
@@ -157,12 +155,13 @@ _REFERENCES: dict[CdtName, Reference] = {
 }
 
 
-@dataclass(frozen=True)
 class LabelTable:
     """Total, invertible mapping between text labels and dense vertex ids."""
 
-    to_id: dict[str, int]
-    to_label: dict[int, str]
+    __slots__ = ("to_id", "to_label")
+
+    def __init__(self, to_id: dict[str, int], to_label: dict[int, str]):
+        self.to_id, self.to_label = to_id, to_label
 
     @classmethod
     def from_labels(cls, labels) -> "LabelTable":
@@ -175,8 +174,7 @@ class LabelTable:
         return len(self.to_id)
 
 
-@dataclass(frozen=True)
-class OocFixture:
+class OocFixture(NamedTuple):
     """Published oriented girth cycles, as dense-id sequences.
 
     ``reconstructed`` lists indices of cycles that were completed here

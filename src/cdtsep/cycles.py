@@ -4,7 +4,7 @@ uniform path-sharing profile."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, distances, enumerate_arcs, girth
 
@@ -55,17 +55,15 @@ def path_key(seq) -> tuple[int, ...]:
     return seq if seq <= rev else rev
 
 
-@dataclass
 class CycleSet:
     """All girth cycles of a graph in canonical form, sorted, with lazy
     indexes from path keys to the cycles containing them."""
 
-    graph: Graph
-    girth: int
-    cycles: tuple[tuple[int, ...], ...]
-    _indexes: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = field(
-        default_factory=dict, repr=False
-    )
+    __slots__ = ("graph", "girth", "cycles", "_indexes")
+
+    def __init__(self, graph: Graph, girth: int, cycles: tuple[tuple[int, ...], ...]):
+        self.graph, self.girth, self.cycles = graph, girth, cycles
+        self._indexes: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -87,8 +85,7 @@ class CycleSet:
         return self._indexes[length]
 
 
-@dataclass(frozen=True)
-class FasteningProfile:
+class FasteningProfile(NamedTuple):
     """Per-level counts of girth cycles through each path.
 
     levels[i] is a Counter mapping (cycles through a path of length
@@ -152,11 +149,8 @@ def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
 
 def unordered_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
     """All simple paths of the given length, one orientation each."""
-    out = []
-    for arc in enumerate_arcs(g, length):
-        if len(set(arc)) == len(arc) and arc == path_key(arc):
-            out.append(arc)
-    return out
+    return [arc for arc in enumerate_arcs(g, length)
+            if len(set(arc)) == len(arc) and arc == path_key(arc)]
 
 
 def _path_counts(g: Graph, length: int) -> list[int]:
@@ -192,9 +186,7 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     graph with k >= 2; for k-1 >= girth it raises ConstraintError.
     """
     if k - 1 >= cs.girth:
-        raise ConstraintError(
-            f"paths of length {k - 1} are not shorter than the girth {cs.girth}"
-        )
+        raise ConstraintError(f"paths of length {k - 1} are not shorter than the girth {cs.girth}")
     paths = _path_counts(g, k - 1)
     levels: dict[int, Counter] = {}
     uniform = True

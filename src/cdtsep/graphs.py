@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "GraphError",
@@ -36,19 +36,31 @@ class GraphError(ValueError):
     """Structurally invalid graph input (bad endpoint, loop, duplicate)."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with sorted per-vertex neighbor lists.
 
     The all-pairs distance table and the girth are each computed by one
     all-roots BFS sweep, on the first call of distances() or girth(),
-    and kept on the instance outside the dataclass fields, so ==, hash
-    and repr see only order and adj.  A sweep that raises keeps nothing
-    and raises again on the next call.
+    and kept in the instance __dict__, so ==, hash and repr see only
+    order and adj.  A sweep that raises keeps nothing and raises again on
+    the next call.
     """
 
-    order: int
-    adj: tuple[tuple[int, ...], ...]
+    __slots__ = ("order", "adj", "__dict__")
+
+    def __init__(self, order: int, adj: tuple[tuple[int, ...], ...]):
+        self.order, self.adj = order, adj
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.order == other.order and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(order={self.order!r}, adj={self.adj!r})"
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -78,12 +90,24 @@ class Graph:
         return _girth_sweep(self)
 
 
-@dataclass(frozen=True)
 class Digraph:
     """Simple directed graph; arcs have no duplicates and no loops."""
 
-    order: int
-    out_adj: tuple[tuple[int, ...], ...]
+    __slots__ = ("order", "out_adj")
+
+    def __init__(self, order: int, out_adj: tuple[tuple[int, ...], ...]):
+        self.order, self.out_adj = order, out_adj
+
+    def __eq__(self, other):
+        if other.__class__ is not Digraph:
+            return NotImplemented
+        return self.order == other.order and self.out_adj == other.out_adj
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.out_adj))
+
+    def __repr__(self) -> str:
+        return f"Digraph(order={self.order!r}, out_adj={self.out_adj!r})"
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.order) for v in self.out_adj[u]]
@@ -98,8 +122,7 @@ class Digraph:
         return v in self.out_adj[u]
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class DistanceTable(NamedTuple):
     """All-pairs hop distances of a connected graph."""
 
     dist: tuple[tuple[int, ...], ...]
@@ -141,10 +164,8 @@ def build_digraph(order: int, arcs) -> Digraph:
 
 def underlying(d: Digraph) -> Graph:
     """Forget orientation; oppositely oriented arc pairs merge into one edge."""
-    edges = {(min(u, v), max(u, v)) for u, v in d.arcs()}
-    adj: list[set[int]] = [set() for _ in range(d.order)]
-    for u, v in edges:
-        adj[u].add(v)
+    adj = [set(out) for out in d.out_adj]
+    for u, v in d.arcs():
         adj[v].add(u)
     return Graph(d.order, tuple(tuple(sorted(a)) for a in adj))
 
@@ -239,8 +260,7 @@ def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class ParityColoring:
+class ParityColoring(NamedTuple):
     """Outcome of parity_coloring.  When odd_walk is None, bits holds one
     bit per node and components counts the connected components.
     Otherwise bits is empty, components is 0, and odd_walk lists the

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from math import lcm
 
 from .graphs import Digraph, Graph, _bfs_dist, build_digraph
@@ -98,39 +97,37 @@ def _image(g, points) -> tuple[int, ...]:
     return tuple(g[x] for x in points)
 
 
-@dataclass
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators.
 
     A base is a tuple of points that only the identity fixes, so the
     group acts regularly on the images of its base and each element is
-    named by its base image.  automorphism_group and regular_subgroups
-    record a short base and the order; a group given by bare generators
-    takes every point as its base, so its order() enumerates the group.
-    automorphism_group also records _stabilizer, the stabilizer of the
-    first base point (the group itself when the base is empty), which
-    arc_transitivity and is_distance_transitive read.  Orbits,
+    named by its base image.  A group built from bare generators has
+    _base and _order None, takes every point as its base, and so its
+    order() enumerates the group; automorphism_group and
+    regular_subgroups set a short _base and the _order after building it.
+    automorphism_group also sets _stabilizer, the stabilizer of the first
+    base point (the group itself when the base is empty), which
+    arc_transitivity and is_distance_transitive read.  Groups compare
+    and hash by identity.  Orbits,
     transitivity and the elements are walked over the generators, breadth
     first, and order_spectrum reads each element's order off its shortest
     word in the generators without building the element.
     """
 
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-    _order: int | None = field(default=None, init=False, repr=False, compare=False)
-    _base: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _stabilizer: PermGroup | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("degree", "generators", "_order", "_base", "_stabilizer")
 
-    def __post_init__(self):
-        ident = tuple(range(self.degree))
+    def __init__(self, degree: int, generators):
+        ident = tuple(range(degree))
         gens = []
-        for g in self.generators:
+        for g in generators:
             g = tuple(g)
             if sorted(g) != list(ident):
-                raise GroupError(f"{g} is not a permutation of 0..{self.degree - 1}")
+                raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
             if g != ident and g not in gens:
                 gens.append(g)
-        self.generators = tuple(gens)
+        self.degree, self.generators = degree, tuple(gens)
+        self._order = self._base = self._stabilizer = None
 
     def _base_points(self) -> tuple[int, ...]:
         return tuple(range(self.degree)) if self._base is None else self._base

@@ -10,6 +10,7 @@ parity, re-checkable independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, enumerate_arcs, parity_coloring
 from .cycles import (
@@ -31,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParityConstraintGraph:
+class ParityConstraintGraph(NamedTuple):
     """One node per girth cycle; one edge per key path joining the two
     cycles containing it.  must_differ means the two cycles' orientation
     bits have to be unequal for the traversals to oppose."""
@@ -86,9 +86,7 @@ def build_constraints(g: Graph, cs: CycleSet, k: int) -> ParityConstraintGraph:
     edges = []
     for p, hits in pairs:
         if len(hits) != 2:
-            raise ConstraintError(
-                f"path {p} lies in {len(hits)} girth cycles, expected 2"
-            )
+            raise ConstraintError(f"path {p} lies in {len(hits)} girth cycles, expected 2")
         (c1, d1), (c2, d2) = hits
         edges.append((c1, c2, d1 == d2, p))
     return ParityConstraintGraph(len(cs), tuple(edges))
@@ -110,17 +108,12 @@ def solve(pcg: ParityConstraintGraph) -> OrientationAssignment | OddWitness:
     for a, b, _differ, _path in walk:
         node = b if a == node else a
         cycle_ids.append(node)
-    return OddWitness(
-        tuple(cycle_ids), tuple(e[3] for e in walk), tuple(e[2] for e in walk)
-    )
+    return OddWitness(tuple(cycle_ids), tuple(e[3] for e in walk), tuple(e[2] for e in walk))
 
 
 def oriented_cycles(cs: CycleSet, a: OrientationAssignment) -> list[tuple[int, ...]]:
     """Cycle sequences with assignment flips applied."""
-    out = []
-    for cyc, flip in zip(cs.cycles, a.flips):
-        out.append(cyc[::-1] if flip else cyc)
-    return out
+    return [cyc[::-1] if flip else cyc for cyc, flip in zip(cs.cycles, a.flips)]
 
 
 def verify_ooa(g: Graph, cs: CycleSet, k: int, a: OrientationAssignment) -> bool:
@@ -150,9 +143,7 @@ def assignment_from_cycles(cs: CycleSet, cycles) -> OrientationAssignment:
         cid = pos[canon]
         if flips[cid] is not None:
             raise ValueError(f"cycle {canon} listed twice")
-        n = len(seq)
-        rots = {seq[i:] + seq[:i] for i in range(n)}
-        flips[cid] = canon not in rots
+        flips[cid] = canon not in {seq[i:] + seq[:i] for i in range(len(seq))}
     if any(f is None for f in flips):
         raise ValueError("collection does not cover all girth cycles")
     return OrientationAssignment(tuple(bool(f) for f in flips), components=1)

@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analysis import Analysis
 from .catalog import CdtName, Flag, OocFixture, Reference, reference, reference_ooc
@@ -57,8 +56,7 @@ class ReportInputError(ValueError):
     """Input graph outside the scope of the pipeline preconditions."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     expected: object = None
@@ -66,8 +64,7 @@ class Check:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     graph: str
     checks: tuple[Check, ...]
 
@@ -78,8 +75,7 @@ class GraphReport:
         return [c for c in self.checks if c.status == FLAGGED]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     schema_version: int
     reports: tuple[GraphReport, ...]
 
@@ -402,26 +398,18 @@ def run_ingest_report(g: Graph) -> GraphReport:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True)
-
-
-def _check_from_dict(d) -> Check:
-    return Check(
-        name=d["name"],
-        status=d["status"],
-        expected=d.get("expected"),
-        actual=d.get("actual"),
-        note=d.get("note", ""),
-    )
+    tree = {"schema_version": report.schema_version,
+            "reports": [{"graph": r.graph, "checks": [c._asdict() for c in r.checks]}
+                        for r in report.reports]}
+    return json.dumps(tree, indent=2, sort_keys=True)
 
 
 def report_from_json(text: str) -> VerificationReport:
     data = json.loads(text)
     reports = tuple(
-        GraphReport(
-            graph=r["graph"],
-            checks=tuple(_check_from_dict(c) for c in r["checks"]),
-        )
+        GraphReport(r["graph"], tuple(
+            Check(c["name"], c["status"], c.get("expected"), c.get("actual"), c.get("note", ""))
+            for c in r["checks"]))
         for r in data["reports"]
     )
     return VerificationReport(data["schema_version"], reports)

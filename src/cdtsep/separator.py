@@ -5,6 +5,7 @@ with its reversal by a transposition edge."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Digraph, Graph, GraphError, build_digraph, enumerate_arcs, underlying
 from .cycles import CycleSet, cycle_windows
@@ -82,8 +83,7 @@ def _perm_cycles(f) -> list[tuple[int, ...]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class AlternateOrbit:
+class AlternateOrbit(NamedTuple):
     """One closed walk alternating r cycle-arcs with a transposition edge.
 
     walk lists the (r+1)*size vertices visited; simple means no vertex
@@ -99,8 +99,7 @@ class AlternateOrbit:
         return len(self.walk)
 
 
-@dataclass(frozen=True)
-class AlternateCensus:
+class AlternateCensus(NamedTuple):
     """Orbit decompositions of transposition-after-r-steps, r = 1..max_r."""
 
     orbits: dict[int, tuple[AlternateOrbit, ...]]
@@ -115,8 +114,7 @@ class AlternateCensus:
         return {o.length for o in self.simple_cycles(r)}
 
 
-@dataclass(frozen=True)
-class SeparatorSummary:
+class SeparatorSummary(NamedTuple):
     vertices: int
     cycle_arcs: int
     transposition_edges: int
@@ -154,10 +152,8 @@ def build_separator(
     darcs = [(v, succ[v]) for v in range(len(arcs))]
     darcs += [(v, trans[v]) for v in range(len(arcs))]
     digraph = build_digraph(len(arcs), darcs)
-    sep = SeparatorDigraph(
-        g, k, cs.girth, arcs, tuple(succ), trans, digraph, len(cs),
-        index, underlying(digraph),
-    )
+    sep = SeparatorDigraph(g, k, cs.girth, arcs, tuple(succ), trans, digraph, len(cs),
+                           index, underlying(digraph))
     _check_invariants(sep)
     return sep
 
@@ -186,16 +182,14 @@ def alternate_census(s: SeparatorDigraph, max_r: int = 4) -> AlternateCensus:
         orbits = []
         for cycle_starts in _perm_cycles(f):
             walk = []
-            for u in cycle_starts:
-                w = u
+            for w in cycle_starts:
                 walk.append(w)
                 for _ in range(r):
                     w = s.succ[w]
                     walk.append(w)
             simple = len(set(walk)) == len(walk)
             orbits.append(AlternateOrbit(r, len(cycle_starts), tuple(walk), simple))
-        total = sum(o.size for o in orbits)
-        if total != s.order:
+        if sum(o.size for o in orbits) != s.order:
             raise GraphError("alternate orbits do not partition the vertex set")
         out[r] = tuple(orbits)
     return AlternateCensus(out)

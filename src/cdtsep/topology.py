@@ -4,7 +4,7 @@ orientability and genus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphError
 from .orient import OddWitness, ParityConstraintGraph, solve
@@ -13,8 +13,7 @@ from .separator import AlternateCensus, SeparatorDigraph, alternate_census
 __all__ = ["FaceComplex", "EulerReport", "face_complex", "euler"]
 
 
-@dataclass(frozen=True)
-class FaceComplex:
+class FaceComplex(NamedTuple):
     """Vertices, underlying edges and directed face-boundary walks; every
     edge lies in exactly two boundary slots."""
 
@@ -23,8 +22,7 @@ class FaceComplex:
     faces: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     vertices: int
     edges: int
     faces: int
@@ -47,9 +45,7 @@ def face_complex(
     edges = tuple(s.under.edges())
     coverage = {e: 0 for e in edges}
     for face in faces:
-        n = len(face)
-        for i in range(n):
-            u, v = face[i], face[(i + 1) % n]
+        for u, v in zip(face, face[1:] + face[:1]):
             key = (min(u, v), max(u, v))
             if key not in coverage:
                 raise GraphError(f"face walk uses non-edge {key}")
@@ -72,9 +68,7 @@ def euler(fc: FaceComplex) -> EulerReport:
     # slots[edge] = list of (face id, traversed from its lower end)
     slots: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for fid, face in enumerate(fc.faces):
-        n = len(face)
-        for i in range(n):
-            u, v = face[i], face[(i + 1) % n]
+        for u, v in zip(face, face[1:] + face[:1]):
             slots.setdefault((min(u, v), max(u, v)), []).append((fid, u < v))
     # same natural direction in both slots: one of the two faces flips
     constraints = tuple(
@@ -85,6 +79,4 @@ def euler(fc: FaceComplex) -> EulerReport:
     genus = (2 - chi) // 2 if orientable else None
     if orientable and chi % 2 != 0:
         raise GraphError("orientable complex with odd Euler characteristic")
-    return EulerReport(
-        fc.vertices, len(fc.edges), len(fc.faces), chi, orientable, genus
-    )
+    return EulerReport(fc.vertices, len(fc.edges), len(fc.faces), chi, orientable, genus)

@@ -3,6 +3,7 @@ import pytest
 from cdtsep.catalog import (
     CDT_NAMES,
     CdtName,
+    LabelTable,
     Reference,
     build_cdt,
     cdt_parameters,
@@ -48,6 +49,21 @@ class TestConstructions:
         assert is_bipartite(g) == bool(p.b)
         assert len(table.to_id) == p.n
         assert all(table.to_id[table.to_label[v]] == v for v in range(p.n))
+
+
+class TestLabelTable:
+    def test_from_labels_and_len(self):
+        table = LabelTable.from_labels(["a", "b", "c"])
+        assert len(table) == 3
+        assert table.to_id == {"a": 0, "b": 1, "c": 2}
+        assert table.to_label == {0: "a", 1: "b", 2: "c"}
+        with pytest.raises(ValueError, match="duplicate"):
+            LabelTable.from_labels(["a", "b", "a"])
+
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_catalog_tables_have_one_label_per_vertex(self, name):
+        g, table = build_cdt(name)
+        assert len(table) == g.order
 
 
 class TestReferenceOoc:

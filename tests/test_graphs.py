@@ -220,6 +220,17 @@ class TestMemoizedSweeps:
         assert repr(g) == repr(fresh)
         assert len({g, fresh}) == 1
 
+    def test_digraph_equality_hash_and_repr(self):
+        # SeparatorDigraph compares, hashes and prints through these
+        arcs = [(0, 1), (1, 2), (2, 0), (0, 2)]
+        d, rebuilt = build_digraph(3, arcs), build_digraph(3, arcs[::-1])
+        assert d == rebuilt and rebuilt == d
+        assert hash(d) == hash(rebuilt)
+        assert repr(d) == repr(rebuilt) == "Digraph(order=3, out_adj=((1, 2), (2,), (0,)))"
+        assert len({d, rebuilt}) == 1
+        assert d != build_digraph(3, arcs[1:]) and d != build_digraph(4, arcs)
+        assert d != build_graph(3, [(0, 1), (1, 2), (2, 0)])
+
 
 class TestArcs:
     def test_one_arcs_are_directed_edges(self):
