@@ -340,6 +340,12 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
+    """Whether g has a Hamilton cycle: True/False, or None when the time
+    budget runs out.  A NaN budget raises ValueError."""
+    return _hamilton_search(g, budget)[0]
+
+
+def _hamilton_search(g: Graph, budget: float) -> tuple[bool | None, tuple[int, ...] | None, int]:
     """Hamilton-cycle search over edge states, with forcing (Vandegriend
     and Culberson 1998).
 
@@ -364,17 +370,19 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
     the node's cycles and the search is complete.  It runs on an
     explicit stack, and the deadline is checked at every node.
 
-    Returns True/False, or None when the time budget runs out.  A NaN
+    Returns the answer (True/False, or None when the time budget runs
+    out), the Hamilton cycle as a vertex sequence when the answer is True
+    (else None), and the number of nodes searched below the root.  A NaN
     budget raises ValueError.
     """
     if budget != budget:
         raise ValueError("budget must be a number of seconds, not NaN")
     n = g.order
     if n < 3:
-        return False
+        return False, None, 0
     deadline = time.monotonic() + budget
     if time.monotonic() >= deadline:
-        return None
+        return None, None, 0
     UNDECIDED, IN, OUT = 0, 1, 2
     head, tail = [], []
     inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at each vertex
@@ -416,6 +424,7 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
         if a == v:  # closes a cycle
             if placed + 1 < n:
                 return False
+            state[e] = IN  # left in place: the search ends here
             placed = n
             return True
         b = ends[v] if used[v] else v
@@ -483,14 +492,26 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
         x = next(iter(ends)) if ends else min(range(n), key=free.__getitem__)
         return [[e for e in inc[x] if state[e] == UNDECIDED], 0, len(trail)]
 
+    def cycle() -> tuple[int, ...]:
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for e in range(len(head)):
+            if state[e] == IN:
+                nbrs[head[e]].append(tail[e])
+                nbrs[tail[e]].append(head[e])
+        walk = [0, nbrs[0][0]]
+        while len(walk) < n:  # on past the neighbor the walk came from
+            walk.append(sum(nbrs[walk[-1]]) - walk[-2])
+        return tuple(walk)
+
     if not propagate():
-        return False
+        return False, None, 0
     if placed == n:
-        return True
+        return True, cycle(), 0
     stack = [branch()]
+    nodes = 0
     while stack:
         if time.monotonic() >= deadline:
-            return None
+            return None, None, nodes
         frame = stack[-1]
         choices, j, mark = frame
         undo(mark)
@@ -498,15 +519,16 @@ def is_hamiltonian(g: Graph, budget: float = 60.0) -> bool | None:
             stack.pop()
             continue
         frame[1] = j + 1
+        nodes += 1
         queue.clear()
         if not (all(map(exclude, choices[:j])) and include(choices[j])):
             continue
         if placed < n and not propagate():
             continue
         if placed == n:
-            return True
+            return True, cycle(), nodes
         stack.append(branch())
-    return False
+    return False, None, nodes
 
 
 def is_planar(g: Graph) -> bool:

@@ -16,6 +16,7 @@ from cdtsep.graphs import (
     enumerate_arcs,
     girth,
     is_bipartite,
+    _hamilton_search,
     is_hamiltonian,
     is_planar,
     underlying,
@@ -130,6 +131,14 @@ def has_hamilton_cycle(g):
                 if not mask >> w & 1:
                     ends[mask | 1 << w].add(w)
     return any(0 in g.adj[v] for v in ends[-1])
+
+
+def is_hamilton_cycle(g, cycle) -> bool:
+    """Independent of the search: the cycle lists every vertex once, each
+    vertex is adjacent to the next, and the last to the first."""
+    if g.order < 3 or cycle is None or sorted(cycle) != list(range(g.order)):
+        return False
+    return all(cycle[i] in g.adj[cycle[i - 1]] for i in range(g.order))
 
 
 class TestBuildGraph:
@@ -308,6 +317,37 @@ class TestPredicates:
                 expected = not (n % 6 == 5 and k in (2, (n - 1) // 2))
                 assert is_hamiltonian(generalized_petersen(n, k)) is expected, (n, k)
         assert is_hamiltonian(generalized_petersen(29, 2), budget=120.0) is False
+
+    def test_hamilton_search_returns_a_checkable_cycle(self, layer_graphs):
+        rng = random.Random(5)
+        graphs = [g for _, g, _ in layer_graphs] + [prism(6000), petersen()]
+        graphs += [generalized_petersen(n, k) for n in range(3, 24) for k in range(1, (n + 1) // 2)]
+        graphs += [random_cubic(n, rng) for n in (8, 10, 12, 14) for _ in range(20)]
+        for g in graphs:
+            answer, cycle, _ = _hamilton_search(g, 60.0)
+            assert answer is not None
+            assert is_hamilton_cycle(g, cycle) if answer else cycle is None, g
+
+    def test_hamilton_cycle_checker(self):
+        k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        square = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert is_hamilton_cycle(k4, (0, 1, 2, 3)) and is_hamilton_cycle(square, (0, 3, 2, 1))
+        assert not is_hamilton_cycle(square, (0, 2, 1, 3))  # 0-2 is no edge
+        assert not is_hamilton_cycle(square, (0, 1, 2))  # misses a vertex
+        assert not is_hamilton_cycle(k4, (0, 1, 2, 2))
+        assert not is_hamilton_cycle(build_graph(4, [(0, 1), (1, 2), (2, 3)]), (0, 1, 2, 3))
+        assert not is_hamilton_cycle(build_graph(2, [(0, 1)]), (0, 1))
+
+    @pytest.mark.parametrize("graph,answer,nodes", [
+        (lambda: build_cdt(CdtName.COXETER)[0], False, 185),
+        (lambda: build_cdt(CdtName.BIGGS_SMITH)[0], True, 24),
+        (lambda: build_cdt(CdtName.PETERSEN)[0], False, 11),
+        (lambda: prism(6000), True, 6001),
+    ], ids=["coxeter", "biggs-smith", "petersen", "prism-6000"])
+    def test_hamilton_search_effort_is_pinned(self, graph, answer, nodes):
+        # nodes below the root, as measured; weaker forcing searches more
+        found, _, searched = _hamilton_search(graph(), 60.0)
+        assert (found, searched) == (answer, nodes)
 
     def test_hamiltonian_budget_is_checked_inside_the_search(self):
         coxeter, _ = build_cdt(CdtName.COXETER)
