@@ -11,7 +11,6 @@ other disagreement is a genuine mismatch and fails the run.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from functools import cached_property
@@ -394,10 +393,13 @@ def run_ingest_report(g: Graph) -> GraphReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip.
+# JSON round trip.  json is imported on first use: most CLI calls print no
+# JSON, and a fresh interpreter pays about 3 ms to import it.
 
 
 def report_to_json(report: VerificationReport) -> str:
+    import json
+
     tree = {"schema_version": report.schema_version,
             "reports": [{"graph": r.graph, "checks": [c._asdict() for c in r.checks]}
                         for r in report.reports]}
@@ -405,6 +407,8 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def report_from_json(text: str) -> VerificationReport:
+    import json
+
     data = json.loads(text)
     reports = tuple(
         GraphReport(r["graph"], tuple(
