@@ -60,11 +60,6 @@ class TestLabelTable:
         with pytest.raises(ValueError, match="duplicate"):
             LabelTable.from_labels(["a", "b", "a"])
 
-    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
-    def test_catalog_tables_have_one_label_per_vertex(self, name):
-        g, table = build_cdt(name)
-        assert len(table) == g.order
-
 
 class TestReferenceOoc:
     @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
