@@ -88,7 +88,7 @@ def _cmd_analyze(args) -> int:
     for i in sorted(profile.levels):
         counts = dict(sorted(profile.levels[i].items()))
         print(f"  paths of length {a.k - 1 - i}: cycles-through counts {counts}")
-    ham = is_hamiltonian(g, budget=60.0 if args.budget is None else args.budget)
+    ham = is_hamiltonian(g) if args.budget is None else is_hamiltonian(g, args.budget)
     print(f"hamiltonian {'unknown (budget)' if ham is None else ham}")
     return 0
 

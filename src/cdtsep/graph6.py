@@ -88,11 +88,10 @@ def write_graph6(g: Graph) -> str:
         head = bytes([126, 126]) + bytes(
             (n >> shift & 63) + 63 for shift in (30, 24, 18, 12, 6, 0)
         )
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    bits.extend([0] * (-len(bits) % 6))
+    nbits = n * (n - 1) // 2
+    bits = [0] * (nbits + -nbits % 6)
+    for i, j in g.edges():
+        bits[j * (j - 1) // 2 + i] = 1
     body = bytes(
         63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
               | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5])

@@ -2,8 +2,8 @@
 
 Vertices are dense integers 0..order-1.  All structures are immutable
 after construction and every function here is pure, so shared instances
-are safe to use concurrently.  A Graph computes its distance table and
-its girth on first use and keeps them.
+are safe to use concurrently.  A Graph finds its distance table and its
+girth in one all-roots BFS sweep on first use and keeps both.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph with sorted per-vertex neighbor lists.
 
-    The all-pairs distance table and the girth are each computed by one
-    all-roots BFS sweep, on the first call of distances() or girth(),
-    and kept in the instance __dict__, so ==, hash and repr see only
-    order and adj.  A sweep that raises keeps nothing and raises again on
-    the next call.
+    The all-pairs distance table and the girth come from one all-roots
+    BFS sweep, run on the first call of distances() or girth() and kept
+    in the instance __dict__, so ==, hash and repr see only order and
+    adj.  A disconnected graph keeps no table, and an acyclic one no
+    girth: those calls raise every time.
     """
 
     __slots__ = ("order", "adj", "__dict__")
@@ -82,12 +82,8 @@ class Graph:
         return self.order == 0 or -1 not in _bfs_dist(self.adj, 0, self.order)
 
     @cached_property
-    def _distances(self) -> DistanceTable:
-        return _distance_sweep(self)
-
-    @cached_property
-    def _girth(self) -> int:
-        return _girth_sweep(self)
+    def _sweep(self) -> tuple[DistanceTable | str, int]:
+        return _bfs_sweep(self)
 
 
 class Digraph:
@@ -184,54 +180,56 @@ def _bfs_dist(adj, root: int, n: int) -> list[int]:
 
 
 def distances(g: Graph) -> DistanceTable:
-    """BFS-exact all-pairs distances, computed once per Graph; raises
-    GraphError when disconnected."""
-    return g._distances
-
-
-def _distance_sweep(g: Graph) -> DistanceTable:
-    rows = []
-    for root in range(g.order):
-        row = _bfs_dist(g.adj, root, g.order)
-        if -1 in row:
-            raise GraphError(
-                f"graph is disconnected: no path from {root} to {row.index(-1)}"
-            )
-        rows.append(tuple(row))
-    diameter = max(max(r) for r in rows) if g.order else 0
-    return DistanceTable(tuple(rows), diameter)
+    """BFS-exact all-pairs distances, from the one sweep per Graph;
+    raises GraphError when disconnected."""
+    table = g._sweep[0]
+    if table.__class__ is str:
+        raise GraphError(table)
+    return table
 
 
 def girth(g: Graph) -> int:
-    """Length of a shortest cycle, by BFS from every vertex, computed
-    once per Graph.
+    """Length of a shortest cycle, from the one sweep per Graph.
 
     Raises GraphError on acyclic input.
     """
-    return g._girth
-
-
-def _girth_sweep(g: Graph) -> int:
-    best = g.order + 1
-    for root in range(g.order):
-        dist = [-1] * g.order
-        parent = [-1] * g.order
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                break
-            for v in g.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u] and parent[v] != u:
-                    best = min(best, dist[u] + dist[v] + 1)
+    best = g._sweep[1]
     if best > g.order:
         raise GraphError("graph is acyclic; girth undefined")
     return best
+
+
+def _bfs_sweep(g: Graph) -> tuple[DistanceTable | str, int]:
+    """One BFS per root: the distance table, or the disconnection message
+    when root 0 leaves a vertex unreached, and a girth bound that exceeds
+    the order when g is acyclic.
+
+    Each reached neighbour v of u other than u's BFS parent closes a walk
+    root..u, v..root of dist[u] + dist[v] + 1 edges through a non-tree
+    edge, so it holds a cycle at most that long; from a root on a
+    shortest cycle the bound is exact (Itai and Rodeh 1978).
+    """
+    n, adj = g.order, g.adj
+    rows = []
+    best = n + 1
+    for root in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            pu, du1 = parent[u], dist[u] + 1
+            for v in adj[u]:
+                dv = dist[v]
+                if dv < 0:
+                    dist[v], parent[v] = du1, u
+                    queue.append(v)
+                elif v != pu and du1 + dv < best:
+                    best = du1 + dv
+        rows.append(tuple(dist))
+    if n and -1 in rows[0]:
+        return f"graph is disconnected: no path from 0 to {rows[0].index(-1)}", best
+    return DistanceTable(tuple(rows), max(map(max, rows)) if n else 0), best
 
 
 def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:

@@ -61,7 +61,7 @@ def layer_graphs():
 def counted_run():
     """The one full run_report() of the session, with the number of calls
     it made to automorphism_group, underlying, enumerate_arcs and
-    verify_ooa, under every cdtsep binding, and to the BFS sweeps behind
+    verify_ooa, under every cdtsep binding, and to the one BFS sweep behind
     distances and girth."""
     counts = {}
 
@@ -86,8 +86,7 @@ def counted_run():
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "cdtsep" and vars(module).get(fname) is original:
                     mp.setattr(module, fname, wrapper)
-        for name in ("_distance_sweep", "_girth_sweep"):
-            mp.setattr(graphs, name, counted(name, getattr(graphs, name)))
+        mp.setattr(graphs, "_bfs_sweep", counted("_bfs_sweep", graphs._bfs_sweep))
         report = run_report()
     return report, counts
 

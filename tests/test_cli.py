@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from cdtsep import graphs
+from cdtsep.catalog import CdtName
 from cdtsep.cli import main
 from cdtsep.graph6 import parse_graph6
-from cdtsep.report import ReportInputError, run_ingest_report
+from cdtsep.report import ReportInputError, run_graph_report, run_ingest_report
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
 PETERSEN_GRAPH6 = "IheA@GUAo"
@@ -51,6 +53,25 @@ class TestAnalyze:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--budget" in err and repr(budget) in err
+
+    def test_hamilton_search_budget(self, monkeypatch, capsys):
+        # with no budget, the report row and analyze leave is_hamiltonian
+        # its own default; with one, the search gets no more than it
+        seen = []
+        search = graphs._hamilton_search
+
+        def recording(g, budget):
+            seen.append(budget)
+            return search(g, budget)
+
+        monkeypatch.setattr(graphs, "_hamilton_search", recording)
+        run_graph_report(CdtName.K4)
+        assert main(["analyze", "k4"]) == 0
+        assert seen == [60.0, 60.0]
+        seen.clear()
+        run_graph_report(CdtName.K4, budget=5)
+        assert main(["--budget", "5", "analyze", "k4"]) == 0
+        assert len(seen) == 2 and all(0 < b <= 5.0 for b in seen)
 
     def test_graph6_input(self, capsys):
         assert main(["analyze", K4_GRAPH6]) == 0

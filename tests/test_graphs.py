@@ -241,6 +241,53 @@ class TestMemoizedSweeps:
         assert d != build_graph(3, [(0, 1), (1, 2), (2, 0)])
 
 
+def sweep_cases(seed):
+    """Seeded networkx graphs on 0..n-1: G(n, m) graphs, sparse ones often
+    disconnected, random trees, cycles, random cubic graphs, and disjoint
+    unions of pairs of these."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        cases.append(nx.gnm_random_graph(n, rng.randint(0, n * (n - 1) // 2), seed=rng.randrange(2**31)))
+    cases += [nx.random_labeled_tree(n, seed=rng.randrange(2**31)) for n in range(1, 25, 2)]
+    cases += [nx.cycle_graph(n) for n in range(3, 16)]
+    cases += [nx.random_regular_graph(3, n, seed=rng.randrange(2**31)) for n in range(4, 31, 2)]
+    cases += [nx.disjoint_union(rng.choice(cases), rng.choice(cases)) for _ in range(60)]
+    return cases
+
+
+class TestOneSweepAgainstNetworkx:
+    def test_girth_distances_and_errors(self):
+        disconnected_with_cycle = 0
+        for h in sweep_cases(seed=18):
+            n = h.number_of_nodes()
+            g = build_graph(n, h.edges())
+            expected = nx.girth(h)
+            connected = n > 0 and nx.is_connected(h)
+            for _ in range(2):  # a failing fact raises on every call
+                if expected == float("inf"):
+                    with pytest.raises(GraphError, match="acyclic"):
+                        girth(g)
+                else:
+                    assert girth(g) == expected, sorted(h.edges())
+                if connected:
+                    table = distances(g)
+                    lengths = dict(nx.all_pairs_shortest_path_length(h))
+                    assert table.dist == tuple(
+                        tuple(lengths[u][v] for v in range(n)) for u in range(n)
+                    )
+                    assert table.diameter == nx.diameter(h)
+                elif n:
+                    reached = nx.node_connected_component(h, 0)
+                    j = min(set(range(n)) - reached)
+                    with pytest.raises(GraphError) as exc:
+                        distances(g)
+                    assert str(exc.value) == f"graph is disconnected: no path from 0 to {j}"
+            disconnected_with_cycle += n > 0 and not connected and expected != float("inf")
+        assert disconnected_with_cycle > 50
+
+
 class TestArcs:
     def test_one_arcs_are_directed_edges(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])

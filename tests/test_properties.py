@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
+from cdtsep.catalog import CDT_NAMES, CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import canonical_cycle, enumerate_girth_cycles, path_key
 from cdtsep.graph6 import parse_graph6, write_graph6
 from cdtsep.graphs import build_graph
@@ -66,6 +66,16 @@ class TestGraph6RoundTrip:
         assert write_graph6(g) == nx.to_graph6_bytes(
             nxg, nodes=range(n), header=False
         ).decode().strip()
+
+    @pytest.mark.parametrize("name", CDT_NAMES, ids=str)
+    def test_catalog_agrees_with_networkx_encoding(self, name):
+        g, _ = build_cdt(name)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.order))
+        h.add_edges_from(g.edges())
+        text = write_graph6(g)
+        assert text == nx.to_graph6_bytes(h, nodes=range(g.order), header=False).decode().strip()
+        assert text.startswith("~") == (g.order > 62)  # Foster and Biggs-Smith
 
 
 class TestOrientationProperties:
