@@ -1,5 +1,5 @@
 """The pipeline over one cubic graph, from distances to the separator's
-automorphism group.  Each stage is computed on first use and kept, so
+regular subgroups.  Each stage is computed on first use and kept, so
 every caller reads the same girth cycles, solver outcome, separator and
 groups instead of rebuilding them."""
 
@@ -7,10 +7,16 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .catalog import CdtName, CdtParameters, build_cdt, cdt_parameters
+from .catalog import (
+    CdtName, CdtParameters, OocFixture, Reference, build_cdt, cdt_parameters, reference,
+    reference_ooc,
+)
 from .cycles import CycleSet, FasteningProfile, enumerate_girth_cycles, fastening_profile
 from .graphs import DistanceTable, Graph, distances, girth, is_planar
-from .groups import PermGroup, arc_transitivity, automorphism_group, separator_automorphism_group
+from .groups import (
+    PermGroup, arc_transitivity, automorphism_group, regular_subgroups,
+    separator_automorphism_group,
+)
 from .orient import (
     OddWitness, OrientationAssignment, ParityConstraintGraph, build_constraints, classify_kappa, solve,
 )
@@ -21,21 +27,27 @@ __all__ = ["Analysis"]
 
 
 class Analysis:
-    """Memoized stages of one graph, optionally with its catalog row.
+    """Memoized stages of one graph, with the parameter row, reference
+    record and published oriented girth cycles of catalog graph name.
 
     k is the row's arc-transitivity when a row is given, so the stages
     up to the surface never compute a group; without a row it is
     recomputed from the host automorphism group.
     """
 
-    def __init__(self, graph: Graph, row: CdtParameters | None = None):
+    def __init__(self, graph: Graph, name: CdtName | None = None):
         self.graph = graph
-        self.row = row
-        self._censuses: dict[int, AlternateCensus] = {}
+        self.row: CdtParameters | None = None if name is None else cdt_parameters(name)
+        self.ref: Reference = Reference() if name is None else reference(name)
+        self._name = name
 
     @classmethod
     def from_catalog(cls, name: CdtName) -> Analysis:
-        return cls(build_cdt(name)[0], cdt_parameters(name))
+        return cls(build_cdt(name)[0], name)
+
+    @cached_property
+    def ooc(self) -> OocFixture | None:
+        return None if self._name is None else reference_ooc(self._name)
 
     @cached_property
     def table(self) -> DistanceTable:
@@ -83,17 +95,14 @@ class Analysis:
     def separator(self) -> SeparatorDigraph:
         return build_separator(self.graph, self.cycles, self.k, self.outcome)
 
-    def census(self, max_r: int) -> AlternateCensus:
-        """Alternate census for r = 1..max_r, kept per max_r."""
-        if max_r not in self._censuses:
-            self._censuses[max_r] = alternate_census(self.separator, max_r)
-        return self._censuses[max_r]
+    @cached_property
+    def census(self) -> AlternateCensus:
+        """Alternate census for r = 1..4, as deep as any reference lists."""
+        return alternate_census(self.separator, 4)
 
     @cached_property
     def surface(self) -> EulerReport:
-        # The faces use only the r = 1 alternates, which every census has.
-        census = next(iter(self._censuses.values()), None)
-        return euler(face_complex(self.separator, census))
+        return euler(face_complex(self.separator, self.census))
 
     @cached_property
     def host_group(self) -> PermGroup:
@@ -102,3 +111,11 @@ class Analysis:
     @cached_property
     def separator_group(self) -> PermGroup:
         return separator_automorphism_group(self.separator, self.host_group)
+
+    @cached_property
+    def regular(self) -> list[PermGroup]:
+        return regular_subgroups(self.separator_group, self.separator.order)
+
+    @cached_property
+    def spectra(self) -> list[list[int]]:
+        return sorted(sorted(r.order_spectrum()) for r in self.regular)

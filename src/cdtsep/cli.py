@@ -52,7 +52,7 @@ def _analysis(spec: str):
     None); an ingested graph must pass ingest_analysis."""
     name, g, table = _resolve(spec)
     if name is not None:
-        return name, Analysis(g, cdt_parameters(name)), table
+        return name, Analysis(g, name), table
     return None, ingest_analysis(g), None
 
 
@@ -116,7 +116,7 @@ def _cmd_separator(args) -> int:
     _name, a, _table = _analysis(args.graph)
     if not a.solved:
         raise _InputError("no separator: the orientation constraints are unsolvable")
-    summary = separator_summary(a.separator, a.census(4))
+    summary = separator_summary(a.separator, a.census)
     print(f"vertices {summary.vertices}")
     print(f"cycle arcs {summary.cycle_arcs}  transposition edges "
           f"{summary.transposition_edges}  underlying edges {summary.underlying_edges}")

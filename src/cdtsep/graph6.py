@@ -26,7 +26,7 @@ def _parse_order(data: bytes) -> tuple[int, bytes]:
         if not 0 <= n <= 62:
             raise Graph6Error(f"order byte {data[0]} out of range")
         return n, data[1:]
-    if len(data) >= 2 and data[1] != 126:
+    if len(data) < 2 or data[1] != 126:
         chunk, rest = data[1:4], data[4:]
         if len(chunk) != 3:
             raise Graph6Error("truncated 3-byte order field")
@@ -82,12 +82,8 @@ def write_graph6(g: Graph) -> str:
         raise Graph6Error(f"order {n} exceeds the supported maximum")
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= 258047:
+    else:  # n <= _MAX_ORDER < 2**18: the 3-byte order field
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    else:
-        head = bytes([126, 126]) + bytes(
-            (n >> shift & 63) + 63 for shift in (30, 24, 18, 12, 6, 0)
-        )
     nbits = n * (n - 1) // 2
     bits = [0] * (nbits + -nbits % 6)
     for i, j in g.edges():

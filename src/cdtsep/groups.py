@@ -398,8 +398,12 @@ def _vertex_stabilizer(g: Graph, group: PermGroup) -> tuple[int, PermGroup] | No
     return b0, group._stabilizer
 
 
-def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
-    """Largest length s (up to max_len) at which group, the automorphism
+# No finite graph of valency >= 3 is 8-arc-transitive (Weiss, Combinatorica 1981).
+_MAX_ARC_LENGTH = 7
+
+
+def arc_transitivity(g: Graph, group: PermGroup) -> int:
+    """Largest s <= _MAX_ARC_LENGTH at which group, the automorphism
     group of g as automorphism_group returns it, still has a single orbit
     on the s-arcs of g; 0 when it is not transitive on the vertices.
 
@@ -417,7 +421,7 @@ def arc_transitivity(g: Graph, group: PermGroup, max_len: int = 7) -> int:
     degree = len(g.adj[b0])
     arc = (b0,)
     best = 0
-    for length in range(1, max_len + 1):
+    for length in range(1, _MAX_ARC_LENGTH + 1):
         ahead = [w for w in g.adj[arc[-1]] if length == 1 or w != arc[-2]]
         if not ahead:
             break

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import math
 import time
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .analysis import Analysis
-from .catalog import CdtName, Flag, OocFixture, Reference, reference, reference_ooc
+from .catalog import CdtName, Flag
 from .cycles import cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
 from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
     PermGroup, alternating_elements, arc_transitivity, cayley_digraph, digraph_isomorphic,
     gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
-    is_distance_transitive, perm_mult, regular_subgroups, symmetric_elements,
+    is_distance_transitive, perm_mult, symmetric_elements,
 )
 
 __all__ = [
@@ -150,49 +149,24 @@ _SOLVED_IN = {WITNESS: False, SEPARATOR: True, SEPARATOR_GROUP: True}
 _GATED = (GROUP, SEPARATOR_GROUP)
 
 
-class _Subject:
-    """What the check rows read: one graph's pipeline, its reference record
-    and published oriented girth cycles (none for an ingested graph), and
-    the monotonic deadline of its budget (None: unbounded)."""
-
-    def __init__(self, a: Analysis, ref: Reference = Reference(),
-                 ooc: OocFixture | None = None, deadline: float | None = None):
-        self.a, self.ref, self.ooc, self.deadline = a, ref, ooc, deadline
-
-    @property
-    def census(self):
-        # as deep as the reference lists alternates, and r = 1 for the faces
-        return self.a.census(len(self.ref.alternates) or 1)
-
-    @cached_property
-    def regular(self):
-        return regular_subgroups(self.a.separator_group, self.a.separator.order)
-
-    @cached_property
-    def spectra(self):
-        return sorted(sorted(r.order_spectrum()) for r in self.regular)
-
-    def reaches(self, stage: str) -> bool:
-        return stage not in _SOLVED_IN or _SOLVED_IN[stage] == self.a.solved
-
-    def left(self) -> float:
-        return math.inf if self.deadline is None else self.deadline - time.monotonic()
+def _left(deadline: float | None) -> float:
+    """Seconds left before the monotonic deadline (None: unbounded)."""
+    return math.inf if deadline is None else deadline - time.monotonic()
 
 
 class _Row:
-    """One check: the stage it needs, and functions of a _Subject giving
+    """One check: the stage it needs, and functions of an Analysis giving
     its reference value (None leaves the row out, a Flag makes it a
     flagged discrepancy), its recomputed value (or a finished skipped
-    Check) and its note."""
+    Check; the hamiltonian row's also takes the deadline) and its note."""
 
     def __init__(self, name: str, stage: str, expect: Callable, actual: Callable,
-                 note: Callable = lambda x: ""):
+                 note: Callable = lambda a: ""):
         self.name, self.stage, self.expect, self.actual, self.note = (
             name, stage, expect, actual, note)
 
 
-def _parameters(x: _Subject) -> dict[str, int]:
-    a = x.a
+def _parameters(a: Analysis) -> dict[str, int]:
     values = {"n": a.graph.order, "d": a.table.diameter, "g": a.girth,
               "b": int(is_bipartite(a.graph))}
     # k is a recomputed value only where no catalog row supplies it
@@ -202,48 +176,47 @@ def _parameters(x: _Subject) -> dict[str, int]:
 def _alternate_rows(r: int, word: str) -> tuple[_Row, _Row]:
     """Count and length of the simple r-alternate cycles, each left out
     where the reference does not list it."""
-    def listed(x, i):
-        return x.ref.alternates[r - 1][i] if r <= len(x.ref.alternates) else None
+    def listed(a, i):
+        return a.ref.alternates[r - 1][i] if r <= len(a.ref.alternates) else None
 
     return (
-        _Row(f"{word}-count", SEPARATOR, lambda x: listed(x, 0),
-             lambda x: x.census.simple_count(r)),
-        _Row(f"{word}-length", SEPARATOR, lambda x: listed(x, 1) and [listed(x, 1)],
-             lambda x: sorted(x.census.simple_lengths(r))),
+        _Row(f"{word}-count", SEPARATOR, lambda a: listed(a, 0),
+             lambda a: a.census.simple_count(r)),
+        _Row(f"{word}-length", SEPARATOR, lambda a: listed(a, 1) and [listed(a, 1)],
+             lambda a: sorted(a.census.simple_lengths(r))),
     )
 
 
 def _flag_row(name: str, stage: str, actual) -> _Row:
-    return _Row(name, stage, lambda x: x.ref.flags.get(name), actual)
+    return _Row(name, stage, lambda a: a.ref.flags.get(name), actual)
 
 
 def _cayley_row(name: str, group, note: str = "") -> _Row:
     """The separator against the Cayley digraph of group() = (elements,
     product) on the record's generators for name."""
-    def actual(x):
+    def actual(a):
         elements, mult = group()
-        target = cayley_digraph(elements, mult, list(x.ref.cayley[name]))
-        return digraph_isomorphic(x.a.separator.digraph, target) is not None
+        target = cayley_digraph(elements, mult, list(a.ref.cayley[name]))
+        return digraph_isomorphic(a.separator.digraph, target) is not None
 
-    return _Row(name, SEPARATOR_GROUP, lambda x: True if name in x.ref.cayley else None, actual,
-                lambda x: note)
+    return _Row(name, SEPARATOR_GROUP, lambda a: True if name in a.ref.cayley else None, actual,
+                lambda a: note)
 
 
-def _subgroup_is_regular(x: _Subject) -> bool:
-    s = x.a.separator
-    members = [induced_arc_permutation(s, h) for h in x.ref.subgroup]
+def _subgroup_is_regular(a: Analysis) -> bool:
+    s = a.separator
+    members = [induced_arc_permutation(s, h) for h in a.ref.subgroup]
     if any(m is None for m in members):
         return False
     sub = PermGroup(s.order, tuple(members))
     return sub.order() == s.order and sub.is_transitive()
 
 
-def _hamiltonian(x: _Subject) -> bool | Check:
-    left = x.left()
+def _hamiltonian(a: Analysis, deadline: float | None) -> bool | Check:
+    left = _left(deadline)
     if left <= 0:
         return Check("hamiltonian", SKIPPED, note="budget exhausted")
-    g = x.a.graph
-    result = is_hamiltonian(g) if x.deadline is None else is_hamiltonian(g, left)
+    result = is_hamiltonian(a.graph) if deadline is None else is_hamiltonian(a.graph, left)
     if result is None:
         return Check("hamiltonian", SKIPPED, note="search budget exhausted")
     return result
@@ -252,63 +225,100 @@ def _hamiltonian(x: _Subject) -> bool | Check:
 # Every check in report order.  Rows name pipeline functions inside
 # lambdas, so a call goes through this module's binding at call time.
 _ROWS: tuple[_Row, ...] = (
-    _Row("parameters", GRAPH, lambda x: {k: getattr(x.a.row, k) for k in "ndgb"}, _parameters,
-         lambda x: "" if x.a.row else "no reference row; recomputed values only"),
-    _Row("girth-cycle-count", GRAPH, lambda x: x.a.row.eta, lambda x: len(x.a.cycles)),
-    _Row("fastening-uniform", GRAPH, lambda x: True, lambda x: x.a.fastening.uniform),
-    _Row("ooa-solvable", GRAPH, lambda x: x.a.row.kappa > 0, lambda x: x.a.solved),
-    _Row("kappa", GRAPH, lambda x: x.a.row.kappa, lambda x: x.a.kappa),
-    _Row("odd-witness-valid", WITNESS, lambda x: True,
-         lambda x: _witness_is_valid(x.a.cycles, x.a.k, x.a.outcome)),
-    _Row("reference-ooc-valid", SEPARATOR, lambda x: True if x.ooc else None,
-         lambda x: verify_ooa(x.a.graph, x.a.cycles, x.a.k,
-                              assignment_from_cycles(x.a.cycles, x.ooc.cycles))),
-    _Row("separator-order", SEPARATOR, lambda x: 3 * x.a.row.n * 2 ** (x.a.row.k - 2),
-         lambda x: x.a.separator.order),
-    _Row("separator-degrees", SEPARATOR, lambda x: True,
-         lambda x: x.a.separator.is_two_in_two_out()),
-    _Row("separator-underlying", SEPARATOR, lambda x: {"cubic": True, "connected": True},
-         lambda x: {"cubic": x.a.separator.under.is_cubic(),
-                    "connected": x.a.separator.under.is_connected()}),
-    _Row("oriented-cycle-count", SEPARATOR, lambda x: x.a.row.eta,
-         lambda x: x.a.separator.oriented_cycle_count),
+    _Row("parameters", GRAPH, lambda a: {k: getattr(a.row, k) for k in "ndgb"}, _parameters,
+         lambda a: "" if a.row else "no reference row; recomputed values only"),
+    _Row("girth-cycle-count", GRAPH, lambda a: a.row.eta, lambda a: len(a.cycles)),
+    _Row("fastening-uniform", GRAPH, lambda a: True, lambda a: a.fastening.uniform),
+    _Row("ooa-solvable", GRAPH, lambda a: a.row.kappa > 0, lambda a: a.solved),
+    _Row("kappa", GRAPH, lambda a: a.row.kappa, lambda a: a.kappa),
+    _Row("odd-witness-valid", WITNESS, lambda a: True,
+         lambda a: _witness_is_valid(a.cycles, a.k, a.outcome)),
+    _Row("reference-ooc-valid", SEPARATOR, lambda a: True if a.ooc else None,
+         lambda a: verify_ooa(a.graph, a.cycles, a.k,
+                              assignment_from_cycles(a.cycles, a.ooc.cycles))),
+    _Row("separator-order", SEPARATOR, lambda a: 3 * a.row.n * 2 ** (a.row.k - 2),
+         lambda a: a.separator.order),
+    _Row("separator-degrees", SEPARATOR, lambda a: True,
+         lambda a: a.separator.is_two_in_two_out()),
+    _Row("separator-underlying", SEPARATOR, lambda a: {"cubic": True, "connected": True},
+         lambda a: {"cubic": a.separator.under.is_cubic(),
+                    "connected": a.separator.under.is_connected()}),
+    _Row("oriented-cycle-count", SEPARATOR, lambda a: a.row.eta,
+         lambda a: a.separator.oriented_cycle_count),
     *(row for r, word in enumerate(("alternate", "bi-alternate", "tri-alternate",
                                     "tetra-alternate"), 1) for row in _alternate_rows(r, word)),
     _flag_row("bi-alternate-length-vs-census", SEPARATOR,
-              lambda x: sorted(x.census.simple_lengths(2))),
-    _flag_row("transposition-edge-count", SEPARATOR, lambda x: x.a.separator.order // 2),
-    _Row("euler-characteristic", SEPARATOR, lambda x: x.ref.chi, lambda x: x.a.surface.chi),
-    _Row("orientable", SEPARATOR, lambda x: True, lambda x: x.a.surface.orientable),
-    _Row("genus", SEPARATOR, lambda x: x.ref.genus, lambda x: x.a.surface.genus),
-    _Row("distance-transitive", GROUP, lambda x: True,
-         lambda x: is_distance_transitive(x.a.graph, x.a.host_group)),
-    _Row("arc-transitivity", GROUP, lambda x: x.a.row.k,
-         lambda x: arc_transitivity(x.a.graph, x.a.host_group)),
-    _Row("automorphism-order", GROUP, lambda x: x.a.row.a, lambda x: x.a.host_group.order()),
-    _Row("separator-automorphism-order", SEPARATOR_GROUP, lambda x: x.a.row.a,
-         lambda x: x.a.separator_group.order()),
+              lambda a: sorted(a.census.simple_lengths(2))),
+    _flag_row("transposition-edge-count", SEPARATOR, lambda a: a.separator.order // 2),
+    _Row("euler-characteristic", SEPARATOR, lambda a: a.ref.chi, lambda a: a.surface.chi),
+    _Row("orientable", SEPARATOR, lambda a: True, lambda a: a.surface.orientable),
+    _Row("genus", SEPARATOR, lambda a: a.ref.genus, lambda a: a.surface.genus),
+    _Row("distance-transitive", GROUP, lambda a: True,
+         lambda a: is_distance_transitive(a.graph, a.host_group)),
+    _Row("arc-transitivity", GROUP, lambda a: a.row.k,
+         lambda a: arc_transitivity(a.graph, a.host_group)),
+    _Row("automorphism-order", GROUP, lambda a: a.row.a, lambda a: a.host_group.order()),
+    _Row("separator-automorphism-order", SEPARATOR_GROUP, lambda a: a.row.a,
+         lambda a: a.separator_group.order()),
     _cayley_row("cayley-a4", lambda: (alternating_elements(4), perm_mult)),
     _cayley_row("cayley-s4", lambda: (symmetric_elements(4), perm_mult)),
     _cayley_row("cayley-a5", lambda: (alternating_elements(5), perm_mult)),
-    _flag_row("truncated-solid-name", SEPARATOR_GROUP, lambda x: "truncated tetrahedron"),
+    _flag_row("truncated-solid-name", SEPARATOR_GROUP, lambda a: "truncated tetrahedron"),
     # the identification the truncated-solid-name flag rests on
     _Row("truncated-tetrahedron", SEPARATOR_GROUP,
-         lambda x: True if "truncated-solid-name" in x.ref.flags else None,
-         lambda x: graph_isomorphic(x.a.separator.under, _truncated_tetrahedron()) is not None),
+         lambda a: True if "truncated-solid-name" in a.ref.flags else None,
+         lambda a: graph_isomorphic(a.separator.under, _truncated_tetrahedron()) is not None),
     _cayley_row("cayley-gl32-reference-matrices", lambda: (gl32_elements(), gl32_mult),
                 "reference matrix pair multiplies to an order-3 element;"
                 " the separator needs product order 4"),
     _cayley_row("cayley-gl32-corrected-involution", lambda: (gl32_elements(), gl32_mult)),
     _Row("reference-subgroup-regular", SEPARATOR_GROUP,
-         lambda x: True if x.ref.subgroup else None, _subgroup_is_regular),
+         lambda a: True if a.ref.subgroup else None, _subgroup_is_regular),
     _Row("regular-subgroup-found", SEPARATOR_GROUP,
-         lambda x: True if x.ref.subgroup or x.ref.spectrum else None,
-         lambda x: bool(x.regular)),
+         lambda a: True if a.ref.subgroup or a.ref.spectrum else None, lambda a: bool(a.regular)),
     _Row("regular-subgroup-spectrum", SEPARATOR_GROUP,
-         lambda x: True if x.ref.spectrum else None, lambda x: list(x.ref.spectrum) in x.spectra,
-         lambda x: f"spectra of all regular subgroups found: {x.spectra}"),
-    _Row("hamiltonian", HAMILTONIAN, lambda x: bool(x.a.row.h), _hamiltonian),
+         lambda a: True if a.ref.spectrum else None, lambda a: list(a.ref.spectrum) in a.spectra,
+         lambda a: f"spectra of all regular subgroups found: {a.spectra}"),
+    _Row("hamiltonian", HAMILTONIAN, lambda a: bool(a.row.h), _hamiltonian),
 )
+
+
+# The rows an ingested graph reports.
+_INGESTED = ("parameters", "girth-cycle-count", "ooa-solvable", "kappa", "separator-order",
+             "alternate-count", "euler-characteristic", "genus")
+
+
+def _checks(a: Analysis, deadline: float | None) -> tuple[Check, ...]:
+    """The check table over a.  With a catalog row, every row its record
+    has a value for, no group row starting after the monotonic deadline
+    (None: unbounded); without one, the _INGESTED rows as computed values."""
+    checks: list[Check] = []
+    gated = False
+    for row in _ROWS:
+        if row.stage in _SOLVED_IN and _SOLVED_IN[row.stage] != a.solved:
+            continue
+        if a.row is None:
+            if row.name in _INGESTED:
+                checks.append(Check(row.name, COMPUTED, None, row.actual(a), row.note(a)))
+            continue
+        expected = row.expect(a)
+        if expected is None:
+            continue
+        if row.stage in _GATED and (gated or _left(deadline) < 0):
+            if not gated:
+                note = f"budget exhausted before the {row.stage} stage"
+                checks.append(Check("group-checks", SKIPPED, note=note))
+            gated = True
+            continue
+        actual = row.actual(a, deadline) if row.stage == HAMILTONIAN else row.actual(a)
+        if isinstance(actual, Check):
+            checks.append(actual)
+        elif isinstance(expected, Flag):
+            checks.append(Check(row.name, FLAGGED, expected.printed, actual, expected.note))
+        else:
+            status = MATCH if expected == actual else MISMATCH
+            checks.append(Check(row.name, status, expected, actual, row.note(a)))
+    return tuple(checks)
 
 
 def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
@@ -318,30 +328,7 @@ def run_graph_report(name: CdtName, budget: float | None = None) -> GraphReport:
     raises ValueError."""
     _refuse_nan(budget)
     deadline = None if budget is None else time.monotonic() + budget
-    x = _Subject(Analysis.from_catalog(name), reference(name), reference_ooc(name), deadline)
-    checks: list[Check] = []
-    gated = False
-    for row in _ROWS:
-        if not x.reaches(row.stage):
-            continue
-        expected = row.expect(x)
-        if expected is None:
-            continue
-        if row.stage in _GATED and (gated or x.left() < 0):
-            if not gated:
-                note = f"budget exhausted before the {row.stage} stage"
-                checks.append(Check("group-checks", SKIPPED, note=note))
-            gated = True
-            continue
-        actual = row.actual(x)
-        if isinstance(actual, Check):
-            checks.append(actual)
-        elif isinstance(expected, Flag):
-            checks.append(Check(row.name, FLAGGED, expected.printed, actual, expected.note))
-        else:
-            status = MATCH if expected == actual else MISMATCH
-            checks.append(Check(row.name, status, expected, actual, row.note(x)))
-    return GraphReport(name.value, tuple(checks))
+    return GraphReport(name.value, _checks(Analysis.from_catalog(name), deadline))
 
 
 def run_report(names=None, budget: float | None = None) -> VerificationReport:
@@ -367,11 +354,6 @@ def ingest_analysis(g: Graph) -> Analysis:
     return a
 
 
-# The rows an ingested graph reports.
-_INGESTED = ("parameters", "girth-cycle-count", "ooa-solvable", "kappa", "separator-order",
-             "alternate-count", "euler-characteristic", "genus")
-
-
 def run_ingest_report(g: Graph) -> GraphReport:
     """Pipeline for an ingested cubic graph outside the catalog: the
     _INGESTED rows of the check table, each reporting a computed value.
@@ -382,13 +364,9 @@ def run_ingest_report(g: Graph) -> GraphReport:
     preconditions (those of ingest_analysis, and uniform
     two-cycles-per-key-path).
     """
-    x = _Subject(ingest_analysis(g))
+    a = ingest_analysis(g)
     try:
-        checks = tuple(
-            Check(row.name, COMPUTED, None, row.actual(x), row.note(x))
-            for row in _ROWS
-            if row.name in _INGESTED and x.reaches(row.stage)
-        )
+        checks = _checks(a, None)
     except ConstraintError as exc:
         raise ReportInputError(str(exc)) from exc
     return GraphReport("ingested", checks)

@@ -165,7 +165,7 @@ def test_criterion_07_alternate_cycle_censuses(analysis_of):
     ]
     for text, r, count, length in expectations:
         a = analysis_of(text)
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         if r == 0:
             got_count, got_lengths = s.oriented_cycle_count, {s.girth}
         else:

@@ -1,5 +1,12 @@
+import pytest
+
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt
+from cdtsep.separator import alternate_census
+from cdtsep.topology import euler, face_complex
+
+# the seven catalog graphs with oriented girth cycles, hence a separator
+ORIENTABLE = ("k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte")
 
 
 class TestStages:
@@ -19,7 +26,18 @@ class TestStages:
     def test_stages_are_kept(self):
         a = Analysis.from_catalog(CdtName.Q3)
         assert a.separator is a.separator
-        assert a.census(2) is a.census(2)
-        assert sorted(a.census(4).orbits) == [1, 2, 3, 4]
+        assert a.census is a.census
+        assert sorted(a.census.orbits) == [1, 2, 3, 4]
         assert a.separator_group is a.separator_group
         assert a.separator_group.order() == a.row.a
+
+
+class TestOneCensus:
+    @pytest.mark.parametrize("text", ORIENTABLE)
+    def test_serves_the_shallow_rows_and_the_surface(self, text, analysis_of):
+        a = analysis_of(text)
+        shallow = alternate_census(a.separator, 2)
+        for r in (1, 2):
+            assert a.census.simple_count(r) == shallow.simple_count(r)
+            assert a.census.simple_lengths(r) == shallow.simple_lengths(r)
+        assert a.surface == euler(face_complex(a.separator))

@@ -1,7 +1,7 @@
 import pytest
 
 from cdtsep.graph6 import Graph6Error, parse_graph6, write_graph6
-from cdtsep.graphs import build_graph
+from cdtsep.graphs import Graph, build_graph
 
 
 class TestParse:
@@ -43,6 +43,26 @@ class TestParse:
     def test_rejects_empty(self):
         with pytest.raises(Graph6Error):
             parse_graph6("")
+
+    def test_lone_tilde_is_a_truncated_3_byte_field(self):
+        with pytest.raises(Graph6Error, match="truncated 3-byte order field"):
+            parse_graph6("~")
+
+
+class TestOrderCap:
+    def test_parse_refuses_order_above_cap(self):
+        # ~WY` is the 3-byte order field of 100001
+        with pytest.raises(Graph6Error, match="order 100001 exceeds"):
+            parse_graph6("~WY`")
+
+    def test_parse_reads_order_at_cap(self):
+        # ~WY_ is 100000: the header passes and the missing body is reported
+        with pytest.raises(Graph6Error, match="data bytes for order 100000"):
+            parse_graph6("~WY_")
+
+    def test_write_refuses_order_above_cap(self):
+        with pytest.raises(Graph6Error, match="order 100001 exceeds"):
+            write_graph6(Graph(100_001, ((),) * 100_001))
 
 
 class TestRoundTrip:

@@ -105,7 +105,7 @@ class TestStructure:
 class TestAlternateCensus:
     @pytest.mark.parametrize("text", sorted(CENSUS))
     def test_simple_counts_and_lengths(self, text, analysis_of):
-        census = analysis_of(text).census(4)
+        census = analysis_of(text).census
         alt, alt_len, bi, bi_len = CENSUS[text]
         assert census.simple_count(1) == alt
         assert census.simple_lengths(1) == {alt_len}
@@ -113,7 +113,7 @@ class TestAlternateCensus:
         assert census.simple_lengths(2) == {bi_len}
 
     def test_tutte_deep_census(self, analysis_of):
-        census = analysis_of("tutte").census(4)
+        census = analysis_of("tutte").census
         assert census.simple_count(3) == 90
         assert census.simple_lengths(3) == {32}
         assert census.simple_count(4) == 240
@@ -122,7 +122,7 @@ class TestAlternateCensus:
     @pytest.mark.parametrize("text", SOLVABLE)
     def test_orbits_partition_the_vertices(self, text, analysis_of):
         a = analysis_of(text)
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         for r, orbits in census.orbits.items():
             assert sum(o.size for o in orbits) == s.order
             for o in orbits:
@@ -132,7 +132,7 @@ class TestAlternateCensus:
     @pytest.mark.parametrize("text", SOLVABLE)
     def test_walks_alternate_succ_and_trans(self, text, analysis_of):
         a = analysis_of(text)
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         for r, orbits in census.orbits.items():
             for o in orbits:
                 walk = o.walk
@@ -145,7 +145,7 @@ class TestAlternateCensus:
 class TestSummary:
     def test_desargues_summary(self, analysis_of):
         a = analysis_of("desargues")
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         summary = separator_summary(s, census)
         assert summary.vertices == 120
         assert summary.cycle_arcs == 120

@@ -20,7 +20,7 @@ class TestFaceComplex:
     @pytest.mark.parametrize("text", sorted(EXPECTED))
     def test_every_edge_in_two_face_slots(self, text, analysis_of):
         a = analysis_of(text)
-        p, s, census = a.row, a.separator, a.census(4)
+        p, s, census = a.row, a.separator, a.census
         fc = face_complex(s, census)
         assert fc.vertices == s.order
         assert len(fc.edges) == 3 * s.order // 2
@@ -28,7 +28,7 @@ class TestFaceComplex:
 
     def test_rejects_incomplete_coverage(self, analysis_of):
         a = analysis_of("k4")
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         # drop one alternate face: its edges are then covered only once
         trimmed = AlternateCensus(
             {1: tuple(census.simple_cycles(1)[:-1])}
@@ -47,7 +47,7 @@ class TestEuler:
     @pytest.mark.parametrize("text", sorted(EXPECTED))
     def test_characteristic_and_genus(self, text, analysis_of):
         a = analysis_of(text)
-        s, census = a.separator, a.census(4)
+        s, census = a.separator, a.census
         report = euler(face_complex(s, census))
         faces, chi, genus = EXPECTED[text]
         assert report.faces == faces
