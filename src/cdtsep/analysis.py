@@ -27,8 +27,9 @@ __all__ = ["Analysis"]
 
 
 class Analysis:
-    """Memoized stages of one graph, with the parameter row, reference
-    record and published oriented girth cycles of catalog graph name.
+    """Memoized stages of one graph; given its catalog name, also that
+    graph's parameter row, reference record and published oriented girth
+    cycles.
 
     k is the row's arc-transitivity when a row is given, so the stages
     up to the surface never compute a group; without a row it is

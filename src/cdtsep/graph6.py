@@ -82,7 +82,7 @@ def write_graph6(g: Graph) -> str:
         raise Graph6Error(f"order {n} exceeds the supported maximum")
     if n <= 62:
         head = bytes([n + 63])
-    else:  # n <= _MAX_ORDER < 2**18: the 3-byte order field
+    else:  # n <= _MAX_ORDER <= 258047, so the 3-byte order field
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     nbits = n * (n - 1) // 2
     bits = [0] * (nbits + -nbits % 6)
