@@ -22,7 +22,7 @@ from .catalog import (
     CdtParameters,
     LabelTable,
     OocFixture,
-    CDT_NAMES,
+    GL32_GENERATORS,
     build_cdt,
     cdt_parameters,
     reference_ooc,
@@ -72,10 +72,8 @@ from .groups import (
     regular_subgroups,
     gl32_elements,
     gl32_mult,
-    GL32_GENERATORS,
     symmetric_elements,
     alternating_elements,
-    perm_mult,
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .dot import emit_dot

@@ -12,12 +12,12 @@ import enum
 from typing import NamedTuple
 
 from .graphs import Graph, build_graph
-from .groups import GL32_GENERATORS
 
 __all__ = [
     "CdtName",
     "CdtParameters",
     "Flag",
+    "GL32_GENERATORS",
     "GL32_SEPARATOR_GENERATORS",
     "LabelTable",
     "OocFixture",
@@ -26,7 +26,6 @@ __all__ = [
     "cdt_parameters",
     "reference",
     "reference_ooc",
-    "CDT_NAMES",
 ]
 
 
@@ -51,9 +50,6 @@ class CdtName(enum.Enum):
             if name.value == key:
                 return name
         raise ValueError(f"unknown catalog graph {text!r}")
-
-
-CDT_NAMES: tuple[CdtName, ...] = tuple(CdtName)
 
 
 class CdtParameters(NamedTuple):
@@ -114,6 +110,14 @@ class Reference(NamedTuple):
     spectrum: tuple[int, ...] = ()
     flags: dict[str, Flag] = {}  # check name -> flag
 
+
+# The paper's GL(3,2) pair for the Coxeter separator, written as rows.
+# Columns (100), (001), (010) and (001), (101), (010): an involution and
+# an element of order 7 generating the whole group.
+GL32_GENERATORS = (
+    ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 1, 0)),
+)
 
 # Corrected involution for the Coxeter separator: the reference pair
 # multiplies to an order-3 element, which cannot reproduce the alternate

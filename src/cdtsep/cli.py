@@ -129,6 +129,8 @@ def _cmd_separator(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and args.graph:
+        raise _InputError("verify takes a graph or --all, not both")
     if args.all:
         report = run_report(budget=args.budget)
     elif args.graph:
@@ -151,6 +153,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.dot and args.json_path:
+        raise _InputError("export takes --dot PATH or --json PATH, not both")
     if args.dot:
         name, a, table = _analysis(args.graph)
         if not a.solved:

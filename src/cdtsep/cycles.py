@@ -93,7 +93,6 @@ class FasteningProfile(NamedTuple):
     concentrated on 2**(i+1) for every i.
     """
 
-    k: int
     levels: dict[int, Counter]
     uniform: bool
 
@@ -199,4 +198,4 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
         levels[i] = counter
         if set(counter) != {2 ** (i + 1)}:
             uniform = False
-    return FasteningProfile(k, levels, uniform)
+    return FasteningProfile(levels, uniform)

@@ -1,4 +1,4 @@
-"""Deterministic DOT export for digraphs and separators.
+"""Deterministic DOT export for separators.
 
 Cycle arcs come out as directed edges; transposition pairs as single
 undirected, dashed edges, so layout tools draw the cycle structure and
@@ -7,7 +7,6 @@ the pairing differently.
 
 from __future__ import annotations
 
-from .graphs import Digraph
 from .catalog import LabelTable
 from .separator import SeparatorDigraph
 
@@ -18,25 +17,15 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def emit_dot(
-    d: Digraph | SeparatorDigraph,
-    table: LabelTable | None = None,
-    name: str = "G",
-) -> str:
+def emit_dot(s: SeparatorDigraph, table: LabelTable | None = None, name: str = "G") -> str:
     """DOT text, byte-identical across runs for equal inputs."""
     lines = [f"digraph {_quote(name)} {{"]
-    if isinstance(d, SeparatorDigraph):
-        for v in range(d.order):
-            lines.append(f"  {v} [label={_quote(d.arc_label(v, table))}];")
-        for v in range(d.order):
-            lines.append(f"  {v} -> {d.succ[v]};")
-        for v in range(d.order):
-            if v < d.trans[v]:
-                lines.append(f"  {v} -> {d.trans[v]} [dir=none, style=dashed];")
-    else:
-        for v in range(d.order):
-            lines.append(f"  {v};")
-        for u, v in sorted(d.arcs()):
-            lines.append(f"  {u} -> {v};")
+    for v in range(s.order):
+        lines.append(f"  {v} [label={_quote(s.arc_label(v, table))}];")
+    for v in range(s.order):
+        lines.append(f"  {v} -> {s.succ[v]};")
+    for v in range(s.order):
+        if v < s.trans[v]:
+            lines.append(f"  {v} -> {s.trans[v]} [dir=none, style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

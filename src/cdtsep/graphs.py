@@ -62,9 +62,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(order={self.order!r}, adj={self.adj!r})"
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.order) for v in self.adj[u] if u < v]
@@ -113,9 +110,6 @@ class Digraph:
         for u, v in self.arcs():
             inc[v].append(u)
         return tuple(tuple(sorted(a)) for a in inc)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self.out_adj[u]
 
 
 class DistanceTable(NamedTuple):

@@ -50,10 +50,8 @@ __all__ = [
     "induced_arc_permutation",
     "symmetric_elements",
     "alternating_elements",
-    "perm_mult",
     "gl32_elements",
     "gl32_mult",
-    "GL32_GENERATORS",
 ]
 
 
@@ -476,11 +474,6 @@ def cayley_digraph(elements, mult, generators) -> Digraph:
     return build_digraph(len(elements), arcs)
 
 
-def perm_mult(p, q) -> tuple[int, ...]:
-    """Multiplication used for permutation Cayley digraphs (q first)."""
-    return compose(p, q)
-
-
 def _parity(p) -> int:
     p = list(p)
     out = 0
@@ -525,18 +518,6 @@ def gl32_elements():
         for m in itertools.product(rows, repeat=3)
         if _gl32_invertible(m)
     ]
-
-
-def _transpose(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
-
-
-# Columns (100), (001), (010) and (001), (101), (010): an involution and
-# an element of order 7 generating the whole group.
-GL32_GENERATORS = (
-    _transpose(((1, 0, 0), (0, 0, 1), (0, 1, 0))),
-    _transpose(((0, 0, 1), (1, 0, 1), (0, 1, 0))),
-)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .cycles import cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
 from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
-    PermGroup, alternating_elements, arc_transitivity, cayley_digraph, digraph_isomorphic,
-    gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
-    is_distance_transitive, perm_mult, symmetric_elements,
+    PermGroup, alternating_elements, arc_transitivity, cayley_digraph, compose,
+    digraph_isomorphic, gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
+    is_distance_transitive, symmetric_elements,
 )
 
 __all__ = [
@@ -260,9 +260,9 @@ _ROWS: tuple[_Row, ...] = (
     _Row("automorphism-order", GROUP, lambda a: a.row.a, lambda a: a.host_group.order()),
     _Row("separator-automorphism-order", SEPARATOR_GROUP, lambda a: a.row.a,
          lambda a: a.separator_group.order()),
-    _cayley_row("cayley-a4", lambda: (alternating_elements(4), perm_mult)),
-    _cayley_row("cayley-s4", lambda: (symmetric_elements(4), perm_mult)),
-    _cayley_row("cayley-a5", lambda: (alternating_elements(5), perm_mult)),
+    _cayley_row("cayley-a4", lambda: (alternating_elements(4), compose)),
+    _cayley_row("cayley-s4", lambda: (symmetric_elements(4), compose)),
+    _cayley_row("cayley-a5", lambda: (alternating_elements(5), compose)),
     _flag_row("truncated-solid-name", SEPARATOR_GROUP, lambda a: "truncated tetrahedron"),
     # the identification the truncated-solid-name flag rests on
     _Row("truncated-tetrahedron", SEPARATOR_GROUP,

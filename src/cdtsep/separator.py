@@ -35,8 +35,6 @@ class SeparatorDigraph:
     and repr.
     """
 
-    graph: Graph
-    k: int
     girth: int
     arcs: tuple[tuple[int, ...], ...]
     succ: tuple[int, ...]
@@ -51,10 +49,9 @@ class SeparatorDigraph:
         return len(self.arcs)
 
     def arc_label(self, v: int, table=None) -> str:
-        seq = self.arcs[v]
-        if table is None:
-            return "".join(str(x) for x in seq)
-        return " ".join(table.to_label[x] for x in seq)
+        """The arc's vertices joined by spaces: their labels in table,
+        else their ids."""
+        return " ".join(str(x) if table is None else table.to_label[x] for x in self.arcs[v])
 
     def succ_orbits(self) -> list[tuple[int, ...]]:
         """The oriented girth cycles of the separator, as vertex orbits of
@@ -84,12 +81,12 @@ def _perm_cycles(f) -> list[tuple[int, ...]]:
 
 
 class AlternateOrbit(NamedTuple):
-    """One closed walk alternating r cycle-arcs with a transposition edge.
+    """One closed walk alternating r cycle-arcs with a transposition edge,
+    where r is its key in AlternateCensus.orbits.
 
     walk lists the (r+1)*size vertices visited; simple means no vertex
     repeats, i.e. the walk is a genuine cycle."""
 
-    r: int
     size: int
     walk: tuple[int, ...]
     simple: bool
@@ -152,8 +149,8 @@ def build_separator(
     darcs = [(v, succ[v]) for v in range(len(arcs))]
     darcs += [(v, trans[v]) for v in range(len(arcs))]
     digraph = build_digraph(len(arcs), darcs)
-    sep = SeparatorDigraph(g, k, cs.girth, arcs, tuple(succ), trans, digraph, len(cs),
-                           index, underlying(digraph))
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index,
+                           underlying(digraph))
     _check_invariants(sep)
     return sep
 
@@ -188,18 +185,14 @@ def alternate_census(s: SeparatorDigraph, max_r: int = 4) -> AlternateCensus:
                     w = s.succ[w]
                     walk.append(w)
             simple = len(set(walk)) == len(walk)
-            orbits.append(AlternateOrbit(r, len(cycle_starts), tuple(walk), simple))
+            orbits.append(AlternateOrbit(len(cycle_starts), tuple(walk), simple))
         if sum(o.size for o in orbits) != s.order:
             raise GraphError("alternate orbits do not partition the vertex set")
         out[r] = tuple(orbits)
     return AlternateCensus(out)
 
 
-def separator_summary(
-    s: SeparatorDigraph, census: AlternateCensus | None = None
-) -> SeparatorSummary:
-    if census is None:
-        census = alternate_census(s)
+def separator_summary(s: SeparatorDigraph, census: AlternateCensus) -> SeparatorSummary:
     rs = sorted(census.orbits)
     return SeparatorSummary(
         vertices=s.order,

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import GraphError
-from .orient import OddWitness, ParityConstraintGraph, solve
-from .separator import AlternateCensus, SeparatorDigraph, alternate_census
+from .graphs import GraphError, parity_coloring
+from .separator import AlternateCensus, SeparatorDigraph
 
 __all__ = ["FaceComplex", "EulerReport", "face_complex", "euler"]
 
@@ -32,14 +31,10 @@ class EulerReport(NamedTuple):
     # non-orientable (crosscap) genus
 
 
-def face_complex(
-    s: SeparatorDigraph, census: AlternateCensus | None = None
-) -> FaceComplex:
+def face_complex(s: SeparatorDigraph, census: AlternateCensus) -> FaceComplex:
     """Faces = the oriented girth cycles plus all simple single-step
-    alternate cycles.  Raises GraphError if some underlying edge is not
-    covered exactly twice."""
-    if census is None:
-        census = alternate_census(s, max_r=1)
+    alternate cycles of the census.  Raises GraphError if some underlying
+    edge is not covered exactly twice."""
     faces = [tuple(o) for o in s.succ_orbits()]
     faces += [o.walk for o in census.simple_cycles(1)]
     edges = tuple(s.under.edges())
@@ -61,8 +56,8 @@ def euler(fc: FaceComplex) -> EulerReport:
 
     Orientable means the faces can be flipped so that the two boundary
     slots of every edge traverse it in opposite directions: a parity
-    constraint per edge between its two faces, solved as the girth-cycle
-    orientation problem is.
+    constraint per edge between its two faces, solved by the parity
+    coloring that also solves the girth-cycle orientation problem.
     """
     chi = fc.vertices - len(fc.edges) + len(fc.faces)
     # slots[edge] = list of (face id, traversed from its lower end)
@@ -71,11 +66,8 @@ def euler(fc: FaceComplex) -> EulerReport:
         for u, v in zip(face, face[1:] + face[:1]):
             slots.setdefault((min(u, v), max(u, v)), []).append((fid, u < v))
     # same natural direction in both slots: one of the two faces flips
-    constraints = tuple(
-        (f1, f2, d1 == d2, key) for key, ((f1, d1), (f2, d2)) in slots.items()
-    )
-    outcome = solve(ParityConstraintGraph(len(fc.faces), constraints))
-    orientable = not isinstance(outcome, OddWitness)
+    constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]
+    orientable = parity_coloring(len(fc.faces), constraints).odd_walk is None
     genus = (2 - chi) // 2 if orientable else None
     if orientable and chi % 2 != 0:
         raise GraphError("orientable complex with odd Euler characteristic")

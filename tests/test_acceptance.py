@@ -7,7 +7,7 @@ import random
 
 import networkx as nx
 
-from cdtsep.catalog import CdtName, reference_ooc
+from cdtsep.catalog import GL32_GENERATORS, CdtName, reference_ooc
 from cdtsep.cycles import (
     canonical_cycle,
     cycles_through,
@@ -16,15 +16,14 @@ from cdtsep.cycles import (
 from cdtsep.graph6 import parse_graph6, write_graph6
 from cdtsep.graphs import build_graph, is_bipartite, underlying
 from cdtsep.groups import (
-    GL32_GENERATORS,
     alternating_elements,
     arc_transitivity,
     cayley_digraph,
+    compose,
     digraph_isomorphic,
     gl32_elements,
     gl32_mult,
     is_distance_transitive,
-    perm_mult,
     regular_subgroups,
     symmetric_elements,
 )
@@ -219,7 +218,7 @@ def test_criterion_10_cayley_identifications(analysis_of):
     ]
     for text, elements, gens in targets:
         s = analysis_of(text).separator
-        target = cayley_digraph(elements, perm_mult, list(gens))
+        target = cayley_digraph(elements, compose, list(gens))
         if digraph_isomorphic(s.digraph, target) is None:
             failures.append((text, "cayley"))
     for text, order, spectrum in [

@@ -40,4 +40,4 @@ class TestOneCensus:
         for r in (1, 2):
             assert a.census.simple_count(r) == shallow.simple_count(r)
             assert a.census.simple_lengths(r) == shallow.simple_lengths(r)
-        assert a.surface == euler(face_complex(a.separator))
+        assert a.surface == euler(face_complex(a.separator, alternate_census(a.separator, 1)))

@@ -1,7 +1,6 @@
 import pytest
 
 from cdtsep.catalog import (
-    CDT_NAMES,
     CdtName,
     LabelTable,
     Reference,
@@ -25,11 +24,11 @@ SOLVABLE = {
 
 class TestNames:
     def test_twelve_graphs(self):
-        assert len(CDT_NAMES) == 12
+        assert len(CdtName) == 12
 
     @pytest.mark.parametrize("text", ["K4", "k4", "biggs_smith", "Biggs-Smith"])
     def test_from_string_normalizes(self, text):
-        assert CdtName.from_string(text) in CDT_NAMES
+        assert CdtName.from_string(text) in CdtName
 
     def test_from_string_rejects_unknown(self):
         with pytest.raises(ValueError):

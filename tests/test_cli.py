@@ -134,6 +134,12 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_refuses_a_graph_with_all(self, capsys):
+        assert main(["verify", "k4", "--all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "graph" in err and "--all" in err
+
     def test_ingested_graph(self, capsys):
         assert main(["verify", K4_GRAPH6]) == 0
         assert "== ingested" in capsys.readouterr().out
@@ -163,6 +169,14 @@ class TestExport:
     def test_needs_a_format(self, capsys):
         assert main(["export", "k4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_refuses_both_formats(self, tmp_path, capsys):
+        dot, report = tmp_path / "k4.dot", tmp_path / "k4.json"
+        assert main(["export", "k4", "--dot", str(dot), "--json", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--dot" in err and "--json" in err
+        assert not dot.exists() and not report.exists()
 
 
 class TestIngestPreconditions:

@@ -61,7 +61,7 @@ def reference_fastening_profile(g, cs, k):
         levels[i] = counter
         if set(counter) != {2 ** (i + 1)}:
             uniform = False
-    return FasteningProfile(k, levels, uniform)
+    return FasteningProfile(levels, uniform)
 
 
 class TestCanonicalForms:

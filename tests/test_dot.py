@@ -1,6 +1,5 @@
 from cdtsep.catalog import CdtName, build_cdt
 from cdtsep.dot import emit_dot
-from cdtsep.graphs import build_digraph
 
 
 class TestSeparatorOutput:
@@ -24,11 +23,3 @@ class TestSeparatorOutput:
         _, table = build_cdt(CdtName.K4)
         assert '[label="0 1"]' in emit_dot(s, table)
 
-
-class TestPlainDigraph:
-    def test_arcs_sorted(self):
-        d = build_digraph(3, [(2, 0), (0, 1), (1, 2)])
-        text = emit_dot(d, name="tri")
-        assert 'digraph "tri"' in text
-        body = [ln.strip() for ln in text.splitlines() if "->" in ln]
-        assert body == ["0 -> 1;", "1 -> 2;", "2 -> 0;"]

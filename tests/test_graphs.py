@@ -133,6 +133,59 @@ def has_hamilton_cycle(g):
     return any(0 in g.adj[v] for v in ends[-1])
 
 
+def perfect_matchings(g):
+    """Reference: every perfect matching of g, as a set of edges, found by
+    matching the least unmatched vertex to each unmatched neighbour."""
+    out = []
+
+    def extend(matched, edges):
+        free = next((v for v in range(g.order) if v not in matched), None)
+        if free is None:
+            out.append(frozenset(edges))
+            return
+        for w in g.adj[free]:
+            if w not in matched:
+                extend(matched | {free, w}, edges + [(min(free, w), max(free, w))])
+
+    extend(frozenset(), [])
+    return out
+
+
+def is_one_cycle(g, removed) -> bool:
+    """Whether the edges of the cubic graph g outside the perfect
+    matching removed, a 2-factor, form one cycle through every vertex."""
+    rest = [[w for w in g.adj[v] if (min(v, w), max(v, w)) not in removed]
+            for v in range(g.order)]
+    prev, v, length = None, 0, 0
+    while True:
+        prev, v = v, rest[v][0] if rest[v][0] != prev else rest[v][1]
+        length += 1
+        if v == 0:
+            return length == g.order
+
+
+def matching_hamiltonian(g) -> tuple[bool, int]:
+    """Second proof for cubic g: it is Hamiltonian exactly when the
+    complement of some perfect matching is one cycle.  Returns the answer
+    and the number of perfect matchings."""
+    matchings = perfect_matchings(g)
+    return any(is_one_cycle(g, m) for m in matchings), len(matchings)
+
+
+def bridged_cubic(n1, n2, rng):
+    """Two random cubic graphs on n1 and n2 vertices, each with one edge
+    subdivided, joined by a bridge between the two new vertices: cubic,
+    and never Hamiltonian."""
+    edges, ends, offset = [], [], 0
+    for n in (n1, n2):
+        (u, v), *rest = random_cubic(n, rng).edges()
+        edges += [(offset + a, offset + b) for a, b in rest]
+        edges += [(offset + u, offset + n), (offset + v, offset + n)]
+        ends.append(offset + n)
+        offset += n + 1
+    return build_graph(offset, edges + [tuple(ends)])
+
+
 def is_hamilton_cycle(g, cycle) -> bool:
     """Independent of the search: the cycle lists every vertex once, each
     vertex is adjacent to the next, and the last to the first."""
@@ -171,8 +224,8 @@ class TestBuildGraph:
 class TestDigraph:
     def test_arcs_and_in_adj(self):
         d = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-        assert d.has_arc(0, 1)
-        assert not d.has_arc(1, 0)
+        assert 1 in d.out_adj[0]
+        assert 0 not in d.out_adj[1]
         assert d.in_adj()[2] == (0, 1)
 
     def test_underlying_merges_digons(self):
@@ -346,6 +399,27 @@ class TestPredicates:
         for _ in range(20):
             g = random_cubic(n, rng)
             assert is_hamiltonian(g) is has_hamilton_cycle(g), g
+
+    @pytest.mark.parametrize("name,matchings", [
+        (CdtName.PETERSEN, 6), (CdtName.COXETER, 84),
+    ], ids=["petersen", "coxeter"])
+    def test_catalog_negatives_have_a_second_proof(self, name, matchings):
+        # no perfect matching leaves one cycle, so neither is Hamiltonian
+        g, _ = build_cdt(name)
+        assert matching_hamiltonian(g) == (False, matchings)
+        assert is_hamiltonian(g) is False
+
+    def test_hamiltonian_of_larger_cubic_graphs_against_matchings(self):
+        rng = random.Random(16)
+        graphs = [random_cubic(n, rng) for n in range(16, 31, 2) for _ in range(4)]
+        graphs += [bridged_cubic(n1, n2, rng) for n1, n2 in ((6, 8), (8, 12), (10, 18), (14, 14))]
+        answers = set()
+        for g in graphs:
+            assert g.is_cubic() and 16 <= g.order <= 30
+            expected, _ = matching_hamiltonian(g)
+            assert is_hamiltonian(g) is expected, g
+            answers.add(expected)
+        assert answers == {True, False}
 
     def test_hamiltonian_is_invariant_under_relabeling(self, layer_graphs):
         # the fixture carries three seeded relabelings of each catalog

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import cdtsep
 from cdtsep import groups
-from cdtsep.catalog import GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters
+from cdtsep.catalog import (
+    GL32_GENERATORS, GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters,
+)
 from cdtsep.graphs import build_digraph, build_graph, distances, enumerate_arcs, underlying
 from cdtsep.groups import (
-    GL32_GENERATORS,
     GroupError,
     PermGroup,
     alternating_elements,
@@ -31,7 +32,6 @@ from cdtsep.groups import (
     induced_arc_permutation,
     inverse,
     is_distance_transitive,
-    perm_mult,
     regular_subgroups,
     separator_automorphism_group,
     symmetric_elements,
@@ -477,7 +477,7 @@ class TestCayley:
 
     def test_a4_cayley_is_vertex_transitive(self):
         elements = alternating_elements(4)
-        d = cayley_digraph(elements, perm_mult, [(1, 2, 0, 3), (1, 0, 3, 2)])
+        d = cayley_digraph(elements, compose, [(1, 2, 0, 3), (1, 0, 3, 2)])
         assert automorphism_group(d).is_transitive()
 
 

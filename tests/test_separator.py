@@ -155,7 +155,24 @@ class TestSummary:
 
     def test_arc_labels(self, analysis_of):
         s = analysis_of("k4").separator
-        assert s.arc_label(0) == "01"
+        assert s.arc_label(0) == "0 1"
         name = CdtName.K4
         _, table = build_cdt(name)
         assert s.arc_label(0, table).count(" ") == 1
+
+    def test_labels_are_distinct_on_relabelings(self, layer_graphs):
+        # joined without a separator, ids (1, 17) and (11, 7) would both
+        # read "117" on a relabeled dodecahedron
+        checked = 0
+        for label, g, k in layer_graphs:
+            if "/" not in label:
+                continue
+            cs = enumerate_girth_cycles(g)
+            outcome = solve(build_constraints(g, cs, k))
+            if not isinstance(outcome, OrientationAssignment):
+                continue
+            s = build_separator(g, cs, k, outcome)
+            labels = [s.arc_label(v) for v in range(s.order)]
+            assert len(set(labels)) == s.order, label
+            checked += 1
+        assert checked == 21

@@ -38,7 +38,7 @@ class TestFaceComplex:
 
     def test_rejects_non_edge_walk(self, analysis_of):
         s = analysis_of("k4").separator
-        fake = AlternateOrbit(1, 3, (0, 0, 0, 0, 0, 0), True)
+        fake = AlternateOrbit(3, (0, 0, 0, 0, 0, 0), True)
         with pytest.raises(GraphError):
             face_complex(s, AlternateCensus({1: (fake,)}))
 
