@@ -22,4 +22,3 @@ class TestSeparatorOutput:
         s = analysis_of("k4").separator
         _, table = build_cdt(CdtName.K4)
         assert '[label="0 1"]' in emit_dot(s, table)
-

@@ -161,8 +161,8 @@ class TestSummary:
         assert s.arc_label(0, table).count(" ") == 1
 
     def test_labels_are_distinct_on_relabelings(self, layer_graphs):
-        # joined without a separator, ids (1, 17) and (11, 7) would both
-        # read "117" on a relabeled dodecahedron
+        # joined without a separator, ids (1, 13) and (11, 3) would both
+        # read "113" on the dodecahedron relabeled with seed 2
         checked = 0
         for label, g, k in layer_graphs:
             if "/" not in label:
