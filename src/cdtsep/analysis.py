@@ -8,8 +8,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .catalog import (
-    CdtName, CdtParameters, OocFixture, Reference, build_cdt, cdt_parameters, reference,
-    reference_ooc,
+    CdtName, CdtParameters, LabelTable, OocFixture, Reference, build_cdt, cdt_parameters,
+    reference, reference_ooc,
 )
 from .cycles import CycleSet, FasteningProfile, enumerate_girth_cycles, fastening_profile
 from .graphs import DistanceTable, Graph, distances, girth, is_planar
@@ -27,28 +27,33 @@ __all__ = ["Analysis"]
 
 
 class Analysis:
-    """Memoized stages of one graph; given its catalog name, also that
-    graph's parameter row, reference record and published oriented girth
-    cycles.
+    """Memoized stages of one graph.  Built from a catalog name, it also
+    keeps the name, the label table, the graph's parameter row, reference
+    record and published oriented girth cycles; built from a graph alone,
+    it is an ingested graph with none of them.
 
     k is the row's arc-transitivity when a row is given, so the stages
     up to the surface never compute a group; without a row it is
     recomputed from the host automorphism group.
     """
 
-    def __init__(self, graph: Graph, name: CdtName | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.row: CdtParameters | None = None if name is None else cdt_parameters(name)
-        self.ref: Reference = Reference() if name is None else reference(name)
-        self._name = name
+        self.name: CdtName | None = None
+        self.labels: LabelTable | None = None
+        self.row: CdtParameters | None = None
+        self.ref: Reference = Reference()
 
     @classmethod
     def from_catalog(cls, name: CdtName) -> Analysis:
-        return cls(build_cdt(name)[0], name)
+        graph, labels = build_cdt(name)
+        a = cls(graph)
+        a.name, a.labels, a.row, a.ref = name, labels, cdt_parameters(name), reference(name)
+        return a
 
     @cached_property
     def ooc(self) -> OocFixture | None:
-        return None if self._name is None else reference_ooc(self._name)
+        return None if self.name is None else reference_ooc(self.name, self.graph, self.labels)
 
     @cached_property
     def table(self) -> DistanceTable:

@@ -495,13 +495,13 @@ _OOC_LISTINGS = {
 }
 
 
-def reference_ooc(name: CdtName) -> OocFixture | None:
-    """The published oriented girth-cycle collection, or None for the
-    five graphs that admit none."""
+def reference_ooc(name: CdtName, g: Graph, table: LabelTable) -> OocFixture | None:
+    """The published oriented girth-cycle collection on g and its label
+    table, as build_cdt(name) returns them, or None for the five graphs
+    that admit none."""
     if name not in _OOC_LISTINGS:
         return None
     params = _PARAMETERS[name]
-    g, table = build_cdt(name)
     cycles: list[tuple[int, ...]] = []
     reconstructed: list[int] = []
     for idx, labs in enumerate(_OOC_LISTINGS[name]()):

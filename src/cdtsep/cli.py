@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Verbs: catalog, analyze, orient, separator, verify, export.
-Exit codes: 0 verified/ok, 1 mismatch, 2 input error.
+Exit codes: 0 verified/ok, 1 mismatch, 2 input error or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ import argparse
 import sys
 
 from .analysis import Analysis
-from .catalog import CdtName, build_cdt, cdt_parameters
+from .catalog import CdtName, cdt_parameters
+from .cycles import ConstraintError
 from .dot import emit_dot
 from .graph6 import Graph6Error, parse_graph6
-from .graphs import GraphError, is_bipartite, is_hamiltonian
-from .orient import ConstraintError, OddWitness
+from .graphs import Graph, GraphError, is_bipartite, is_hamiltonian
+from .orient import OddWitness
 from .separator import separator_summary
 from .report import (
     ReportInputError,
@@ -32,38 +33,41 @@ class _InputError(Exception):
     pass
 
 
-def _resolve(spec: str):
-    """Catalog name or literal graph6 text -> (name | None, graph, label table | None)."""
+def _catalog_name(spec: str) -> CdtName | None:
     try:
-        name = CdtName.from_string(spec)
+        return CdtName.from_string(spec)
     except ValueError:
-        name = None
-    if name is not None:
-        g, table = build_cdt(name)
-        return name, g, table
+        return None
+
+
+def _graph6(spec: str) -> Graph:
+    """The graph of graph6 text that names no catalog graph."""
     try:
-        return None, parse_graph6(spec), None
+        return parse_graph6(spec)
     except Graph6Error as exc:
         raise _InputError(f"{spec!r} is neither a catalog name nor valid graph6: {exc}")
 
 
-def _analysis(spec: str):
-    """Resolve a verb's graph into (name | None, Analysis, label table |
-    None); an ingested graph must pass ingest_analysis."""
-    name, g, table = _resolve(spec)
-    if name is not None:
-        return name, Analysis(g, name), table
-    return None, ingest_analysis(g), None
+def _analysis(spec: str) -> Analysis:
+    """A verb's graph: its catalog Analysis, or one that passed ingest_analysis."""
+    name = _catalog_name(spec)
+    return ingest_analysis(_graph6(spec)) if name is None else Analysis.from_catalog(name)
 
 
 def _report(spec: str, budget) -> VerificationReport:
     """Verification report of one catalog name or graph6 text."""
-    name, g, _table = _resolve(spec)
-    if name is None:
-        graph_report = run_ingest_report(g)
-    else:
-        graph_report = run_graph_report(name, budget=budget)
-    return VerificationReport(SCHEMA_VERSION, (graph_report,))
+    name = _catalog_name(spec)
+    report = run_ingest_report(_graph6(spec)) if name is None else run_graph_report(name, budget)
+    return VerificationReport(SCHEMA_VERSION, (report,))
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    print(f"wrote {path}")
 
 
 def _cmd_catalog(args) -> int:
@@ -77,7 +81,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _name, a, _table = _analysis(args.graph)
+    a = _analysis(args.graph)
     g = a.graph
     print(f"order {g.order}  diameter {a.table.diameter}  girth {a.girth}  "
           f"bipartite {int(is_bipartite(g))}  planar {int(a.planar)}")
@@ -94,7 +98,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    _name, a, _table = _analysis(args.graph)
+    a = _analysis(args.graph)
     outcome = a.outcome
     if isinstance(outcome, OddWitness):
         print("orientation: unsolvable")
@@ -113,7 +117,7 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_separator(args) -> int:
-    _name, a, _table = _analysis(args.graph)
+    a = _analysis(args.graph)
     if not a.solved:
         raise _InputError("no separator: the orientation constraints are unsolvable")
     summary = separator_summary(a.separator, a.census)
@@ -156,19 +160,15 @@ def _cmd_export(args) -> int:
     if args.dot and args.json_path:
         raise _InputError("export takes --dot PATH or --json PATH, not both")
     if args.dot:
-        name, a, table = _analysis(args.graph)
+        a = _analysis(args.graph)
         if not a.solved:
             raise _InputError("no separator to export: orientation unsolvable")
-        text = emit_dot(a.separator, table, name=name.value if name else "separator")
-        with open(args.dot, "w") as f:
-            f.write(text)
-        print(f"wrote {args.dot}")
+        name = a.name.value if a.name else "separator"
+        _write(args.dot, emit_dot(a.separator, a.labels, name=name))
         return 0
     if args.json_path:
         report = _report(args.graph, args.budget)
-        with open(args.json_path, "w") as f:
-            f.write(report_to_json(report) + "\n")
-        print(f"wrote {args.json_path}")
+        _write(args.json_path, report_to_json(report) + "\n")
         return report.exit_code()
     raise _InputError("export needs --dot PATH or --json PATH")
 

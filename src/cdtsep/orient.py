@@ -19,7 +19,6 @@ from .cycles import (
 )
 
 __all__ = [
-    "ConstraintError",
     "ParityConstraintGraph",
     "OrientationAssignment",
     "OddWitness",

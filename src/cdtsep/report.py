@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 from .analysis import Analysis
 from .catalog import CdtName, Flag
-from .cycles import cycles_through
+from .cycles import ConstraintError, cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
-from .orient import ConstraintError, OddWitness, assignment_from_cycles, verify_ooa
+from .orient import OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
     PermGroup, alternating_elements, arc_transitivity, cayley_digraph, compose,
     digraph_isomorphic, gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
@@ -154,16 +154,17 @@ def _left(deadline: float | None) -> float:
     return math.inf if deadline is None else deadline - time.monotonic()
 
 
-class _Row:
+class _Row(NamedTuple):
     """One check: the stage it needs, and functions of an Analysis giving
     its reference value (None leaves the row out, a Flag makes it a
     flagged discrepancy), its recomputed value (or a finished skipped
     Check; the hamiltonian row's also takes the deadline) and its note."""
 
-    def __init__(self, name: str, stage: str, expect: Callable, actual: Callable,
-                 note: Callable = lambda a: ""):
-        self.name, self.stage, self.expect, self.actual, self.note = (
-            name, stage, expect, actual, note)
+    name: str
+    stage: str
+    expect: Callable
+    actual: Callable
+    note: Callable = lambda a: ""
 
 
 def _parameters(a: Analysis) -> dict[str, int]:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cdtsep import graphs, groups, orient
+from cdtsep import catalog, graphs, groups, orient
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graph6 import parse_graph6, write_graph6
@@ -57,36 +57,38 @@ def layer_graphs():
     return out
 
 
+def count_calls(mp, owner, fname, counts):
+    """Replace owner.fname under every cdtsep binding by a wrapper that
+    counts its calls in counts[fname]."""
+    original = getattr(owner, fname)
+    counts[fname] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[fname] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cdtsep" and vars(module).get(fname) is original:
+            mp.setattr(module, fname, wrapper)
+
+
 @pytest.fixture(scope="session")
 def counted_run():
     """The one full run_report() of the session, with the number of calls
-    it made to automorphism_group, underlying, enumerate_arcs and
-    verify_ooa, under every cdtsep binding, and to the one BFS sweep behind
-    distances and girth."""
+    it made to build_cdt, automorphism_group, underlying, enumerate_arcs,
+    verify_ooa and the one BFS sweep behind distances and girth, under
+    every cdtsep binding."""
     counts = {}
-
-    def counted(name, original):
-        counts[name] = 0
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
     with pytest.MonkeyPatch.context() as mp:
         for owner, fname in (
+            (catalog, "build_cdt"),
             (groups, "automorphism_group"),
             (graphs, "underlying"),
             (graphs, "enumerate_arcs"),
             (orient, "verify_ooa"),
+            (graphs, "_bfs_sweep"),
         ):
-            original = getattr(owner, fname)
-            wrapper = counted(fname, original)
-            for name, module in list(sys.modules.items()):
-                if name.split(".")[0] == "cdtsep" and vars(module).get(fname) is original:
-                    mp.setattr(module, fname, wrapper)
-        mp.setattr(graphs, "_bfs_sweep", counted("_bfs_sweep", graphs._bfs_sweep))
+            count_calls(mp, owner, fname, counts)
         report = run_report()
     return report, counts
 

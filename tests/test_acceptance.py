@@ -7,7 +7,7 @@ import random
 
 import networkx as nx
 
-from cdtsep.catalog import GL32_GENERATORS, CdtName, reference_ooc
+from cdtsep.catalog import GL32_GENERATORS, CdtName, build_cdt, reference_ooc
 from cdtsep.cycles import (
     canonical_cycle,
     cycles_through,
@@ -115,7 +115,8 @@ def test_criterion_05_reference_cycle_fixtures(analysis_of):
     failures = []
     for text in SOLVABLE:
         a = analysis_of(text)
-        fixture = reference_ooc(CdtName.from_string(text))
+        name = CdtName.from_string(text)
+        fixture = reference_ooc(name, *build_cdt(name))
         ref = assignment_from_cycles(a.cycles, fixture.cycles)
         if not verify_ooa(a.graph, a.cycles, a.k, ref):
             failures.append(text)

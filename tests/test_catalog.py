@@ -63,7 +63,7 @@ class TestLabelTable:
 class TestReferenceOoc:
     @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
     def test_presence_matches_solvability(self, name):
-        fixture = reference_ooc(name)
+        fixture = reference_ooc(name, *build_cdt(name))
         assert (fixture is not None) == (name in SOLVABLE)
 
     @pytest.mark.parametrize("name", sorted(SOLVABLE, key=lambda n: n.value),
@@ -71,7 +71,7 @@ class TestReferenceOoc:
     def test_cycle_shapes(self, name):
         p = cdt_parameters(name)
         g, _ = build_cdt(name)
-        fixture = reference_ooc(name)
+        fixture = reference_ooc(name, *build_cdt(name))
         assert len(fixture.cycles) == p.eta
         for cyc in fixture.cycles:
             assert len(cyc) == p.g
@@ -80,12 +80,12 @@ class TestReferenceOoc:
                 assert g.has_edge(a, b)
 
     def test_coxeter_has_one_reconstructed_cycle(self):
-        fixture = reference_ooc(CdtName.COXETER)
+        fixture = reference_ooc(CdtName.COXETER, *build_cdt(CdtName.COXETER))
         assert len(fixture.reconstructed) == 1
 
     def test_other_fixtures_are_verbatim(self):
         for name in SOLVABLE - {CdtName.COXETER}:
-            assert reference_ooc(name).reconstructed == ()
+            assert reference_ooc(name, *build_cdt(name)).reconstructed == ()
 
 
 class TestReferenceRecords:
@@ -93,6 +93,6 @@ class TestReferenceRecords:
     def test_separator_data_exactly_where_kappa_is_positive(self, name):
         ref, kappa = reference(name), cdt_parameters(name).kappa
         separator_data = bool(ref.alternates) and None not in (ref.chi, ref.genus)
-        assert separator_data == (kappa > 0) == (reference_ooc(name) is not None)
+        assert separator_data == (kappa > 0) == (reference_ooc(name, *build_cdt(name)) is not None)
         if kappa == 0:
             assert ref == Reference()

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from cdtsep import graphs
+from cdtsep import catalog, graphs
 from cdtsep.catalog import CdtName
 from cdtsep.cli import main
 from cdtsep.graph6 import parse_graph6
 from cdtsep.report import ReportInputError, run_graph_report, run_ingest_report
+from conftest import count_calls
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
 PETERSEN_GRAPH6 = "IheA@GUAo"
@@ -177,6 +178,28 @@ class TestExport:
         assert out == ""
         assert "--dot" in err and "--json" in err
         assert not dot.exists() and not report.exists()
+
+
+    @pytest.mark.parametrize("option", ["--dot", "--json"])
+    def test_unwritable_path_is_an_input_error(self, option, tmp_path, capsys):
+        path = tmp_path / "missing" / "k4.out"
+        assert main(["export", "k4", option, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
+class TestOneBuildPerCall:
+    @pytest.mark.parametrize(
+        "argv", [["verify", "k4"], ["export", "k4", "--dot", "k4.dot"]], ids=lambda v: v[0]
+    )
+    def test_catalog_graph_is_built_once(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        counts = {}
+        count_calls(monkeypatch, catalog, "build_cdt", counts)
+        assert main(argv) == 0
+        assert counts["build_cdt"] == 1
 
 
 class TestIngestPreconditions:

@@ -6,9 +6,8 @@ import pytest
 
 from cdtsep import orient
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters, reference_ooc
-from cdtsep.cycles import cycles_through, enumerate_girth_cycles, unordered_paths
+from cdtsep.cycles import ConstraintError, cycles_through, enumerate_girth_cycles, unordered_paths
 from cdtsep.orient import (
-    ConstraintError,
     OddWitness,
     OrientationAssignment,
     ParityConstraintGraph,
@@ -154,7 +153,7 @@ class TestReferenceFixtures:
         g, _ = build_cdt(name)
         p = cdt_parameters(name)
         cs = enumerate_girth_cycles(g)
-        fixture = reference_ooc(name)
+        fixture = reference_ooc(name, *build_cdt(name))
         a = assignment_from_cycles(cs, fixture.cycles)
         assert verify_ooa(g, cs, p.k, a)
 
@@ -162,7 +161,7 @@ class TestReferenceFixtures:
         name = CdtName.K4
         g, _ = build_cdt(name)
         cs = enumerate_girth_cycles(g)
-        cycles = list(reference_ooc(name).cycles)
+        cycles = list(reference_ooc(name, *build_cdt(name)).cycles)
         cycles[1] = cycles[0]
         with pytest.raises(ValueError):
             assignment_from_cycles(cs, cycles)

@@ -177,6 +177,10 @@ class TestFullRun:
         dot = emit_dot(analysis_of(text).separator, table, name.value)
         assert hashlib.sha256(dot.encode()).hexdigest() == self.DOT_DIGESTS[text]
 
+    def test_one_build_per_graph(self, counted_run):
+        # the reference orientations read the Analysis's own graph
+        assert counted_run[1]["build_cdt"] == 12
+
     def test_one_group_per_host_and_separator(self, counted_run):
         # 12 host groups plus 7 separator groups, each computed once
         assert counted_run[1]["automorphism_group"] == 19
