@@ -89,8 +89,10 @@ class FasteningProfile(NamedTuple):
     """Per-level counts of girth cycles through each path.
 
     levels[i] is a Counter mapping (cycles through a path of length
-    k-1-i) -> (number of such paths).  uniform is true when level i is
-    concentrated on 2**(i+1) for every i.
+    k-1-i) -> (number of such paths), paths in no girth cycle included.
+    Level 0 is read off the path index of length k-1; each level below
+    it is summed from the level above, as fastening_profile describes.
+    uniform is true when level i is concentrated on 2**(i+1) for every i.
     """
 
     levels: dict[int, Counter]
@@ -178,23 +180,43 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     """How many girth cycles share each simple path of length k-1-i, for
     i = 0..k-2; uniform when the level-i count is always 2**(i+1).
 
-    Each level is read off the girth cycles: the keys of the level's
-    path index count the paths that lie in one or more cycles, and the
-    rest of the simple paths lie in none.  That needs k-1 < girth,
-    which Tutte's bound girth >= 2k-2 gives every cubic k-arc-transitive
-    graph with k >= 2; for k-1 >= girth it raises ConstraintError.
+    Only the top level reads the girth cycles, through the path index of
+    length k-1.  Each level below is summed from the one above: a girth
+    cycle through a directed path p shorter than girth-1 reaches p's
+    first vertex by exactly one edge (v, p[0]), and (v,) + p is a
+    directed path one edge longer that lies in the same cycle.  So p lies
+    in as many girth cycles as the paths one edge longer that end in it,
+    summed.  Every level keeps both directions of each path, with equal
+    counts, so halving the multiplicities gives the undirected level.
+    The simple paths missing from a level lie in no girth cycle; their
+    number is the level's path count less the paths it holds.
+
+    All of this needs k-1 < girth: then every walk of length at most k-1
+    without backtracking is a simple path, and every level below the top
+    is shorter than girth-1.  Tutte's bound girth >= 2k-2 gives that to
+    every cubic k-arc-transitive graph with k >= 2; for k-1 >= girth it
+    raises ConstraintError.
     """
     if k - 1 >= cs.girth:
         raise ConstraintError(f"paths of length {k - 1} are not shorter than the girth {cs.girth}")
     paths = _path_counts(g, k - 1)
     levels: dict[int, Counter] = {}
     uniform = True
+    counts: dict[tuple[int, ...], int] = {}  # directed path -> girth cycles through it
     for i in range(k - 1):
         length = k - 1 - i
-        index = cs.path_index(length)
-        counter = Counter(map(len, index.values()))
-        if paths[length] > len(index):
-            counter[0] = paths[length] - len(index)
+        if i == 0:
+            for key, hits in cs.path_index(length).items():
+                counts[key] = counts[key[::-1]] = len(hits)
+        else:
+            lower: dict[tuple[int, ...], int] = {}
+            for p, c in counts.items():
+                q = p[1:]
+                lower[q] = lower.get(q, 0) + c
+            counts = lower
+        counter = Counter({c: m // 2 for c, m in Counter(counts.values()).items()})
+        if paths[length] > len(counts) // 2:
+            counter[0] = paths[length] - len(counts) // 2
         levels[i] = counter
         if set(counter) != {2 ** (i + 1)}:
             uniform = False

@@ -171,10 +171,10 @@ def alternate_census(s: SeparatorDigraph, max_r: int = 4) -> AlternateCensus:
     """Orbit decomposition of transposition-after-r-cycle-steps for
     r = 1..max_r, with simple/non-simple classification of each walk."""
     out: dict[int, tuple[AlternateOrbit, ...]] = {}
+    step = list(range(s.order))
     for r in range(1, max_r + 1):
-        step = list(range(s.order))
-        for _ in range(r):
-            step = [s.succ[v] for v in step]
+        # succ^r, one cycle step on from succ^(r-1)
+        step = [s.succ[v] for v in step]
         f = [s.trans[v] for v in step]
         orbits = []
         for cycle_starts in _perm_cycles(f):

@@ -18,6 +18,17 @@ def generalized_petersen(n, k):
     return build_graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
 
 
+def random_cubic(n, rng):
+    """A random simple cubic graph on n vertices, n even: the pairing
+    model, redrawn until the pairing has no loop and no double edge."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return build_graph(n, edges)
+
+
 @pytest.fixture(scope="session")
 def analysis_of():
     """Shared per-graph pipeline: text name -> its catalog Analysis."""
@@ -59,7 +70,8 @@ def layer_graphs():
 
 def count_calls(mp, owner, fname, counts):
     """Replace owner.fname under every cdtsep binding by a wrapper that
-    counts its calls in counts[fname]."""
+    counts its calls in counts[fname]; a class owner's method is
+    replaced on the class."""
     original = getattr(owner, fname)
     counts[fname] = 0
 
@@ -67,6 +79,8 @@ def count_calls(mp, owner, fname, counts):
         counts[fname] += 1
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        mp.setattr(owner, fname, wrapper)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cdtsep" and vars(module).get(fname) is original:
             mp.setattr(module, fname, wrapper)

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from cdtsep import catalog, graphs
-from cdtsep.catalog import CdtName
+from cdtsep.catalog import CdtName, build_cdt
 from cdtsep.cli import main
+from cdtsep.cycles import enumerate_girth_cycles
 from cdtsep.graph6 import parse_graph6
 from cdtsep.report import ReportInputError, run_graph_report, run_ingest_report
 from conftest import count_calls
+from test_cycles import reference_fastening_profile
 
 K4_GRAPH6 = "C~"  # cubic, 2-arc-transitive: goes through the ingest path
 PETERSEN_GRAPH6 = "IheA@GUAo"
@@ -73,6 +75,19 @@ class TestAnalyze:
         run_graph_report(CdtName.K4, budget=5)
         assert main(["--budget", "5", "analyze", "k4"]) == 0
         assert len(seen) == 2 and all(0 < b <= 5.0 for b in seen)
+
+    def test_fastening_levels_equal_the_reference(self, capsys):
+        # Tutte's 8-cage, k = 5: every level below the top is derived
+        g, _ = build_cdt(CdtName.TUTTE)
+        ref = reference_fastening_profile(g, enumerate_girth_cycles(g), 5)
+        assert main(["analyze", "tutte"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines = [line for line in out if line.startswith("  paths of length")]
+        assert lines == [
+            f"  paths of length {4 - i}: cycles-through counts {dict(sorted(ref.levels[i].items()))}"
+            for i in range(4)
+        ]
+        assert lines[-1] == "  paths of length 1: cycles-through counts {16: 45}"
 
     def test_graph6_input(self, capsys):
         assert main(["analyze", K4_GRAPH6]) == 0

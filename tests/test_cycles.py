@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import (
     ConstraintError,
+    CycleSet,
     FasteningProfile,
     canonical_cycle,
     cycles_through,
@@ -14,6 +16,8 @@ from cdtsep.cycles import (
     unordered_paths,
 )
 from cdtsep.graphs import GraphError, build_graph, distances, girth
+from cdtsep.orient import build_constraints
+from conftest import count_calls, generalized_petersen, random_cubic
 
 
 def reference_girth_cycles(g):
@@ -163,6 +167,39 @@ class TestFastening:
         assert fastening_profile(g, cs, 3).levels[0] == Counter({1: 12})
         with pytest.raises(ConstraintError):
             fastening_profile(g, cs, 4)
+
+    def test_equals_the_reference_beyond_the_catalog(self):
+        # every cubic GP(n, j) with 5 <= n <= 15 and seeded random cubic
+        # graphs on 8..30 vertices, at each k = 2..5 with k - 1 < girth
+        rng = random.Random(2201)
+        graphs = [(f"GP({n},{j})", generalized_petersen(n, j))
+                  for n in range(5, 16) for j in range(1, (n + 1) // 2)]
+        graphs += [(f"cubic{n}/{t}", random_cubic(n, rng)) for n in range(8, 31, 2) for t in range(5)]
+        cases = zero = mixed = 0
+        for label, g in graphs:
+            cs = enumerate_girth_cycles(g)
+            for k in range(2, min(5, cs.girth) + 1):
+                profile = fastening_profile(g, cs, k)
+                assert profile == reference_fastening_profile(g, cs, k), (label, k)
+                cases += 1
+                zero += any(0 in level for level in profile.levels.values())
+                mixed += any(len(set(level) - {0}) > 1 for level in profile.levels.values())
+        # the derived levels are checked where paths lie in no girth
+        # cycle and where they lie in differing numbers of them
+        assert cases == 300 and zero > 0 and mixed > 0
+
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_reads_only_the_top_path_index(self, name, monkeypatch):
+        g, _ = build_cdt(name)
+        k = cdt_parameters(name).k
+        cs = enumerate_girth_cycles(g)
+        counts = {}
+        count_calls(monkeypatch, CycleSet, "path_index", counts)
+        fastening_profile(g, cs, k)
+        build_constraints(g, cs, k)
+        # one index build, served from the cache to build_constraints
+        assert counts["path_index"] == 2
+        assert list(cs._indexes) == [k - 1]
 
     def test_unordered_paths_count(self):
         g, _ = build_cdt(CdtName.HEAWOOD)

@@ -21,7 +21,7 @@ from cdtsep.graphs import (
     is_planar,
     underlying,
 )
-from conftest import generalized_petersen
+from conftest import generalized_petersen, random_cubic
 
 
 def petersen():
@@ -51,17 +51,6 @@ def random_graphs(count, max_order, seed):
             density = rng.random()
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         yield build_graph(n, edges)
-
-
-def random_cubic(n, rng):
-    """A random simple cubic graph on n vertices, n even: the pairing
-    model, redrawn until the pairing has no loop and no double edge."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
-        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return build_graph(n, edges)
 
 
 def stacked_triangulation(rng, n):
