@@ -7,7 +7,9 @@ Exit codes: 0 verified/ok, 1 mismatch, 2 input error or an unwritable output pat
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 
 from .analysis import Analysis
 from .catalog import CdtName, cdt_parameters
@@ -61,12 +63,39 @@ def _report(spec: str, budget) -> VerificationReport:
     return VerificationReport(SCHEMA_VERSION, (report,))
 
 
-def _write(path: str, text: str) -> None:
+def _cannot_write(path: str, exc: OSError) -> _InputError:
+    return _InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextmanager
+def _output(path: str):
+    """A put(text) that writes text to path, for the body of a with
+    block.  The path is opened, without truncating it, before the body
+    runs, so an unwritable path is an input error before any work is
+    done; put truncates the file only once the text is made.  When the
+    body fails, a file this block created is removed again and one that
+    was there is left as it was."""
+    created = not os.path.exists(path)
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        f = open(path, "a")
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc) from exc
+
+    def put(text: str) -> None:
+        try:
+            f.truncate(0)
+            f.write(text)
+            f.flush()
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+
+    try:
+        with f:
+            yield put
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
     print(f"wrote {path}")
 
 
@@ -118,8 +147,6 @@ def _cmd_orient(args) -> int:
 
 def _cmd_separator(args) -> int:
     a = _analysis(args.graph)
-    if not a.solved:
-        raise _InputError("no separator: the orientation constraints are unsolvable")
     summary = separator_summary(a.separator, a.census)
     print(f"vertices {summary.vertices}")
     print(f"cycle arcs {summary.cycle_arcs}  transposition edges "
@@ -160,15 +187,14 @@ def _cmd_export(args) -> int:
     if args.dot and args.json_path:
         raise _InputError("export takes --dot PATH or --json PATH, not both")
     if args.dot:
-        a = _analysis(args.graph)
-        if not a.solved:
-            raise _InputError("no separator to export: orientation unsolvable")
-        name = a.name.value if a.name else "separator"
-        _write(args.dot, emit_dot(a.separator, a.labels, name=name))
+        with _output(args.dot) as put:
+            a = _analysis(args.graph)
+            put(emit_dot(a.separator, a.labels, name=a.name.value if a.name else "separator"))
         return 0
     if args.json_path:
-        report = _report(args.graph, args.budget)
-        _write(args.json_path, report_to_json(report) + "\n")
+        with _output(args.json_path) as put:
+            report = _report(args.graph, args.budget)
+            put(report_to_json(report) + "\n")
         return report.exit_code()
     raise _InputError("export needs --dot PATH or --json PATH")
 

@@ -8,7 +8,10 @@ backtrack search over a coloring shared by two sides (McKay 1981; McKay
 re-split only next to a vertex recolored in the round before, a split
 class keeps its id for its first part, and a class that gets different
 sizes on the two sides ends the node.  Each search node refines from its
-parent's partition with one new color, on an explicit stack.  An
+parent's partition with one new color, on an explicit stack.  The
+automorphism search's level partitions have two equal sides, so they
+are kept as diagonal pairs, one color list for both, and refined on one
+side only; a search from a level copies it into two lists.  An
 isomorphism test starts from the vertices' distance profiles, read off
 out-balls that grow as int bitsets for all vertices in one sweep, and
 unequal multisets of them refute it at the root.  The automorphism
@@ -16,7 +19,9 @@ search also reads the group's order, a base and the stabilizer of the
 first base point off its tree.  A group's elements and its index-2
 subgroups are read off one breadth-first walk over the images of its
 base, and each element's order off its shortest word in that walk,
-with no element built (Seress, *Permutation Group Algorithms*, 2003).
+with no element built (Seress, *Permutation Group Algorithms*, 2003);
+the one walk that finds the regular index-2 subgroups also gives each
+of them its order spectrum.
 Distance- and s-arc-transitivity are read off that recorded point
 stabilizer: a vertex-transitive group has either property exactly when
 the stabilizer of one vertex has it locally, on the distance spheres or
@@ -106,14 +111,16 @@ class PermGroup:
     regular_subgroups set a short _base and the _order after building it.
     automorphism_group also sets _stabilizer, the stabilizer of the first
     base point (the group itself when the base is empty), which
-    arc_transitivity and is_distance_transitive read.  Groups compare
-    and hash by identity.  Orbits,
+    arc_transitivity and is_distance_transitive read.  regular_subgroups
+    sets _spectrum, the set of element orders, from its parent group's
+    walk; order_spectrum computes it on first call when it is unset and
+    keeps it.  Groups compare and hash by identity.  Orbits,
     transitivity and the elements are walked over the generators, breadth
-    first, and order_spectrum reads each element's order off its shortest
-    word in the generators without building the element.
+    first, and _element_orders reads each element's order off its
+    shortest word in the generators without building the element.
     """
 
-    __slots__ = ("degree", "generators", "_order", "_base", "_stabilizer")
+    __slots__ = ("degree", "generators", "_order", "_base", "_stabilizer", "_spectrum")
 
     def __init__(self, degree: int, generators):
         ident = tuple(range(degree))
@@ -125,7 +132,7 @@ class PermGroup:
             if g != ident and g not in gens:
                 gens.append(g)
         self.degree, self.generators = degree, tuple(gens)
-        self._order = self._base = self._stabilizer = None
+        self._order = self._base = self._stabilizer = self._spectrum = None
 
     def _base_points(self) -> tuple[int, ...]:
         return tuple(range(self.degree)) if self._base is None else self._base
@@ -156,18 +163,18 @@ class PermGroup:
                 named[y] = compose(self.generators[step[1]], named[step[0]])
         return sorted(named.values())
 
-    def order_spectrum(self) -> set[int]:
-        """Orders of all elements, with no element built.  The element
-        carrying the base to an image is the word of generators on the
-        image's path in the orbit tree.  Only the identity fixes the
-        base, so its order is the lcm of the lengths of its cycles
-        through the base points, each walked point by point along the
-        word from the point's image; a base point already on a walked
-        cycle is skipped."""
+    def _element_orders(self, tree: dict) -> dict[tuple[int, ...], int]:
+        """The order of the element carrying the base to each image in
+        tree, the Schreier vector of the base's orbit, with no element
+        built.  That element is the word of generators on the image's
+        path in the tree.  Only the identity fixes the base, so its order
+        is the lcm of the lengths of its cycles through the base points,
+        each walked point by point along the word from the point's image;
+        a base point already on a walked cycle is skipped."""
         base = self._base_points()
         words: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        spectrum = set()
-        for y, step in self._base_orbit().items():
+        orders = {}
+        for y, step in tree.items():
             word = () if step is None else words[step[0]] + (self.generators[step[1]],)
             words[y] = word
             seen: set[int] = set()
@@ -182,8 +189,15 @@ class PermGroup:
                         u = g[u]
                     length += 1
                 order = lcm(order, length)
-            spectrum.add(order)
-        return spectrum
+            orders[y] = order
+        return orders
+
+    def order_spectrum(self) -> frozenset[int]:
+        """Orders of all elements, read off the base's orbit by
+        _element_orders, or the _spectrum set when the group was built."""
+        if self._spectrum is None:
+            self._spectrum = frozenset(self._element_orders(self._base_orbit()).values())
+        return self._spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +218,17 @@ def _tagged_adj(x: Graph | Digraph):
 
 def _pair(ca, cb):
     """Two-sided coloring from dense color ids: (ca, cb, cells), where
-    cells[c] holds the members of color c on each side."""
-    members = [([], []) for _ in range(max(ca, default=-1) + 1)]
+    cells[c] holds the members of color c on each side.  Given one list
+    as both sides, it is a diagonal pair, each class its own twin."""
+    members_a = [[] for _ in range(max(ca, default=-1) + 1)]
     for v, c in enumerate(ca):
-        members[c][0].append(v)
+        members_a[c].append(v)
+    if ca is cb:
+        return ca, cb, [(a, a) for a in map(tuple, members_a)]
+    members_b = [[] for _ in members_a]
     for v, c in enumerate(cb):
-        members[c][1].append(v)
-    return ca, cb, [(tuple(a), tuple(b)) for a, b in members]
+        members_b[c].append(v)
+    return ca, cb, list(zip(map(tuple, members_a), map(tuple, members_b)))
 
 
 def _refine(ta, tb, pair, moved_a, moved_b):
@@ -224,11 +242,18 @@ def _refine(ta, tb, pair, moved_a, moved_b):
     part with the least signature keeps the class's id and each other
     part gets a fresh one, so ids are stable and no id is reused (McKay
     1981).
+
+    A diagonal pair, whose two sides are one color list (ca is cb) over
+    one graph, is refined on side a alone: each member is signed once,
+    each part is its own twin, and the result is the pair that refining
+    two equal copies would give, id for id.
     """
     ca, cb, cells = pair
+    diagonal = ca is cb
     while moved_a:
         touched = {ca[w] for v in moved_a for _, w in ta[v]}
-        touched.update(cb[w] for v in moved_b for _, w in tb[v])
+        if not diagonal:
+            touched.update(cb[w] for v in moved_b for _, w in tb[v])
         moved_a, moved_b = [], []
         for c in sorted(touched):
             members_a, members_b = cells[c]
@@ -236,40 +261,57 @@ def _refine(ta, tb, pair, moved_a, moved_b):
                 continue
             # A member's signature: its neighbors' colors, each tagged.
             parts: dict[tuple, tuple[list[int], list[int]]] = {}
-            for side, t, colors, members in ((0, ta, ca, members_a), (1, tb, cb, members_b)):
-                for v in members:
-                    key = tuple(sorted([2 * colors[w] + tag for tag, w in t[v]]))
-                    parts.setdefault(key, ([], []))[side].append(v)
+            for v in members_a:
+                key = tuple(sorted([2 * ca[w] + tag for tag, w in ta[v]]))
+                parts.setdefault(key, ([], []))[0].append(v)
+            if not diagonal:
+                for v in members_b:
+                    key = tuple(sorted([2 * cb[w] + tag for tag, w in tb[v]]))
+                    parts.setdefault(key, ([], []))[1].append(v)
             if len(parts) == 1:
                 continue
             for i, key in enumerate(sorted(parts)):
                 part_a, part_b = parts[key]
-                if len(part_a) != len(part_b):
+                part_a = tuple(part_a)
+                if diagonal:
+                    part_b = part_a
+                elif len(part_a) != len(part_b):
                     return None
+                else:
+                    part_b = tuple(part_b)
                 if i == 0:
-                    cells[c] = tuple(part_a), tuple(part_b)
+                    cells[c] = part_a, part_b
                     continue
                 fresh = len(cells)
-                cells.append((tuple(part_a), tuple(part_b)))
+                cells.append((part_a, part_b))
                 for v in part_a:
                     ca[v] = fresh
-                for v in part_b:
-                    cb[v] = fresh
                 moved_a += part_a
-                moved_b += part_b
+                if not diagonal:
+                    for v in part_b:
+                        cb[v] = fresh
+                    moved_b += part_b
     return pair
 
 
 def _individualize(ta, tb, pair, v, u):
     """Copy of pair, an equitable pair in which v and u share a color,
-    with v and u alone in a fresh color, refined from them; or None."""
+    with v and u alone in a fresh color, refined from them; or None.
+    The copy stays diagonal, one list for both sides, only when pair is
+    diagonal and v == u; otherwise each side gets its own list, so a
+    search from a diagonal level partition is always two-sided and never
+    writes to the level's lists."""
     ca, cb, cells = pair
-    ca, cb, cells = ca[:], cb[:], cells[:]
+    diagonal = ca is cb and v == u
+    cells = cells[:]
     members_a, members_b = cells[ca[v]]
-    cells[ca[v]] = (
-        tuple(x for x in members_a if x != v),
-        tuple(x for x in members_b if x != u),
-    )
+    rest_a = tuple(x for x in members_a if x != v)
+    if diagonal:
+        ca = cb = ca[:]
+        cells[ca[v]] = rest_a, rest_a
+    else:
+        ca, cb = ca[:], cb[:]
+        cells[ca[v]] = rest_a, tuple(x for x in members_b if x != u)
     ca[v] = cb[u] = len(cells)
     cells.append(((v,), (u,)))
     return _refine(ta, tb, (ca, cb, cells), [v], [u])
@@ -320,6 +362,23 @@ def _search(ta, tb, pair):
         pair = _individualize(ta, tb, node, v, candidates.pop())
 
 
+def _levels(ta):
+    """The base levels of the automorphism search over tagged adjacency
+    ta: (P_i, b_i, the class of b_i in P_i, sorted) for each i.  Every
+    P_i is a diagonal pair, refined on one side only."""
+    colors = [0] * len(ta)
+    pair = _refine(ta, ta, _pair(colors, colors), range(len(ta)), ())
+    levels = []
+    while True:
+        split = [a for a, _b in pair[2] if len(a) > 1]
+        if not split:
+            return levels
+        target = max(split, key=len)
+        b = min(target)
+        levels.append((pair, b, sorted(target)))
+        pair = _individualize(ta, ta, pair, b, b)
+
+
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """Full automorphism group, as generators with its exact order.
 
@@ -328,7 +387,10 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     is the least member of the largest non-singleton class of P_i (the
     oldest id among equals), and P_{i+1} is P_i with b_i individualized
     and refined incrementally from it alone, so each level partition is
-    built once.  The levels are settled deepest first: the generators
+    built once (_levels).  Each P_i is a diagonal pair, refined on one
+    side only; a search from it individualizes b_i against another
+    point, which copies it into a two-sided pair and leaves it as it
+    was.  The levels are settled deepest first: the generators
     found at levels >= i fix b_0..b_{i-1}, and a search from P_i with
     b_i individualized against each class member outside the orbit of
     b_i under them adds a generator or certifies the gap.  The seeds
@@ -345,16 +407,7 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """
     ta = _tagged_adj(x)
     n = len(ta)
-    pair = _refine(ta, ta, _pair([0] * n, [0] * n), range(n), range(n))
-    levels = []
-    while True:
-        split = [a for a, _b in pair[2] if len(a) > 1]
-        if not split:
-            break
-        target = max(split, key=len)
-        b = min(target)
-        levels.append((pair, b, sorted(target)))
-        pair = _individualize(ta, ta, pair, b, b)
+    levels = _levels(ta)
     gens: list[tuple[int, ...]] = []
     order = 1
     stabilizer = None
@@ -588,11 +641,15 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     of the group: each image gets the bit mask over the generators of
     its word in the orbit's spanning tree, and each edge outside the tree
     closes a relation whose mask is the sum of the two words and its
-    generator.  The characters are the masks with an even overlap with
-    every relation, found by elimination.  The kernel of one is generated
-    by the Schreier generators of the transversal {1, g0}, g0 its first
-    generator of value 1.  Its order is |G|/2, so transitivity alone
-    decides regularity.
+    generator; one walk gives the words and the relations, one image
+    per element and generator.  The characters are the masks with an
+    even overlap with every relation, found by elimination.  The kernel
+    of one is generated by the Schreier generators of the transversal
+    {1, g0}, g0 its first generator of value 1.  Its order is |G|/2, so
+    transitivity alone decides regularity.  Its elements are those whose
+    word has an even overlap with the character, so its order spectrum
+    is read off the orders of the walk's elements, each computed once,
+    and set as its _spectrum.
     """
     order = group.order()
     if order % num_points != 0:
@@ -603,12 +660,22 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     if index == 1:
         return [group] if group.is_transitive(num_points) else []
     gens = group.generators
-    words: dict[tuple[int, ...], int] = {}
-    for y, step in group._base_orbit().items():
-        words[y] = 0 if step is None else words[step[0]] ^ 1 << step[1]
-    relations = {
-        words[x] ^ 1 << i ^ words[_image(g, x)] for x in words for i, g in enumerate(gens)
-    }
+    base = group._base_points()
+    # One walk over the orbit of the base, as _orbit's: each image's tree
+    # and word mask, and the relation closed by each edge off the tree.
+    tree: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {base: None}
+    words = {base: 0}
+    relations = set()
+    frontier = [base]
+    for x in frontier:
+        word = words[x]
+        for i, g in enumerate(gens):
+            y = _image(g, x)
+            if y in words:
+                relations.add(word ^ 1 << i ^ words[y])
+            else:
+                tree[y], words[y] = (x, i), word ^ 1 << i
+                frontier.append(y)
     # Reduced rows keyed by their pivot, the lowest bit; no row holds
     # another row's pivot.
     rows: dict[int, int] = {}
@@ -641,8 +708,13 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         sub._order = order // 2
         sub._base = group._base
         if sub.is_transitive(num_points):
-            found.append(sub)
-    return found
+            found.append((sub, character))
+    orders = group._element_orders(tree) if found else {}
+    for sub, character in found:
+        sub._spectrum = frozenset(
+            orders[y] for y, word in words.items() if not (word & character).bit_count() % 2
+        )
+    return [sub for sub, _character in found]
 
 
 # ---------------------------------------------------------------------------

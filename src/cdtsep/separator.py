@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .graphs import Digraph, Graph, GraphError, build_digraph, enumerate_arcs, underlying
 from .cycles import CycleSet, cycle_windows
-from .orient import OrientationAssignment, oriented_cycles
+from .orient import OddWitness, OrientationAssignment, oriented_cycles
 
 __all__ = [
     "SeparatorDigraph",
@@ -122,11 +122,17 @@ class SeparatorSummary(NamedTuple):
 
 
 def build_separator(
-    g: Graph, cs: CycleSet, k: int, a: OrientationAssignment
+    g: Graph, cs: CycleSet, k: int, a: OrientationAssignment | OddWitness
 ) -> SeparatorDigraph:
     """Assemble the separator from an orientation assignment; raises
-    GraphError unless it has one flip per cycle and its oriented cycles
+    GraphError for the odd witness of unsolvable constraints, and unless
+    the assignment has one flip per cycle and its oriented cycles
     traverse every (k-1)-arc of g exactly once and nothing else."""
+    if isinstance(a, OddWitness):
+        raise GraphError(
+            "no separator: the orientation constraints are unsolvable"
+            f" (odd witness through {len(a.paths)} paths)"
+        )
     if len(a.flips) != len(cs):
         raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
     arcs = tuple(tuple(x) for x in enumerate_arcs(g, k - 1))

@@ -2,6 +2,9 @@ import pytest
 
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt
+from cdtsep.graphs import GraphError
+from cdtsep.orient import OddWitness
+from cdtsep.separator import build_separator
 from cdtsep.separator import alternate_census
 from cdtsep.topology import euler, face_complex
 
@@ -30,6 +33,18 @@ class TestStages:
         assert sorted(a.census.orbits) == [1, 2, 3, 4]
         assert a.separator_group is a.separator_group
         assert a.separator_group.order() == a.row.a
+
+
+class TestUnsolvable:
+    @pytest.mark.parametrize("name", [n for n in CdtName if n.value not in ORIENTABLE],
+                             ids=lambda n: n.value)
+    def test_separator_is_a_graph_error(self, name):
+        a = Analysis.from_catalog(name)
+        assert isinstance(a.outcome, OddWitness)
+        with pytest.raises(GraphError, match="orientation constraints are unsolvable"):
+            a.separator
+        with pytest.raises(GraphError, match=f"odd witness through {len(a.outcome.paths)} paths"):
+            build_separator(a.graph, a.cycles, a.k, a.outcome)
 
 
 class TestOneCensus:

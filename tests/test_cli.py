@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdtsep import catalog, graphs
+from cdtsep import catalog, graphs, groups
 from cdtsep.catalog import CdtName, build_cdt
 from cdtsep.cli import main
 from cdtsep.cycles import enumerate_girth_cycles
@@ -203,6 +203,38 @@ class TestExport:
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
+
+    def test_unwritable_path_fails_before_any_group_search(self, tmp_path, monkeypatch, capsys):
+        counts = {}
+        count_calls(monkeypatch, groups, "automorphism_group", counts)
+        path = tmp_path / "missing" / "tutte.json"
+        assert main(["export", "tutte", "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+        assert counts["automorphism_group"] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["heawood", "--dot"], [SQUARE_GRAPH6, "--json"], ["nonsense", "--dot"]],
+        ids=["unsolvable", "not-cubic", "not-graph6"],
+    )
+    def test_input_error_leaves_no_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "out"
+        assert main(["export", *argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert not path.exists()
+
+    def test_input_error_keeps_an_existing_file(self, tmp_path, capsys):
+        path = tmp_path / "out.dot"
+        path.write_text("kept\n")
+        assert main(["export", "heawood", "--dot", str(path)]) == 2
+        assert "unsolvable" in capsys.readouterr().err
+        assert path.read_text() == "kept\n"
+
+    def test_replaces_a_longer_file(self, tmp_path, capsys):
+        path = tmp_path / "k4.json"
+        path.write_text("x" * 100_000)
+        assert main(["export", "k4", "--json", str(path)]) == 0
+        assert json.loads(path.read_text())["reports"][0]["graph"] == "k4"
 
 
 class TestOneBuildPerCall:

@@ -36,7 +36,7 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
-from conftest import generalized_petersen
+from conftest import count_calls, generalized_petersen
 
 
 def matrix_order(m) -> int:
@@ -341,6 +341,78 @@ class TestAutomorphisms:
             assert sorted(group.elements()) == sorted(reference), arcs
 
 
+def two_sided_levels(t):
+    """Reference: the base levels of the automorphism search built as
+    in groups._levels, but from a root pair whose two sides are separate
+    lists (ca is not cb), so every refine signs both sides."""
+    n = len(t)
+    pair = groups._refine(t, t, groups._pair([0] * n, [0] * n), range(n), range(n))
+    levels = []
+    while True:
+        split = [a for a, _b in pair[2] if len(a) > 1]
+        if not split:
+            return levels
+        target = max(split, key=len)
+        b = min(target)
+        levels.append((pair, b, sorted(target)))
+        pair = groups._individualize(t, t, pair, b, b)
+
+
+def level_structures(analysis_of):
+    """(label, graph or digraph) for the diagonal-level checks: seeded
+    random graphs and digraphs, every catalog host graph, the underlying
+    graph and the digraph of every catalog separator, and n = 0 and 1."""
+    out = [(f"random-{int(d)}-{i}", x)
+           for d in (False, True) for i, (x, _) in enumerate(random_structures(100, d, seed=11))]
+    for name in CdtName:
+        out.append((name.value, build_cdt(name)[0]))
+    for text in SOLVABLE:
+        s = analysis_of(text).separator
+        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", s.digraph)]
+    return out + [("empty", build_graph(0, [])), ("single", build_graph(1, []))]
+
+
+class TestDiagonalLevels:
+    """The automorphism search refines each level partition as one
+    diagonal pair, one color list for both sides."""
+
+    @pytest.fixture(scope="class")
+    def structures(self, analysis_of):
+        return level_structures(analysis_of)
+
+    def test_equal_to_the_two_sided_refine(self, structures):
+        for label, x in structures:
+            t = groups._tagged_adj(x)
+            diagonal, reference = groups._levels(t), two_sided_levels(t)
+            assert len(diagonal) == len(reference), label
+            for (pair, b, cell), (ref_pair, ref_b, ref_cell) in zip(diagonal, reference):
+                ca, cb, cells = pair
+                ref_ca, ref_cb, ref_cells = ref_pair
+                assert ca is cb and ref_ca is not ref_cb, label
+                assert ca == ref_ca == ref_cb, label
+                assert cells == ref_cells, label
+                assert (b, cell) == (ref_b, ref_cell), label
+        assert any(x.order == 0 for _, x in structures)
+        assert any(x.order == 1 for _, x in structures)
+
+    def test_searching_leaves_the_levels_unchanged(self, structures, monkeypatch):
+        built = []
+        original = groups._levels
+
+        def recorded(t):
+            built.append(original(t))
+            return built[-1]
+
+        monkeypatch.setattr(groups, "_levels", recorded)
+        searched = 0
+        for label, x in structures:
+            built.clear()
+            group = automorphism_group(x)
+            searched += group.order() > 1
+            assert built == [original(groups._tagged_adj(x))], label
+        assert searched > 100
+
+
 class TestTransitivity:
     @pytest.mark.parametrize(
         "text,expected",
@@ -641,6 +713,36 @@ class TestIsomorphism:
         assert branches
 
 
+def half_order_cases(kind):
+    """Seeded random groups for the index-2 checks: bare generators take
+    every point as their base; automorphism groups of random graphs
+    carry a short one."""
+    rng = random.Random(7)
+    if kind == "generators":
+        cases = []
+        for _ in range(250):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 4))]
+            cases.append(PermGroup(n, tuple(gens)))
+        return cases
+    return [automorphism_group(x) for x, _ in random_structures(250, False, seed=7)]
+
+
+def kernel_spectra_cases(analysis_of):
+    """(label, group, point count) for the kernel-spectrum checks: the
+    separator groups of k33, desargues and tutte, and the random groups
+    of even order with at most seven index-2 subgroups."""
+    out = []
+    for text in ("k33", "desargues", "tutte"):
+        a = analysis_of(text)
+        out.append((text, a.separator_group, a.separator.order))
+    for kind in ("generators", "graph"):
+        for i, group in enumerate(half_order_cases(kind)):
+            if group.order() % 2 == 0 and len(index_two_subgroups(group)) <= 7:
+                out.append((f"{kind}-{i}", group, group.order() // 2))
+    return out
+
+
 class TestRegularSubgroups:
     def test_whole_group_already_regular(self):
         g = PermGroup(3, ((1, 2, 0),))
@@ -679,19 +781,8 @@ class TestRegularSubgroups:
 
     @pytest.mark.parametrize("kind", ["generators", "graph"])
     def test_half_order_against_reference(self, kind):
-        # bare generators take every point as their base; automorphism
-        # groups of random graphs carry a short one
-        rng = random.Random(7)
-        if kind == "generators":
-            cases = []
-            for _ in range(250):
-                n = rng.randint(1, 6)
-                gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 4))]
-                cases.append(PermGroup(n, tuple(gens)))
-        else:
-            cases = [automorphism_group(x) for x, _ in random_structures(250, False, seed=7)]
         checked = 0
-        for group in cases:
+        for group in half_order_cases(kind):
             order = group.order()
             if order % 2:
                 continue
@@ -740,6 +831,32 @@ class TestRegularSubgroups:
             [1, 2, 3, 4, 5, 8, 10],
         ]
         assert calls == []
+
+    def test_kernel_spectra_against_fresh_groups_and_closure(self, analysis_of):
+        kernels = 0
+        for label, group, n in kernel_spectra_cases(analysis_of):
+            for h in regular_subgroups(group, n):
+                fresh = PermGroup(h.degree, h.generators)
+                fresh._base = h._base
+                spectrum = h.order_spectrum()
+                assert spectrum == fresh.order_spectrum(), label
+                assert spectrum == {element_order(p) for p in closure(h)}, label
+                kernels += 1
+        assert kernels > 200
+
+    def test_spectrum_is_kept(self):
+        group = PermGroup(4, ((1, 2, 3, 0), (1, 0, 2, 3)))
+        assert group.order_spectrum() is group.order_spectrum() == {1, 2, 3, 4}
+
+    def test_tutte_walks_its_group_once(self, analysis_of, monkeypatch):
+        a = analysis_of("tutte")
+        group = a.separator_group
+        counts = {}
+        count_calls(monkeypatch, groups, "_image", counts)
+        found = regular_subgroups(group, a.separator.order)
+        spectra = [h.order_spectrum() for h in found]
+        assert len(spectra) == 2 and all(spectra)
+        assert counts["_image"] == group.order() * len(group.generators) == 1440 * 5
 
     def test_no_index_two_subgroup(self):
         # A4 on the six edges of the tetrahedron: order 12 on 6 points,
