@@ -4,24 +4,30 @@ explicit isomorphisms.
 
 Automorphisms and isomorphisms come from one partition-refinement
 backtrack search over a coloring shared by two sides (McKay 1981; McKay
-& Piperno, JSC 2014).  Refinement is incremental: a color class is
-re-split only next to a vertex recolored in the round before, a split
-class keeps its id for its first part, and a class that gets different
-sizes on the two sides ends the node.  Each search node refines from its
-parent's partition with one new color, on an explicit stack.  The
+& Piperno, JSC 2014).  Each side is built once per graph: its tagged
+adjacency, one signer per vertex that reads its neighbors' colors off a
+color list in one call, and its arcs as integer codes.  Refinement is
+incremental: a color class is re-split only next to a vertex recolored
+in the round before, a split class keeps its id for its first part, and
+a class that gets different sizes on the two sides ends the node.  Each
+search node refines from its parent's partition with one new color, on
+an explicit stack, and a discrete node's mapping is verified by
+comparing the mapped arc codes with the other side's as sets.  The
 automorphism search's level partitions have two equal sides, so they
 are kept as diagonal pairs, one color list for both, and refined on one
-side only; a search from a level copies it into two lists.  An
-isomorphism test starts from the vertices' distance profiles, read off
-out-balls that grow as int bitsets for all vertices in one sweep, and
-unequal multisets of them refute it at the root.  The automorphism
+side only.  A candidate image u of base point b_i is refined on one side
+too: P_i with u individualized is checked class by class against the
+stored P_{i+1}, and a search starts from the two only when they agree.
+An isomorphism test starts from the vertices' distance profiles, read
+off out-balls that grow as int bitsets for all vertices in one sweep,
+and unequal multisets of them refute it at the root.  The automorphism
 search also reads the group's order, a base and the stabilizer of the
 first base point off its tree.  A group's elements and its index-2
 subgroups are read off one breadth-first walk over the images of its
 base, and each element's order off its shortest word in that walk,
 with no element built (Seress, *Permutation Group Algorithms*, 2003);
 the one walk that finds the regular index-2 subgroups also gives each
-of them its order spectrum.
+of them its order spectrum, from the orders of their elements alone.
 Distance- and s-arc-transitivity are read off that recorded point
 stabilizer: a vertex-transitive group has either property exactly when
 the stabilizer of one vertex has it locally, on the distance spheres or
@@ -34,6 +40,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import lcm
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from .graphs import Digraph, Graph, _bfs_dist, build_digraph
 from .separator import SeparatorDigraph
@@ -66,7 +74,7 @@ class GroupError(ValueError):
 
 def compose(p, q) -> tuple[int, ...]:
     """Permutation applying q first, then p."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p) -> tuple[int, ...]:
@@ -97,7 +105,7 @@ def _orbit(gens, start, act) -> dict:
 
 def _image(g, points) -> tuple[int, ...]:
     """Image of a tuple of points under g."""
-    return tuple(g[x] for x in points)
+    return tuple(map(g.__getitem__, points))
 
 
 class PermGroup:
@@ -163,20 +171,25 @@ class PermGroup:
                 named[y] = compose(self.generators[step[1]], named[step[0]])
         return sorted(named.values())
 
-    def _element_orders(self, tree: dict) -> dict[tuple[int, ...], int]:
-        """The order of the element carrying the base to each image in
-        tree, the Schreier vector of the base's orbit, with no element
-        built.  That element is the word of generators on the image's
-        path in the tree.  Only the identity fixes the base, so its order
-        is the lcm of the lengths of its cycles through the base points,
-        each walked point by point along the word from the point's image;
-        a base point already on a walked cycle is skipped."""
+    def _element_orders(self, tree: dict, images) -> dict[tuple[int, ...], int]:
+        """The order of the element carrying the base to each of images,
+        a collection of points of tree, the Schreier vector of the base's
+        orbit, with no element built.  That element is the word of
+        generators on the image's path in the tree; every image's word is
+        kept, since its descendants' words extend it, but only the images
+        asked for are walked.  Only the identity fixes the base, so an
+        element's order is the lcm of the lengths of its cycles through
+        the base points, each walked point by point along the word from
+        the point's image; a base point already on a walked cycle is
+        skipped."""
         base = self._base_points()
         words: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         orders = {}
         for y, step in tree.items():
             word = () if step is None else words[step[0]] + (self.generators[step[1]],)
             words[y] = word
+            if y not in images:
+                continue
             seen: set[int] = set()
             order = 1
             for x, u in zip(base, y):
@@ -196,7 +209,8 @@ class PermGroup:
         """Orders of all elements, read off the base's orbit by
         _element_orders, or the _spectrum set when the group was built."""
         if self._spectrum is None:
-            self._spectrum = frozenset(self._element_orders(self._base_orbit()).values())
+            tree = self._base_orbit()
+            self._spectrum = frozenset(self._element_orders(tree, tree).values())
         return self._spectrum
 
 
@@ -216,6 +230,50 @@ def _tagged_adj(x: Graph | Digraph):
     return tuple(tuple((0, w) for w in x.adj[v]) for v in range(x.order))
 
 
+def _graph_signer(nbrs):
+    """Callable giving the colors of nbrs, as a tuple, under a color
+    list c; a one-index itemgetter would give a bare color."""
+    if len(nbrs) > 1:
+        return itemgetter(*nbrs)
+    if nbrs:
+        (w,) = nbrs
+        return lambda c: (c[w],)
+    return lambda c: ()
+
+
+def _digraph_signer(out, inn):
+    """Callable giving 2*c[w] for each out-neighbor and 2*c[w] + 1 for
+    each in-neighbor w under a color list c."""
+    return lambda c: [2 * c[w] for w in out] + [2 * c[w] + 1 for w in inn]
+
+
+class _Side(NamedTuple):
+    """One side of a search, built once per graph or digraph by _side:
+    its tagged adjacency, one signer per vertex, and its out-arcs (a
+    graph's edges in both directions) as tails, heads and the set of
+    codes tail*n + head."""
+
+    tagged: tuple
+    sign: tuple
+    tails: tuple
+    heads: tuple
+    codes: set[int]
+
+
+def _side(x: Graph | Digraph) -> _Side:
+    tagged = _tagged_adj(x)
+    if isinstance(x, Digraph):
+        out, inn = x.out_adj, x.in_adj()
+        sign = tuple(map(_digraph_signer, out, inn))
+    else:
+        out = x.adj
+        sign = tuple(map(_graph_signer, out))
+    n = x.order
+    tails = tuple(v for v in range(n) for _w in out[v])
+    heads = tuple(w for v in range(n) for w in out[v])
+    return _Side(tagged, sign, tails, heads, {v * n + w for v, w in zip(tails, heads)})
+
+
 def _pair(ca, cb):
     """Two-sided coloring from dense color ids: (ca, cb, cells), where
     cells[c] holds the members of color c on each side.  Given one list
@@ -231,17 +289,21 @@ def _pair(ca, cb):
     return ca, cb, list(zip(map(tuple, members_a), map(tuple, members_b)))
 
 
-def _refine(ta, tb, pair, moved_a, moved_b):
-    """Refine pair in place to the coarsest equitable two-sided coloring
-    below it, or return None when a color class gets different sizes on
-    the two sides.  pair must be equitable except around moved_a and
-    moved_b, the vertices of each side recolored since it was.
+def _refine(a, b, pair, moved_a, moved_b):
+    """Refine pair, a coloring of sides a and b, in place to the
+    coarsest equitable two-sided coloring below it, or return None when
+    a color class gets different sizes on the two sides.  pair must be
+    equitable except around moved_a and moved_b, the vertices of each
+    side recolored since it was.
 
-    Each round re-splits, by neighbor signature over both sides together,
-    the classes next to a vertex recolored in the round before.  The
-    part with the least signature keeps the class's id and each other
-    part gets a fresh one, so ids are stable and no id is reused (McKay
-    1981).
+    Each round re-splits, by member signature over both sides together,
+    the classes next to a vertex recolored in the round before.  A
+    member's signature is its signer's values under the side's color
+    list, sorted: its neighbors' colors in a graph, and 2c for each
+    out-neighbor and 2c + 1 for each in-neighbor of color c in a
+    digraph.  The part with the least signature keeps the class's id
+    and each other part gets a fresh one, so ids are stable and no id is
+    reused (McKay 1981).
 
     A diagonal pair, whose two sides are one color list (ca is cb) over
     one graph, is refined on side a alone: each member is signed once,
@@ -250,6 +312,8 @@ def _refine(ta, tb, pair, moved_a, moved_b):
     """
     ca, cb, cells = pair
     diagonal = ca is cb
+    ta, sign_a = a.tagged, a.sign
+    tb, sign_b = b.tagged, b.sign
     while moved_a:
         touched = {ca[w] for v in moved_a for _, w in ta[v]}
         if not diagonal:
@@ -259,15 +323,12 @@ def _refine(ta, tb, pair, moved_a, moved_b):
             members_a, members_b = cells[c]
             if len(members_a) == 1:
                 continue
-            # A member's signature: its neighbors' colors, each tagged.
             parts: dict[tuple, tuple[list[int], list[int]]] = {}
             for v in members_a:
-                key = tuple(sorted([2 * ca[w] + tag for tag, w in ta[v]]))
-                parts.setdefault(key, ([], []))[0].append(v)
+                parts.setdefault(tuple(sorted(sign_a[v](ca))), ([], []))[0].append(v)
             if not diagonal:
                 for v in members_b:
-                    key = tuple(sorted([2 * cb[w] + tag for tag, w in tb[v]]))
-                    parts.setdefault(key, ([], []))[1].append(v)
+                    parts.setdefault(tuple(sorted(sign_b[v](cb))), ([], []))[1].append(v)
             if len(parts) == 1:
                 continue
             for i, key in enumerate(sorted(parts)):
@@ -294,7 +355,7 @@ def _refine(ta, tb, pair, moved_a, moved_b):
     return pair
 
 
-def _individualize(ta, tb, pair, v, u):
+def _individualize(a, b, pair, v, u):
     """Copy of pair, an equitable pair in which v and u share a color,
     with v and u alone in a fresh color, refined from them; or None.
     The copy stays diagonal, one list for both sides, only when pair is
@@ -314,19 +375,25 @@ def _individualize(ta, tb, pair, v, u):
         cells[ca[v]] = rest_a, tuple(x for x in members_b if x != u)
     ca[v] = cb[u] = len(cells)
     cells.append(((v,), (u,)))
-    return _refine(ta, tb, (ca, cb, cells), [v], [u])
+    return _refine(a, b, (ca, cb, cells), [v], [u])
 
 
-def _verify_mapping(ta, tb, m) -> bool:
-    if sorted(m) != list(range(len(ta))):
+def _verify_mapping(a, b, m) -> bool:
+    """Whether m is a bijection from side a's vertices onto side b's
+    that carries a's out-arcs onto b's, compared as sets of arc codes.
+    Graphs and digraphs have no parallel arcs and a bijection maps
+    distinct codes to distinct codes, so equal sets hold equally many
+    codes and the arc lists correspond one to one.  Every in-arc is
+    another vertex's out-arc, so this checks every tagged neighbor list,
+    in-arcs included."""
+    n = len(a.tagged)
+    if sorted(m) != list(range(n)):
         return False
-    for v in range(len(ta)):
-        if sorted((t, m[w]) for t, w in ta[v]) != sorted(tb[m[v]]):
-            return False
-    return True
+    scaled = [x * n for x in m]
+    return set(map(add, map(scaled.__getitem__, a.tails), map(m.__getitem__, a.heads))) == b.codes
 
 
-def _search(ta, tb, pair):
+def _search(a, b, pair):
     """Tagged-adjacency-preserving bijection from side a to side b that
     maps each color class of pair, an equitable pair or None, onto its
     twin; or None when there is none.
@@ -346,10 +413,10 @@ def _search(ta, tb, pair):
     while True:
         if pair is not None:
             ca, _cb, cells = pair
-            split = [(len(a), c) for c, (a, _b) in enumerate(cells) if len(a) > 1]
+            split = [(len(x), c) for c, (x, _y) in enumerate(cells) if len(x) > 1]
             if not split:
                 m = [cells[c][1][0] for c in ca]
-                if _verify_mapping(ta, tb, m):
+                if _verify_mapping(a, b, m):
                     return tuple(m)
             else:
                 members_a, members_b = cells[min(split)[1]]
@@ -359,24 +426,48 @@ def _search(ta, tb, pair):
         if not stack:
             return None
         node, v, candidates = stack[-1]
-        pair = _individualize(ta, tb, node, v, candidates.pop())
+        pair = _individualize(a, b, node, v, candidates.pop())
 
 
-def _levels(ta):
-    """The base levels of the automorphism search over tagged adjacency
-    ta: (P_i, b_i, the class of b_i in P_i, sorted) for each i.  Every
-    P_i is a diagonal pair, refined on one side only."""
-    colors = [0] * len(ta)
-    pair = _refine(ta, ta, _pair(colors, colors), range(len(ta)), ())
+def _levels(side):
+    """The base levels of the automorphism search over side: (levels,
+    the discrete partition), where levels holds (P_i, b_i, the class of
+    b_i in P_i, sorted) for each i and the discrete partition is P_k,
+    the last P_i with b_i individualized.  Every P_i is a diagonal pair,
+    refined on one side only."""
+    colors = [0] * len(side.tagged)
+    pair = _refine(side, side, _pair(colors, colors), range(len(colors)), ())
     levels = []
     while True:
         split = [a for a, _b in pair[2] if len(a) > 1]
         if not split:
-            return levels
+            return levels, pair
         target = max(split, key=len)
         b = min(target)
         levels.append((pair, b, sorted(target)))
-        pair = _individualize(ta, ta, pair, b, b)
+        pair = _individualize(side, side, pair, b, b)
+
+
+def _candidate(side, level, below, u):
+    """The pair from which to search for an automorphism taking b_i to
+    u, or None when refinement refutes one: level is P_i and below is
+    P_{i+1}, P_i with b_i individualized.  Only P_i with u individualized
+    is refined, as a diagonal pair.  It is accepted when each class has
+    the size of its twin in P_{i+1} and one member of each has the
+    signature of one member of the twin, so the two make an equitable
+    pair; sizes alone do not suffice.  P_{i+1}'s lists are then its side
+    a, and no search writes to them.  The tests check that this is the
+    pair, id for id, that individualizing b_i against u in P_i on two
+    sides gives, and None where that gives None."""
+    ca, _ca, cells_a = below
+    cb, _cb, cells_b = _individualize(side, side, level, u, u)
+    if len(cells_b) != len(cells_a):
+        return None
+    sign = side.sign
+    for (xa, _ya), (xb, _yb) in zip(cells_a, cells_b):
+        if len(xa) != len(xb) or sorted(sign[xa[0]](ca)) != sorted(sign[xb[0]](cb)):
+            return None
+    return ca, cb, [(xa, xb) for (xa, _ya), (xb, _yb) in zip(cells_a, cells_b)]
 
 
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
@@ -388,9 +479,11 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     oldest id among equals), and P_{i+1} is P_i with b_i individualized
     and refined incrementally from it alone, so each level partition is
     built once (_levels).  Each P_i is a diagonal pair, refined on one
-    side only; a search from it individualizes b_i against another
-    point, which copies it into a two-sided pair and leaves it as it
-    was.  The levels are settled deepest first: the generators
+    side only.  A search for an automorphism taking b_i to another point
+    u starts from P_{i+1} paired with P_i with u individualized, refined
+    on its own and checked against P_{i+1} (_candidate); only the nodes
+    below that start refine two sides, and none writes to a level's
+    lists.  The levels are settled deepest first: the generators
     found at levels >= i fix b_0..b_{i-1}, and a search from P_i with
     b_i individualized against each class member outside the orbit of
     b_i under them adds a generator or certifies the gap.  The seeds
@@ -405,27 +498,28 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     point stabilizer G_{b_0}, of order |G| / |b_0^G| and base
     b_1..b_{k-1}; the group records it as _stabilizer.
     """
-    ta = _tagged_adj(x)
-    n = len(ta)
-    levels = _levels(ta)
+    side = _side(x)
+    n = x.order
+    levels, discrete = _levels(side)
     gens: list[tuple[int, ...]] = []
     order = 1
     stabilizer = None
     for level in reversed(range(len(levels))):
         pair, b, cell = levels[level]
+        below = levels[level + 1][0] if level + 1 < len(levels) else discrete
         orbit = _orbit(gens, b, tuple.__getitem__)
         if level == 0:
             stabilizer = PermGroup(n, tuple(gens))
             stabilizer._order = order
             stabilizer._base = tuple(b for _pair, b, _cell in levels[1:])
             for s in map(tuple, seeds):
-                if len(s) == n and s[b] not in orbit and _verify_mapping(ta, ta, s):
+                if len(s) == n and s[b] not in orbit and _verify_mapping(side, side, s):
                     gens.append(s)
                     orbit = _orbit(gens, b, tuple.__getitem__)
         for u in cell:
             if u in orbit:
                 continue
-            m = _search(ta, ta, _individualize(ta, ta, pair, b, u))
+            m = _search(side, side, _candidate(side, pair, below, u))
             if m is not None:
                 gens.append(m)
                 orbit = _orbit(gens, b, tuple.__getitem__)
@@ -612,13 +706,13 @@ def _isomorphism(a: Graph | Digraph, b: Graph | Digraph):
     None.  The multisets of distance profiles (the distance invariant of
     McKay & Piperno 2014) must be equal, which also equates order and
     size; their ranks in one sorted palette are the starting colors."""
-    ta, tb = _tagged_adj(a), _tagged_adj(b)
-    pa, pb = _distance_profiles(ta), _distance_profiles(tb)
+    sa, sb = _side(a), _side(b)
+    pa, pb = _distance_profiles(sa.tagged), _distance_profiles(sb.tagged)
     if Counter(pa) != Counter(pb):
         return None
     rank = {p: i for i, p in enumerate(sorted(set(pa)))}
     pair = _pair([rank[p] for p in pa], [rank[p] for p in pb])
-    return _search(ta, tb, _refine(ta, tb, pair, range(len(ta)), range(len(tb))))
+    return _search(sa, sb, _refine(sa, sb, pair, range(a.order), range(b.order)))
 
 
 def digraph_isomorphic(a: Digraph, b: Digraph):
@@ -648,8 +742,10 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     {1, g0}, g0 its first generator of value 1.  Its order is |G|/2, so
     transitivity alone decides regularity.  Its elements are those whose
     word has an even overlap with the character, so its order spectrum
-    is read off the orders of the walk's elements, each computed once,
-    and set as its _spectrum.
+    is read off the orders of its elements, and set as its _spectrum.
+    Each order is computed once, and only for elements of a regular
+    kernel: with one kernel that is half the group, with two three
+    quarters.
     """
     order = group.order()
     if order % num_points != 0:
@@ -709,11 +805,15 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         sub._base = group._base
         if sub.is_transitive(num_points):
             found.append((sub, character))
-    orders = group._element_orders(tree) if found else {}
-    for sub, character in found:
-        sub._spectrum = frozenset(
-            orders[y] for y, word in words.items() if not (word & character).bit_count() % 2
-        )
+    if not found:
+        return []
+    kernels = [
+        [y for y, word in words.items() if not (word & character).bit_count() % 2]
+        for _sub, character in found
+    ]
+    orders = group._element_orders(tree, set().union(*kernels))
+    for (sub, _character), kernel in zip(found, kernels):
+        sub._spectrum = frozenset(map(orders.__getitem__, kernel))
     return [sub for sub, _character in found]
 
 
@@ -731,13 +831,13 @@ def induced_arc_permutation(s: SeparatorDigraph, h) -> tuple[int, ...] | None:
     automorphism of the underlying graph that inverts every cycle arc.
     """
     try:
-        m = tuple(s.index[tuple(h[x] for x in s.arcs[v])] for v in range(s.order))
+        m = tuple(s.index[tuple(map(h.__getitem__, arc))] for arc in s.arcs)
     except KeyError:
         return None
     if all(m[s.trans[v]] == s.trans[m[v]] for v in range(s.order)):
         if all(m[s.succ[v]] == s.succ[m[v]] for v in range(s.order)):
             return m
-        phi = tuple(s.trans[x] for x in m)
+        phi = tuple(map(s.trans.__getitem__, m))
         # cycle-arc reversal: succ maps phi(succ v) back to phi(v)
         if all(
             s.succ[phi[s.succ[v]]] == phi[v] and phi[s.trans[v]] == s.trans[phi[v]]

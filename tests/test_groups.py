@@ -36,7 +36,7 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
-from conftest import count_calls, generalized_petersen
+from conftest import count_calls, generalized_petersen, random_cubic
 
 
 def matrix_order(m) -> int:
@@ -239,6 +239,8 @@ def maps_onto(m, n, arcs, target, directed):
     return {frozenset(e) for e in image} == {frozenset(e) for e in target}
 
 
+# two-sided _refine calls of automorphism_group over the twelve hosts
+TWO_SIDED_REFINES = 55
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 CHAIN_CASES = [("host", n.value) for n in CdtName] + [("separator", t) for t in SOLVABLE]
 
@@ -341,27 +343,77 @@ class TestAutomorphisms:
             assert sorted(group.elements()) == sorted(reference), arcs
 
 
-def two_sided_levels(t):
+def reference_refine(ta, tb, pair, moved_a, moved_b):
+    """Reference: groups._refine as it signed members before per-vertex
+    signers, over tagged adjacency, each key built by one list
+    comprehension of 2 * color + tag."""
+    ca, cb, cells = pair
+    diagonal = ca is cb
+    while moved_a:
+        touched = {ca[w] for v in moved_a for _, w in ta[v]}
+        if not diagonal:
+            touched.update(cb[w] for v in moved_b for _, w in tb[v])
+        moved_a, moved_b = [], []
+        for c in sorted(touched):
+            members_a, members_b = cells[c]
+            if len(members_a) == 1:
+                continue
+            parts = {}
+            for v in members_a:
+                key = tuple(sorted([2 * ca[w] + tag for tag, w in ta[v]]))
+                parts.setdefault(key, ([], []))[0].append(v)
+            if not diagonal:
+                for v in members_b:
+                    key = tuple(sorted([2 * cb[w] + tag for tag, w in tb[v]]))
+                    parts.setdefault(key, ([], []))[1].append(v)
+            if len(parts) == 1:
+                continue
+            for i, key in enumerate(sorted(parts)):
+                part_a, part_b = parts[key]
+                part_a = tuple(part_a)
+                if diagonal:
+                    part_b = part_a
+                elif len(part_a) != len(part_b):
+                    return None
+                else:
+                    part_b = tuple(part_b)
+                if i == 0:
+                    cells[c] = part_a, part_b
+                    continue
+                fresh = len(cells)
+                cells.append((part_a, part_b))
+                for v in part_a:
+                    ca[v] = fresh
+                moved_a += part_a
+                if not diagonal:
+                    for v in part_b:
+                        cb[v] = fresh
+                    moved_b += part_b
+    return pair
+
+
+def two_sided_levels(side):
     """Reference: the base levels of the automorphism search built as
     in groups._levels, but from a root pair whose two sides are separate
     lists (ca is not cb), so every refine signs both sides."""
-    n = len(t)
-    pair = groups._refine(t, t, groups._pair([0] * n, [0] * n), range(n), range(n))
+    n = len(side.tagged)
+    pair = groups._refine(side, side, groups._pair([0] * n, [0] * n), range(n), range(n))
     levels = []
     while True:
         split = [a for a, _b in pair[2] if len(a) > 1]
         if not split:
-            return levels
+            return levels, pair
         target = max(split, key=len)
         b = min(target)
         levels.append((pair, b, sorted(target)))
-        pair = groups._individualize(t, t, pair, b, b)
+        pair = groups._individualize(side, side, pair, b, b)
 
 
 def level_structures(analysis_of):
-    """(label, graph or digraph) for the diagonal-level checks: seeded
+    """(label, graph or digraph) for the refinement checks: seeded
     random graphs and digraphs, every catalog host graph, the underlying
-    graph and the digraph of every catalog separator, and n = 0 and 1."""
+    graph and the digraph of every catalog separator, graphs and a
+    digraph with vertices of degree 0 and 1, and n = 0 and 1."""
     out = [(f"random-{int(d)}-{i}", x)
            for d in (False, True) for i, (x, _) in enumerate(random_structures(100, d, seed=11))]
     for name in CdtName:
@@ -369,7 +421,61 @@ def level_structures(analysis_of):
     for text in SOLVABLE:
         s = analysis_of(text).separator
         out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", s.digraph)]
+    out += [
+        ("path-and-isolated", build_graph(6, [(0, 1), (1, 2), (3, 4)])),
+        ("star", build_graph(5, [(0, 1), (0, 2), (0, 3)])),
+        ("matching", build_graph(6, [(0, 1), (2, 3), (4, 5)])),
+        ("pendant-digraph", build_digraph(5, [(0, 1), (1, 2), (3, 1)])),
+    ]
     return out + [("empty", build_graph(0, [])), ("single", build_graph(1, []))]
+
+
+def unrefined(pair, v, u, two_sided):
+    """A copy of pair, a diagonal level partition, with v on side a and
+    u on side b alone in a fresh color and not yet refined; the copy is
+    diagonal, one list for both sides, unless two_sided."""
+    ca, _cb, cells = pair
+    ca = ca[:]
+    cb = ca[:] if two_sided else ca
+    cells = cells[:]
+    members = cells[ca[v]][0]
+    cells[ca[v]] = tuple(w for w in members if w != v), tuple(w for w in members if w != u)
+    ca[v] = cb[u] = len(cells)
+    cells.append(((v,), (u,)))
+    return ca, cb, cells
+
+
+class TestSigners:
+    """_refine signs members with per-vertex signers; the tagged list
+    comprehension it replaced is the reference."""
+
+    @pytest.fixture(scope="class")
+    def structures(self, analysis_of):
+        return level_structures(analysis_of) + cubic_and_circulant_structures()
+
+    def test_refine_equals_the_tagged_reference(self, structures):
+        checked = refuted = 0
+        for label, x in structures:
+            side, t, n = groups._side(x), groups._tagged_adj(x), x.order
+            for two_sided in (False, True):
+                def root():
+                    colors = [0] * n
+                    return groups._pair(colors, colors[:] if two_sided else colors)
+
+                got = groups._refine(side, side, root(), range(n), range(n))
+                assert got == reference_refine(t, t, root(), range(n), range(n)), label
+            for pair, b, cell in groups._levels(side)[0]:
+                starts = [(b, False), (b, True)] + [(u, True) for u in cell[1:7]]
+                for u, two_sided in starts:
+                    got = groups._refine(side, side, unrefined(pair, b, u, two_sided), [b], [u])
+                    want = reference_refine(t, t, unrefined(pair, b, u, two_sided), [b], [u])
+                    assert got == want, (label, b, u)
+                    assert got is None or (got[0] is got[1]) == (not two_sided), label
+                    checked += 1
+                    refuted += got is None
+        assert any(0 in map(len, getattr(x, "adj", ())) for _, x in structures)
+        assert any(1 in map(len, getattr(x, "adj", ())) for _, x in structures)
+        assert checked > 2500 and refuted > 200
 
 
 class TestDiagonalLevels:
@@ -382,8 +488,9 @@ class TestDiagonalLevels:
 
     def test_equal_to_the_two_sided_refine(self, structures):
         for label, x in structures:
-            t = groups._tagged_adj(x)
-            diagonal, reference = groups._levels(t), two_sided_levels(t)
+            side = groups._side(x)
+            (diagonal, discrete), (reference, ref_discrete) = (
+                groups._levels(side), two_sided_levels(side))
             assert len(diagonal) == len(reference), label
             for (pair, b, cell), (ref_pair, ref_b, ref_cell) in zip(diagonal, reference):
                 ca, cb, cells = pair
@@ -392,6 +499,8 @@ class TestDiagonalLevels:
                 assert ca == ref_ca == ref_cb, label
                 assert cells == ref_cells, label
                 assert (b, cell) == (ref_b, ref_cell), label
+            assert discrete[0] is discrete[1] and discrete[0] == ref_discrete[0], label
+            assert discrete[2] == ref_discrete[2] and all(len(a) == 1 for a, _ in discrete[2])
         assert any(x.order == 0 for _, x in structures)
         assert any(x.order == 1 for _, x in structures)
 
@@ -399,8 +508,8 @@ class TestDiagonalLevels:
         built = []
         original = groups._levels
 
-        def recorded(t):
-            built.append(original(t))
+        def recorded(side):
+            built.append(original(side))
             return built[-1]
 
         monkeypatch.setattr(groups, "_levels", recorded)
@@ -409,8 +518,124 @@ class TestDiagonalLevels:
             built.clear()
             group = automorphism_group(x)
             searched += group.order() > 1
-            assert built == [original(groups._tagged_adj(x))], label
+            assert built == [original(groups._side(x))], label
         assert searched > 100
+
+
+def cubic_and_circulant_structures():
+    """(label, graph): seeded random cubic graphs, where refinement
+    refutes most candidate images of a base point, GP(n, k) and
+    connected circulants."""
+    rng = random.Random(25)
+    out = [(f"cubic-{i}", random_cubic(rng.randrange(8, 32, 2), rng)) for i in range(40)]
+    out += [(f"gp-{n}-{k}", generalized_petersen(n, k))
+            for n in range(3, 13) for k in range(1, (n + 1) // 2)]
+    return out + [(f"circulant-{i}", g) for i, g in enumerate(transitivity_family("circulant"))]
+
+
+def candidate_structures(analysis_of):
+    """(label, graph or digraph) for the candidate-start checks: those
+    of cubic_and_circulant_structures, every catalog host graph and the
+    underlying graph and digraph of every catalog separator."""
+    out = cubic_and_circulant_structures()
+    out += [(name.value, build_cdt(name)[0]) for name in CdtName]
+    for text in SOLVABLE:
+        s = analysis_of(text).separator
+        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", s.digraph)]
+    return out
+
+
+class TestCandidateStart:
+    """The automorphism search refines each candidate image of a base
+    point on one side and pairs it with the stored level below."""
+
+    def test_equals_the_two_sided_individualize(self, analysis_of):
+        rng = random.Random(26)
+        tried, refuted, sizes_only = Counter(), Counter(), Counter()
+        for label, x in candidate_structures(analysis_of):
+            side = groups._side(x)
+            levels, discrete = groups._levels(side)
+            for i, (pair, b, cell) in enumerate(levels):
+                below = levels[i + 1][0] if i + 1 < len(levels) else discrete
+                others = [u for u in cell if u != b]
+                for u in others if len(others) <= 40 else rng.sample(others, 40):
+                    one_sided = groups._candidate(side, pair, below, u)
+                    two_sided = groups._individualize(side, side, pair, b, u)
+                    assert one_sided == two_sided, (label, b, u)
+                    family = label.split("-")[0]
+                    tried[family] += 1
+                    if one_sided is None:
+                        refuted[family] += 1
+                        # would class sizes alone have accepted it?
+                        image = groups._individualize(side, side, pair, u, u)
+                        sizes_only[family] += [len(a) for a, _b in image[2]] == [
+                            len(a) for a, _b in below[2]]
+        assert tried["cubic"] > 700 and tried["cubic"] > refuted["cubic"] > tried["cubic"] / 2
+        assert tried["gp"] > refuted["gp"] > 100 and tried["circulant"] > 400
+        assert sizes_only["cubic"] > 100
+        assert all(tried[name.value.split("-")[0]] > 10 for name in CdtName)
+
+    def test_two_sided_refines_over_the_hosts(self, monkeypatch):
+        # the candidate starts refine one side, so only the nodes below
+        # them refine two
+        calls = Counter()
+        original = groups._refine
+
+        def counted(a, b, pair, moved_a, moved_b):
+            calls[pair[0] is not pair[1]] += 1
+            return original(a, b, pair, moved_a, moved_b)
+
+        monkeypatch.setattr(groups, "_refine", counted)
+        for name in CdtName:
+            automorphism_group(build_cdt(name)[0])
+        assert calls[True] == TWO_SIDED_REFINES
+
+
+class TestVerifyMapping:
+    def test_accepts_automorphisms_and_isomorphisms(self):
+        cycle = groups._side(circulant(5, [1]))
+        assert groups._verify_mapping(cycle, cycle, (1, 2, 3, 4, 0))
+        assert groups._verify_mapping(cycle, cycle, [4, 3, 2, 1, 0])
+        a = groups._side(build_digraph(3, [(0, 1), (1, 2)]))
+        b = groups._side(build_digraph(3, [(2, 0), (0, 1)]))
+        assert groups._verify_mapping(a, b, (2, 0, 1))
+
+    def test_rejects_a_non_bijection(self):
+        cycle = groups._side(circulant(4, [1]))
+        assert not groups._verify_mapping(cycle, cycle, (0, 1, 2, 2))
+        assert not groups._verify_mapping(cycle, cycle, (0, 1, 2))
+        assert not groups._verify_mapping(cycle, cycle, (0, 1, 2, 3, 4))
+        # an isolated vertex leaves every arc's image an arc
+        edge = groups._side(build_graph(3, [(0, 1)]))
+        assert not groups._verify_mapping(edge, edge, (0, 1, 1))
+        assert groups._verify_mapping(edge, edge, (1, 0, 2))
+
+    def test_rejects_a_transposition_that_is_no_automorphism(self):
+        path = groups._side(path3())
+        assert not groups._verify_mapping(path, path, (1, 0, 2))
+        assert groups._verify_mapping(path, path, (2, 1, 0))
+
+    def test_rejects_one_reversed_arc(self):
+        a = groups._side(build_digraph(3, [(0, 1), (1, 2), (2, 0)]))
+        b = groups._side(build_digraph(3, [(1, 0), (1, 2), (2, 0)]))
+        assert not groups._verify_mapping(a, b, (0, 1, 2))
+        assert groups._verify_mapping(a, a, (1, 2, 0))
+
+    def test_search_returns_only_verified_mappings(self):
+        # a discrete pair that refinement would not have left standing:
+        # the search still checks the one mapping it names
+        path = groups._side(path3())
+
+        def discrete(m):
+            return [0, 1, 2], list(inverse(m)), [((v,), (m[v],)) for v in range(3)]
+
+        assert groups._search(path, path, discrete((1, 0, 2))) is None
+        assert groups._search(path, path, discrete((2, 1, 0))) == (2, 1, 0)
+
+    def test_rejects_different_arc_counts(self):
+        path, triangle = groups._side(path3()), groups._side(circulant(3, [1]))
+        assert not groups._verify_mapping(path, triangle, (0, 1, 2))
+        assert not groups._verify_mapping(triangle, path, (0, 1, 2))
 
 
 class TestTransitivity:
@@ -857,6 +1082,32 @@ class TestRegularSubgroups:
         spectra = [h.order_spectrum() for h in found]
         assert len(spectra) == 2 and all(spectra)
         assert counts["_image"] == group.order() * len(group.generators) == 1440 * 5
+
+    def test_orders_only_the_kernel_elements(self, analysis_of, monkeypatch):
+        # Tutte's two kernels of 720 meet in 360 elements, so 1,080 of
+        # the 1,440 orders are read; Coxeter's one kernel reads 168 of 336
+        counts = []
+        original = PermGroup._element_orders
+
+        def recorded(group, tree, images):
+            orders = original(group, tree, images)
+            counts.append(len(orders))
+            return orders
+
+        monkeypatch.setattr(PermGroup, "_element_orders", recorded)
+        for text, count, spectra in (
+            ("tutte", 1080, [[1, 2, 3, 4, 5, 8], [1, 2, 3, 4, 5, 8, 10]]),
+            ("coxeter", 168, [[1, 2, 3, 4, 7]]),
+        ):
+            a = analysis_of(text)
+            counts.clear()
+            found = regular_subgroups(a.separator_group, a.separator.order)
+            assert counts == [count], text
+            assert [sorted(h.order_spectrum()) for h in found] == spectra, text
+            for h in found:
+                fresh = PermGroup(h.degree, h.generators)
+                fresh._base = h._base
+                assert fresh.order_spectrum() == h.order_spectrum(), text
 
     def test_no_index_two_subgroup(self):
         # A4 on the six edges of the tetrahedron: order 12 on 6 points,
