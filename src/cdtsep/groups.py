@@ -241,10 +241,11 @@ def _graph_signer(nbrs):
     return lambda c: ()
 
 
-def _digraph_signer(out, inn):
-    """Callable giving 2*c[w] for each out-neighbor and 2*c[w] + 1 for
-    each in-neighbor w under a color list c."""
-    return lambda c: [2 * c[w] for w in out] + [2 * c[w] + 1 for w in inn]
+def _digraph_signer(tagged):
+    """Callable giving 2*c[w] + tag for each (tag, w) of tagged, one
+    vertex's tagged neighbor list, under a color list c: 2*c[w] for an
+    out-neighbor and 2*c[w] + 1 for an in-neighbor."""
+    return lambda c: [2 * c[w] + tag for tag, w in tagged]
 
 
 class _Side(NamedTuple):
@@ -263,8 +264,8 @@ class _Side(NamedTuple):
 def _side(x: Graph | Digraph) -> _Side:
     tagged = _tagged_adj(x)
     if isinstance(x, Digraph):
-        out, inn = x.out_adj, x.in_adj()
-        sign = tuple(map(_digraph_signer, out, inn))
+        out = x.out_adj
+        sign = tuple(map(_digraph_signer, tagged))
     else:
         out = x.adj
         sign = tuple(map(_graph_signer, out))
