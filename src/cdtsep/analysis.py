@@ -1,7 +1,7 @@
 """The pipeline over one cubic graph, from distances to the separator's
-regular subgroups.  Each stage is computed on first use and kept, so
-every caller reads the same girth cycles, solver outcome, separator and
-groups instead of rebuilding them."""
+orientation kernel and regular subgroups.  Each stage is computed on
+first use and kept, so every caller reads the same girth cycles, solver
+outcome, separator and groups instead of rebuilding them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .catalog import (
 from .cycles import CycleSet, FasteningProfile, enumerate_girth_cycles, fastening_profile
 from .graphs import DistanceTable, Graph, distances, girth, is_planar
 from .groups import (
-    PermGroup, arc_transitivity, automorphism_group, regular_subgroups,
+    PermGroup, arc_transitivity, automorphism_group, orientation_kernel, regular_subgroups,
     separator_automorphism_group,
 )
 from .orient import (
@@ -117,6 +117,11 @@ class Analysis:
     @cached_property
     def separator_group(self) -> PermGroup:
         return separator_automorphism_group(self.separator, self.host_group)
+
+    @cached_property
+    def kernel(self) -> PermGroup:
+        """Aut(D) of the separator's digraph, regular on its vertices."""
+        return orientation_kernel(self.separator, self.separator_group)
 
     @cached_property
     def regular(self) -> list[PermGroup]:

@@ -43,7 +43,13 @@ def _catalog_name(spec: str) -> CdtName | None:
 
 
 def _graph6(spec: str) -> Graph:
-    """The graph of graph6 text that names no catalog graph."""
+    """The graph of graph6 text that names no catalog graph, or of the
+    graph6 text on stdin when spec is "-"."""
+    if spec == "-":
+        try:
+            return parse_graph6(sys.stdin.read())
+        except (Graph6Error, UnicodeDecodeError) as exc:
+            raise _InputError(f"stdin is not valid graph6: {exc}")
     try:
         return parse_graph6(spec)
     except Graph6Error as exc:
@@ -212,6 +218,9 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected seconds >= 0 (or inf), got {text!r}")
 
 
+_GRAPH_HELP = "catalog name, graph6 text, or - to read graph6 text from stdin"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdtsep",
@@ -234,15 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for verb in ("analyze", "orient", "separator"):
         sp = sub.add_parser(verb)
-        sp.add_argument("graph", help="catalog name or graph6 text")
+        sp.add_argument("graph", help=_GRAPH_HELP)
 
     sp = sub.add_parser("verify", help="run the verification pipeline")
-    sp.add_argument("graph", nargs="?", help="catalog name or graph6 text")
+    sp.add_argument("graph", nargs="?", help=_GRAPH_HELP)
     sp.add_argument("--all", action="store_true", help="verify all twelve graphs")
     sp.add_argument("--json", action="store_true", help="emit the JSON report")
 
     sp = sub.add_parser("export", help="write DOT or JSON artifacts")
-    sp.add_argument("graph", help="catalog name or graph6 text")
+    sp.add_argument("graph", help=_GRAPH_HELP)
     sp.add_argument("--dot", metavar="PATH", help="write the separator as DOT")
     sp.add_argument("--json", dest="json_path", metavar="PATH",
                     help="write the verification report as JSON")

@@ -1,6 +1,6 @@
 """Permutation groups acting on graphs and digraphs: automorphism
-groups, transitivity tests, Cayley digraphs, regular subgroups and
-explicit isomorphisms.
+groups, transitivity tests, Cayley digraphs and the separator's Cayley
+identifications, regular subgroups and explicit isomorphisms.
 
 Automorphisms and isomorphisms come from one partition-refinement
 backtrack search over a coloring shared by two sides (McKay 1981; McKay
@@ -33,6 +33,16 @@ stabilizer: a vertex-transitive group has either property exactly when
 the stabilizer of one vertex has it locally, on the distance spheres or
 on the s-arcs around that vertex (Tutte 1947; Biggs, *Algebraic Graph
 Theory*, 1993).
+
+A separator's Cayley identifications build no second digraph and run
+no search.  Every automorphism of the underlying separator graph keeps
+or reverses all the oriented cycles, and the kernel of that sign is the
+digraph's own group Aut(D), built from Schreier generators and checked
+to be regular, so that D is a Cayley digraph of it (Sabidussi, *Proc.
+AMS* 1958).  D ≅ Cay(G, S) is then decided by one labelled walk per way
+of matching the cycle and transposition arcs with the two generators,
+which pairs D's vertices with G's elements or meets a conflict; the
+Cayley digraph and the digraph search remain as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -55,11 +65,13 @@ __all__ = [
     "arc_transitivity",
     "is_distance_transitive",
     "cayley_digraph",
+    "cayley_isomorphism",
     "digraph_isomorphic",
     "graph_isomorphic",
     "regular_subgroups",
     "separator_seeds",
     "separator_automorphism_group",
+    "orientation_kernel",
     "induced_arc_permutation",
     "symmetric_elements",
     "alternating_elements",
@@ -604,21 +616,27 @@ def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
 # Cayley digraphs and concrete groups.
 
 
-def cayley_digraph(elements, mult, generators) -> Digraph:
-    """Digraph with one vertex per element and an arc x -> s*x for every
-    generator s.  Elements must be hashable; generators must be listed
-    elements other than the identity."""
+def _cayley_index(elements, mult, generators) -> dict:
+    """Each element's position in elements, once the generators are
+    checked to be listed elements other than the identity (s*x == x
+    holds only for s the identity).  Elements must be hashable."""
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
         raise GroupError("duplicate elements")
-    arcs = []
     for s in generators:
         if s not in index:
             raise GroupError(f"generator {s!r} is not a listed element")
         if mult(s, elements[0]) == elements[0]:
             raise GroupError("identity is not allowed as a generator")
-        for x in elements:
-            arcs.append((index[x], index[mult(s, x)]))
+    return index
+
+
+def cayley_digraph(elements, mult, generators) -> Digraph:
+    """Digraph with one vertex per element and an arc x -> s*x for every
+    generator s.  Elements must be hashable; generators must be listed
+    elements other than the identity."""
+    index = _cayley_index(elements, mult, generators)
+    arcs = [(index[x], index[mult(s, x)]) for s in generators for x in elements]
     return build_digraph(len(elements), arcs)
 
 
@@ -866,3 +884,113 @@ def separator_automorphism_group(s: SeparatorDigraph, host_group: PermGroup) -> 
     correction)."""
     seeds = separator_seeds(s, host_group)
     return automorphism_group(s.under, seeds=seeds)
+
+
+def _check_regular(s: SeparatorDigraph, kernel: PermGroup) -> None:
+    if kernel.degree != s.order or kernel.order() != s.order or not kernel.is_transitive():
+        raise GroupError("the orientation kernel is not regular on the separator's vertices")
+
+
+def orientation_kernel(s: SeparatorDigraph, group: PermGroup) -> PermGroup:
+    """Aut(D) for the separator's digraph D: the kernel of the
+    orientation character on group, the automorphism group of its
+    underlying graph U as separator_automorphism_group returns it.
+
+    Every generator must keep every cycle arc (g succ = succ g) or
+    reverse every one (succ g succ = g), and GroupError is raised for
+    one that does neither.  An automorphism of U that keeps the cycle
+    edges keeps the transposition edges, so the keepers are Aut(D), and
+    the sign is a character of index 2 when some generator reverses.
+    Its kernel is generated by the Schreier generators of the
+    transversal {1, r}, r the first reverser, as in regular_subgroups;
+    its order is |group|/2 and the group's base is its base.
+
+    GroupError is also raised unless the kernel is regular on the
+    separator's vertices: of order s.order and transitive.  D is then a
+    Cayley digraph of the kernel (Sabidussi, Proc. AMS 1958)."""
+    if group.degree != s.order:
+        raise GroupError(f"group of degree {group.degree} on a separator of order {s.order}")
+    succ = s.succ
+    reverses = []
+    for i, g in enumerate(group.generators):
+        if compose(g, succ) == compose(succ, g):
+            reverses.append(False)
+        elif compose(succ, compose(g, succ)) == g:
+            reverses.append(True)
+        else:
+            raise GroupError(f"generator {i} neither keeps nor reverses the cycle arcs")
+    if True in reverses:
+        r = group.generators[reverses.index(True)]
+        r_inv = inverse(r)
+        gens = []
+        for g, reverser in zip(group.generators, reverses):
+            if reverser:
+                gens += [compose(g, r_inv), compose(r, g)]
+            else:
+                gens += [g, compose(r, compose(g, r_inv))]
+        kernel = PermGroup(group.degree, tuple(gens))
+        kernel._order = group.order() // 2
+        kernel._base = group._base
+    else:
+        kernel = group
+    _check_regular(s, kernel)
+    return kernel
+
+
+def _cayley_walk(s: SeparatorDigraph, start, mult, x_succ, x_trans) -> list | None:
+    """phi with phi[0] = start, phi[succ p] = x_succ*phi[p] and
+    phi[trans p] = x_trans*phi[p], by one breadth-first walk along the
+    out-arcs of the separator's digraph; None when two arcs into one
+    vertex ask for different elements, or when some vertex is not
+    reached."""
+    succ, trans = s.succ, s.trans
+    phi = [None] * s.order
+    phi[0] = start
+    reached = [0]
+    for p in reached:
+        x = phi[p]
+        for q, y in ((succ[p], mult(x_succ, x)), (trans[p], mult(x_trans, x))):
+            if phi[q] is None:
+                phi[q] = y
+                reached.append(q)
+            elif phi[q] != y:
+                return None
+    return phi if len(reached) == s.order else None
+
+
+def cayley_isomorphism(s: SeparatorDigraph, kernel: PermGroup, elements, mult,
+                       generators) -> list | None:
+    """An isomorphism from the separator's digraph D onto
+    cayley_digraph(elements, mult, generators), as a list giving each
+    vertex its element, or None when there is none.  kernel must be
+    Aut(D) as orientation_kernel returns it, and GroupError is raised
+    unless it is regular; the generators are checked as cayley_digraph
+    checks them, with the same errors.
+
+    D's transposition arcs are exactly its arcs on a 2-cycle: its
+    oriented cycles have length at least 3, and no transposition edge
+    doubles a cycle edge, since the underlying graph is simple and
+    cubic.  An isomorphism keeps 2-cycles, and whether an arc x -> s*x
+    lies on one depends on s alone, so it carries the transposition arcs
+    onto the arcs of one generator s' and the cycle arcs onto those of
+    the other, s.  Right translation x -> x*g is an
+    automorphism of the x -> s*x form, so some such isomorphism takes
+    vertex 0 to elements[0], and D is strongly connected, so it is then
+    phi[succ p] = s*phi[p], phi[trans p] = s'*phi[p] throughout
+    (_cayley_walk).  Both ways to match {succ, trans} with the two
+    generators are walked; a walk with no conflict that reaches every
+    vertex and pairs them one to one with the elements carries every
+    arc of D onto an arc of the Cayley digraph, so it is returned, and
+    None from both refutes the isomorphism.  With the kernel regular, a
+    found phi also makes the group the kernel's: its right translations,
+    carried back by phi, are a regular subgroup of Aut(D) of the same
+    order (Sabidussi, Proc. AMS 1958)."""
+    _check_regular(s, kernel)
+    index = _cayley_index(elements, mult, generators)
+    if len(generators) != 2 or len(index) != s.order:
+        return None
+    for x_succ, x_trans in (generators, generators[::-1]):
+        phi = _cayley_walk(s, elements[0], mult, x_succ, x_trans)
+        if phi is not None and set(phi) == index.keys():
+            return phi
+    return None

@@ -21,9 +21,9 @@ from .cycles import ConstraintError, cycles_through
 from .graphs import Graph, build_graph, is_bipartite, is_hamiltonian
 from .orient import OddWitness, assignment_from_cycles, verify_ooa
 from .groups import (
-    PermGroup, alternating_elements, arc_transitivity, cayley_digraph, compose,
-    digraph_isomorphic, gl32_elements, gl32_mult, graph_isomorphic, induced_arc_permutation,
-    is_distance_transitive, symmetric_elements,
+    PermGroup, alternating_elements, arc_transitivity, cayley_isomorphism, compose, gl32_elements,
+    gl32_mult, graph_isomorphic, induced_arc_permutation, is_distance_transitive,
+    symmetric_elements,
 )
 
 __all__ = [
@@ -194,11 +194,12 @@ def _flag_row(name: str, stage: str, actual) -> _Row:
 
 def _cayley_row(name: str, group, note: str = "") -> _Row:
     """The separator against the Cayley digraph of group() = (elements,
-    product) on the record's generators for name."""
+    product) on the record's generators for name, decided by
+    cayley_isomorphism's labelled walk on the separator, whose
+    orientation kernel must be regular."""
     def actual(a):
-        elements, mult = group()
-        target = cayley_digraph(elements, mult, list(a.ref.cayley[name]))
-        return digraph_isomorphic(a.separator.digraph, target) is not None
+        generators = list(a.ref.cayley[name])
+        return cayley_isomorphism(a.separator, a.kernel, *group(), generators) is not None
 
     return _Row(name, SEPARATOR_GROUP, lambda a: True if name in a.ref.cayley else None, actual,
                 lambda a: note)

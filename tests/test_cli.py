@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +171,37 @@ class TestVerify:
         assert main(["--budget", "0", "verify", PETERSEN_GRAPH6, "--json"]) == 0
         checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
         assert checks and {c["status"] for c in checks} == {"computed"}
+
+
+class TestStdin:
+    """"-" as the graph reads graph6 text from stdin, which has no
+    argument-length limit."""
+
+    @pytest.mark.parametrize("argv", [["verify", "-", "--json"], ["analyze", "-"],
+                                      ["orient", "-"]], ids=lambda argv: argv[0])
+    def test_same_output_as_the_argument(self, argv, monkeypatch, capsys):
+        literal = [PETERSEN_GRAPH6 if x == "-" else x for x in argv]
+        assert main(literal) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(PETERSEN_GRAPH6 + "\n"))
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("data", [b"", b"\n", b"IheA@GUA", b"Ihe A@GUAo", b"\xff\xfe"],
+                             ids=["empty", "blank", "truncated", "space", "not-utf8"])
+    def test_malformed_stdin_exits_two(self, data, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["verify", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: stdin is not valid graph6")
+
+    def test_piped_into_a_fresh_interpreter(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        run = subprocess.run([sys.executable, "-m", "cdtsep.cli", "analyze", "-"],
+                             input=PETERSEN_GRAPH6, capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert "order 10" in run.stdout and "arc-transitivity 3" in run.stdout
 
 
 class TestExport:

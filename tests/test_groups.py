@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 
 import cdtsep
 from cdtsep import groups
+from cdtsep.analysis import Analysis
 from cdtsep.catalog import (
-    GL32_GENERATORS, GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters,
+    GL32_GENERATORS, GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters, reference,
 )
+from cdtsep.graph6 import parse_graph6, write_graph6
 from cdtsep.graphs import build_digraph, build_graph, distances, enumerate_arcs, underlying
+from cdtsep.report import run_graph_report
 from cdtsep.groups import (
     GroupError,
     PermGroup,
@@ -24,6 +28,7 @@ from cdtsep.groups import (
     arc_transitivity,
     automorphism_group,
     cayley_digraph,
+    cayley_isomorphism,
     compose,
     digraph_isomorphic,
     gl32_elements,
@@ -32,6 +37,7 @@ from cdtsep.groups import (
     induced_arc_permutation,
     inverse,
     is_distance_transitive,
+    orientation_kernel,
     regular_subgroups,
     separator_automorphism_group,
     symmetric_elements,
@@ -1163,6 +1169,212 @@ class TestSeparatorAutomorphisms:
         group = separator_automorphism_group(s, a.host_group)
         assert group.is_transitive()
         assert underlying(s.digraph).is_cubic()
+
+
+# Aut(D) of each separator: the element orders of the regular kernel
+KERNEL_SPECTRA = {
+    "k4": [1, 2, 3],
+    "k33": [1, 2, 3, 4],
+    "q3": [1, 2, 3, 4],
+    "dodecahedral": [1, 2, 3, 5],
+    "desargues": [1, 2, 3, 4, 5, 6],
+    "coxeter": [1, 2, 3, 4, 7],
+    "tutte": [1, 2, 3, 4, 5, 8],
+}
+
+
+def keeps(s, g):
+    return all(g[s.succ[v]] == s.succ[g[v]] for v in range(s.order))
+
+
+def reverses(s, g):
+    return all(s.succ[g[s.succ[v]]] == g[v] for v in range(s.order))
+
+
+class TestOrientationKernel:
+    @pytest.mark.parametrize("text", SOLVABLE)
+    def test_regular_and_equal_to_the_digraph_group(self, text, analysis_of):
+        a = analysis_of(text)
+        s, kernel = a.separator, a.kernel
+        assert kernel.order() == s.order == a.separator_group.order() // 2
+        assert kernel.is_transitive()
+        assert sorted(kernel.order_spectrum()) == KERNEL_SPECTRA[text]
+        assert all(keeps(s, g) for g in kernel.generators)
+        assert kernel.elements() == automorphism_group(s.digraph).elements()
+
+    def test_every_separator_generator_keeps_or_reverses(self, analysis_of):
+        for text in SOLVABLE:
+            s, group = analysis_of(text).separator, analysis_of(text).separator_group
+            signs = [keeps(s, g) for g in group.generators]
+            assert all(keep or reverses(s, g) for keep, g in zip(signs, group.generators)), text
+            assert not all(signs), text
+
+    def test_kept_by_the_analysis(self, monkeypatch):
+        # Coxeter's two GL(3,2) rows read one kernel
+        counts = {}
+        count_calls(monkeypatch, groups, "orientation_kernel", counts)
+        names = [c.name for c in run_graph_report(CdtName.COXETER).checks]
+        assert names.count("cayley-gl32-reference-matrices") == 1
+        assert names.count("cayley-gl32-corrected-involution") == 1
+        assert counts["orientation_kernel"] == 1
+
+    def test_a_group_with_no_reverser_is_its_own_kernel(self, analysis_of):
+        a = analysis_of("q3")
+        assert orientation_kernel(a.separator, a.kernel) is a.kernel
+
+    @pytest.mark.parametrize("text", ["k4", "coxeter"])
+    def test_a_vertex_transposition_is_refused(self, text, analysis_of):
+        a = analysis_of(text)
+        swap = list(range(a.separator.order))
+        swap[0], swap[1] = 1, 0
+        for gens in ([swap], [*a.separator_group.generators, swap]):
+            with pytest.raises(GroupError, match="neither keeps nor reverses"):
+                orientation_kernel(a.separator, PermGroup(a.separator.order, gens))
+
+    def test_a_kernel_that_is_not_regular_is_refused(self, analysis_of):
+        # one reverser generates a group of order 2, whose kernel is trivial
+        a = analysis_of("k4")
+        s = a.separator
+        reverser = next(g for g in a.separator_group.generators if reverses(s, g))
+        with pytest.raises(GroupError, match="not regular"):
+            orientation_kernel(s, PermGroup(s.order, [reverser]))
+
+    def test_a_group_on_other_points_is_refused(self, analysis_of):
+        with pytest.raises(GroupError, match="degree"):
+            orientation_kernel(analysis_of("k4").separator, analysis_of("q3").separator_group)
+
+
+# The five Cayley records: graph, record name, (elements, product)
+CAYLEY_GROUPS = {
+    "cayley-a4": (alternating_elements(4), compose),
+    "cayley-s4": (symmetric_elements(4), compose),
+    "cayley-a5": (alternating_elements(5), compose),
+    "cayley-gl32-reference-matrices": (gl32_elements(), gl32_mult),
+    "cayley-gl32-corrected-involution": (gl32_elements(), gl32_mult),
+}
+CAYLEY_RECORDS = [
+    (text, row, list(gens))
+    for text in ("k4", "q3", "dodecahedral", "coxeter")
+    for row, gens in reference(CdtName.from_string(text)).cayley.items()
+]
+CAYLEY_VERDICTS = [True, True, True, False, True]
+
+
+def relabeled_analysis(text, seed):
+    """The Analysis of a seeded relabeling of a catalog graph, passed
+    through graph6: its separator numbers its vertices afresh."""
+    g, _ = build_cdt(CdtName.from_string(text))
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    h = build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Analysis(parse_graph6(write_graph6(h)))
+
+
+def carries_arcs(s, phi, elements, mult, gens):
+    """Whether phi pairs the separator's vertices one to one with the
+    elements and carries each arc onto an arc of the Cayley digraph."""
+    index = {e: i for i, e in enumerate(elements)}
+    target = set(cayley_digraph(elements, mult, gens).arcs())
+    images = [index[x] for x in phi]
+    return sorted(images) == list(range(len(elements))) and all(
+        (images[u], images[v]) in target for u, v in s.digraph.arcs()
+    )
+
+
+class TestCayleyIsomorphism:
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_agrees_with_the_digraph_search(self, seed, analysis_of):
+        # with the generators in both orders, on the catalog separators
+        # and on those of relabeled hosts
+        verdicts = []
+        for text, row, gens in CAYLEY_RECORDS:
+            a = analysis_of(text) if seed is None else relabeled_analysis(text, seed)
+            s = a.separator
+            elements, mult = CAYLEY_GROUPS[row]
+            found = []
+            for order in (gens, gens[::-1]):
+                phi = cayley_isomorphism(s, a.kernel, elements, mult, order)
+                oracle = digraph_isomorphic(s.digraph, cayley_digraph(elements, mult, order))
+                assert (phi is None) == (oracle is None), (text, row, seed)
+                assert phi is None or carries_arcs(s, phi, elements, mult, order)
+                found.append(phi is not None)
+            assert found[0] == found[1]
+            verdicts.append(found[0])
+        assert verdicts == CAYLEY_VERDICTS
+
+    def test_one_matching_walks_without_conflict(self, analysis_of):
+        # the cycle arcs of a true record go with one generator only, and
+        # the reference GL(3,2) pair meets a conflict either way
+        for (text, row, gens), verdict in zip(CAYLEY_RECORDS, CAYLEY_VERDICTS):
+            s = analysis_of(text).separator
+            elements, mult = CAYLEY_GROUPS[row]
+            walks = [groups._cayley_walk(s, elements[0], mult, x, y) for x, y in (gens, gens[::-1])]
+            assert sum(phi is not None for phi in walks) == int(verdict), (text, row)
+
+    @pytest.mark.parametrize("text", ["k4", "q3"])
+    def test_a_conflict_off_the_walk_tree_is_refused(self, text, analysis_of):
+        # two cycle arcs that the walk reaches no vertex by trade heads:
+        # the walk labels every vertex as before, one to one, but the
+        # traded arcs no longer go where the generator sends them
+        a = analysis_of(text)
+        s = a.separator
+        (row, gens), = a.ref.cayley.items()
+        elements, mult = CAYLEY_GROUPS[row]
+        seen, tree = [0], set()
+        for p in seen:
+            for q in (s.succ[p], s.trans[p]):
+                if q not in seen:
+                    seen.append(q)
+                    tree.add((p, q))
+        p1, p2 = [p for p in seen if (p, s.succ[p]) not in tree][-2:]
+        succ = list(s.succ)
+        succ[p1], succ[p2] = succ[p2], succ[p1]
+        traded = SimpleNamespace(order=s.order, succ=tuple(succ), trans=s.trans)
+        assert cayley_isomorphism(s, a.kernel, elements, mult, list(gens)) is not None
+        assert cayley_isomorphism(traded, a.kernel, elements, mult, list(gens)) is None
+        d = build_digraph(s.order, [*enumerate(succ), *enumerate(s.trans)])
+        assert digraph_isomorphic(d, cayley_digraph(elements, mult, list(gens))) is None
+
+    def test_a_consistent_walk_onto_a_subgroup_is_refused(self, analysis_of):
+        # the record's S4 pair pushed through S4 -> S4/V4 = S3 < S4: both
+        # walks meet no conflict and reach all 24 vertices, but only 6
+        # of the 24 elements
+        a = analysis_of("q3")
+        s, elements = a.separator, symmetric_elements(4)
+        gens = [(2, 1, 0, 3), (0, 2, 1, 3)]
+        for x_succ, x_trans in (gens, gens[::-1]):
+            phi = groups._cayley_walk(s, elements[0], compose, x_succ, x_trans)
+            assert phi is not None and len(set(phi)) == 6
+        assert cayley_isomorphism(s, a.kernel, elements, compose, gens) is None
+        assert digraph_isomorphic(s.digraph, cayley_digraph(elements, compose, gens)) is None
+
+    @pytest.mark.parametrize("gens", [[(0, 1, 2, 3), (1, 0, 2, 3)], [(1, 2, 3, 0), (9,)]],
+                             ids=["identity", "unlisted"])
+    def test_generators_refused_as_cayley_digraph_refuses_them(self, gens, analysis_of):
+        a = analysis_of("q3")
+        elements = symmetric_elements(4)
+        with pytest.raises(GroupError) as digraph_error:
+            cayley_digraph(elements, compose, gens)
+        with pytest.raises(GroupError) as pairing_error:
+            cayley_isomorphism(a.separator, a.kernel, elements, compose, gens)
+        assert str(pairing_error.value) == str(digraph_error.value)
+
+    def test_a_kernel_that_is_not_regular_is_refused(self, analysis_of):
+        a = analysis_of("q3")
+        s, elements, gens = a.separator, symmetric_elements(4), [(1, 2, 3, 0), (1, 0, 2, 3)]
+        succ_only = PermGroup(s.order, [s.succ])
+        succ_only._order = s.order  # the right order, but the orbits are the cycles
+        for kernel in (succ_only, a.separator_group, analysis_of("k4").kernel):
+            with pytest.raises(GroupError, match="not regular"):
+                cayley_isomorphism(s, kernel, elements, compose, gens)
+
+    def test_other_generator_counts_and_orders_are_refuted(self, analysis_of):
+        a = analysis_of("q3")
+        elements = symmetric_elements(4)
+        assert cayley_isomorphism(a.separator, a.kernel, elements, compose, [(1, 2, 3, 0)]) is None
+        a4 = alternating_elements(4)
+        assert cayley_isomorphism(a.separator, a.kernel, a4, compose,
+                                  [(1, 2, 0, 3), (1, 0, 3, 2)]) is None
 
 
 class TestStabilizerChain:

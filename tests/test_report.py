@@ -66,13 +66,13 @@ class TestSingleGraph:
         # stops the run at the next gated row, in the separator group stage
         clock = [0.0]
         monkeypatch.setattr(cdtsep.report, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        original = cdtsep.report.cayley_digraph
+        original = cdtsep.report.cayley_isomorphism
 
         def slow(*args):
             clock[0] += 100.0
             return original(*args)
 
-        monkeypatch.setattr(cdtsep.report, "cayley_digraph", slow)
+        monkeypatch.setattr(cdtsep.report, "cayley_isomorphism", slow)
         r = run_graph_report(CdtName.K4, budget=10.0)
         names = [c.name for c in r.checks]
         assert names[-3:] == ["cayley-a4", "group-checks", "hamiltonian"]
