@@ -1204,7 +1204,8 @@ class TestOrientationKernel:
 
     def test_every_separator_generator_keeps_or_reverses(self, analysis_of):
         for text in SOLVABLE:
-            s, group = analysis_of(text).separator, analysis_of(text).separator_group
+            a = analysis_of(text)
+            s, group = a.separator, a.separator_group
             signs = [keeps(s, g) for g in group.generators]
             assert all(keep or reverses(s, g) for keep, g in zip(signs, group.generators)), text
             assert not all(signs), text
