@@ -887,6 +887,7 @@ def separator_automorphism_group(s: SeparatorDigraph, host_group: PermGroup) -> 
 
 
 def _check_regular(s: SeparatorDigraph, kernel: PermGroup) -> None:
+    """Raise GroupError unless kernel acts regularly on s's vertices."""
     if kernel.degree != s.order or kernel.order() != s.order or not kernel.is_transitive():
         raise GroupError("the orientation kernel is not regular on the separator's vertices")
 
