@@ -4,9 +4,10 @@ identifications, regular subgroups and explicit isomorphisms.
 
 Automorphisms and isomorphisms come from one partition-refinement
 backtrack search over a coloring shared by two sides (McKay 1981; McKay
-& Piperno, JSC 2014).  Each side is built once per graph: its tagged
-adjacency, one signer per vertex that reads its neighbors' colors off a
-color list in one call, and its arcs as integer codes.  Refinement is
+& Piperno, JSC 2014).  Each side is built once per graph: its neighbor
+lists, one signer per vertex that reads its neighbors' colors off a
+color list in one call, and its arcs as integer codes.  Every search
+starts from the unit partition, one color on both sides.  Refinement is
 incremental: a color class is re-split only next to a vertex recolored
 in the round before, a split class keeps its id for its first part, and
 a class that gets different sizes on the two sides ends the node.  Each
@@ -18,16 +19,14 @@ are kept as diagonal pairs, one color list for both, and refined on one
 side only.  A candidate image u of base point b_i is refined on one side
 too: P_i with u individualized is checked class by class against the
 stored P_{i+1}, and a search starts from the two only when they agree.
-An isomorphism test starts from the vertices' distance profiles, read
-off out-balls that grow as int bitsets for all vertices in one sweep,
-and unequal multisets of them refute it at the root.  The automorphism
-search also reads the group's order, a base and the stabilizer of the
-first base point off its tree.  A group's elements and its index-2
-subgroups are read off one breadth-first walk over the images of its
-base, and each element's order off its shortest word in that walk,
-with no element built (Seress, *Permutation Group Algorithms*, 2003);
-the one walk that finds the regular index-2 subgroups also gives each
-of them its order spectrum, from the orders of their elements alone.
+The automorphism search also reads the group's order, a base and the
+stabilizer of the first base point off its tree.  A group's elements
+and its index-2 subgroups are read off one breadth-first walk over the
+images of its base, and each element's order off its shortest word in
+that walk, with no element built (Seress, *Permutation Group
+Algorithms*, 2003); the one walk that finds the regular index-2
+subgroups also gives each of them its order spectrum, from the orders
+of their elements alone.
 Distance- and s-arc-transitivity are read off that recorded point
 stabilizer: a vertex-transitive group has either property exactly when
 the stabilizer of one vertex has it locally, on the distance spheres or
@@ -48,7 +47,6 @@ Cayley digraph and the digraph search remain as the tests' oracle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import lcm
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -230,18 +228,6 @@ class PermGroup:
 # Partition-refinement search for automorphisms and isomorphisms.
 
 
-def _tagged_adj(x: Graph | Digraph):
-    """Uniform tagged neighbor lists: (0, w) out-arcs / undirected edges,
-    (1, w) in-arcs."""
-    if isinstance(x, Digraph):
-        inn = x.in_adj()
-        return tuple(
-            tuple((0, w) for w in x.out_adj[v]) + tuple((1, w) for w in inn[v])
-            for v in range(x.order)
-        )
-    return tuple(tuple((0, w) for w in x.adj[v]) for v in range(x.order))
-
-
 def _graph_signer(nbrs):
     """Callable giving the colors of nbrs, as a tuple, under a color
     list c; a one-index itemgetter would give a bare color."""
@@ -253,20 +239,20 @@ def _graph_signer(nbrs):
     return lambda c: ()
 
 
-def _digraph_signer(tagged):
-    """Callable giving 2*c[w] + tag for each (tag, w) of tagged, one
-    vertex's tagged neighbor list, under a color list c: 2*c[w] for an
-    out-neighbor and 2*c[w] + 1 for an in-neighbor."""
-    return lambda c: [2 * c[w] + tag for tag, w in tagged]
+def _digraph_signer(out, inn):
+    """Callable giving, under a color list c, 2*c[w] for each
+    out-neighbor w of one vertex and 2*c[w] + 1 for each in-neighbor."""
+    return lambda c: [2 * c[w] for w in out] + [2 * c[w] + 1 for w in inn]
 
 
 class _Side(NamedTuple):
     """One side of a search, built once per graph or digraph by _side:
-    its tagged adjacency, one signer per vertex, and its out-arcs (a
-    graph's edges in both directions) as tails, heads and the set of
-    codes tail*n + head."""
+    each vertex's neighbors (a digraph's out-neighbors, then its
+    in-neighbors), one signer per vertex, and its out-arcs (a graph's
+    edges in both directions) as tails, heads and the set of codes
+    tail*n + head."""
 
-    tagged: tuple
+    nbrs: tuple
     sign: tuple
     tails: tuple
     heads: tuple
@@ -274,32 +260,25 @@ class _Side(NamedTuple):
 
 
 def _side(x: Graph | Digraph) -> _Side:
-    tagged = _tagged_adj(x)
     if isinstance(x, Digraph):
-        out = x.out_adj
-        sign = tuple(map(_digraph_signer, tagged))
+        out, inn = x.out_adj, x.in_adj()
+        nbrs = tuple(map(add, out, inn))
+        sign = tuple(map(_digraph_signer, out, inn))
     else:
-        out = x.adj
+        out = nbrs = x.adj
         sign = tuple(map(_graph_signer, out))
     n = x.order
     tails = tuple(v for v in range(n) for _w in out[v])
     heads = tuple(w for v in range(n) for w in out[v])
-    return _Side(tagged, sign, tails, heads, {v * n + w for v, w in zip(tails, heads)})
+    return _Side(nbrs, sign, tails, heads, {v * n + w for v, w in zip(tails, heads)})
 
 
-def _pair(ca, cb):
-    """Two-sided coloring from dense color ids: (ca, cb, cells), where
-    cells[c] holds the members of color c on each side.  Given one list
-    as both sides, it is a diagonal pair, each class its own twin."""
-    members_a = [[] for _ in range(max(ca, default=-1) + 1)]
-    for v, c in enumerate(ca):
-        members_a[c].append(v)
-    if ca is cb:
-        return ca, cb, [(a, a) for a in map(tuple, members_a)]
-    members_b = [[] for _ in members_a]
-    for v, c in enumerate(cb):
-        members_b[c].append(v)
-    return ca, cb, list(zip(map(tuple, members_a), map(tuple, members_b)))
+def _unit_pair(n, diagonal):
+    """The unit partition of n vertices as a pair (ca, cb, cells): color
+    0 on both sides, cells[0] its members on each, and one color list
+    for both sides when diagonal."""
+    colors, unit = [0] * n, tuple(range(n))
+    return colors, colors if diagonal else colors[:], [(unit, unit)] if n else []
 
 
 def _refine(a, b, pair, moved_a, moved_b):
@@ -310,13 +289,13 @@ def _refine(a, b, pair, moved_a, moved_b):
     side recolored since it was.
 
     Each round re-splits, by member signature over both sides together,
-    the classes next to a vertex recolored in the round before.  A
-    member's signature is its signer's values under the side's color
-    list, sorted: its neighbors' colors in a graph, and 2c for each
-    out-neighbor and 2c + 1 for each in-neighbor of color c in a
-    digraph.  The part with the least signature keeps the class's id
-    and each other part gets a fresh one, so ids are stable and no id is
-    reused (McKay 1981).
+    the classes that hold a neighbor of a vertex recolored in the round
+    before, read off each side's neighbor lists.  A member's signature
+    is its signer's values under the side's color list, sorted: its
+    neighbors' colors in a graph, and 2c for each out-neighbor and
+    2c + 1 for each in-neighbor of color c in a digraph.  The part with
+    the least signature keeps the class's id and each other part gets a
+    fresh one, so ids are stable and no id is reused (McKay 1981).
 
     A diagonal pair, whose two sides are one color list (ca is cb) over
     one graph, is refined on side a alone: each member is signed once,
@@ -325,12 +304,12 @@ def _refine(a, b, pair, moved_a, moved_b):
     """
     ca, cb, cells = pair
     diagonal = ca is cb
-    ta, sign_a = a.tagged, a.sign
-    tb, sign_b = b.tagged, b.sign
+    na, sign_a = a.nbrs, a.sign
+    nb, sign_b = b.nbrs, b.sign
     while moved_a:
-        touched = {ca[w] for v in moved_a for _, w in ta[v]}
+        touched = {ca[w] for v in moved_a for w in na[v]}
         if not diagonal:
-            touched.update(cb[w] for v in moved_b for _, w in tb[v])
+            touched.update(cb[w] for v in moved_b for w in nb[v])
         moved_a, moved_b = [], []
         for c in sorted(touched):
             members_a, members_b = cells[c]
@@ -397,9 +376,9 @@ def _verify_mapping(a, b, m) -> bool:
     Graphs and digraphs have no parallel arcs and a bijection maps
     distinct codes to distinct codes, so equal sets hold equally many
     codes and the arc lists correspond one to one.  Every in-arc is
-    another vertex's out-arc, so this checks every tagged neighbor list,
-    in-arcs included."""
-    n = len(a.tagged)
+    another vertex's out-arc, so this checks every neighbor list, in-arcs
+    included."""
+    n = len(a.nbrs)
     if sorted(m) != list(range(n)):
         return False
     scaled = [x * n for x in m]
@@ -407,13 +386,13 @@ def _verify_mapping(a, b, m) -> bool:
 
 
 def _search(a, b, pair):
-    """Tagged-adjacency-preserving bijection from side a to side b that
-    maps each color class of pair, an equitable pair or None, onto its
-    twin; or None when there is none.
+    """Arc-preserving bijection from side a to side b that maps each
+    color class of pair, an equitable pair or None, onto its twin; or
+    None when there is none.
 
-    The root pair is colored by distance profile for an isomorphism
-    test; for an automorphism search it is a base level's partition
-    with the base point individualized against one candidate image.
+    The root pair is the refined unit partition for an isomorphism test;
+    for an automorphism search it is a base level's partition with the
+    base point individualized against one candidate image.
     Depth first over an explicit stack of frames, each a node's pair and
     the candidates it has left, so no depth raises RecursionError.  A
     node branches on its smallest non-singleton class: the least member
@@ -448,8 +427,8 @@ def _levels(side):
     b_i in P_i, sorted) for each i and the discrete partition is P_k,
     the last P_i with b_i individualized.  Every P_i is a diagonal pair,
     refined on one side only."""
-    colors = [0] * len(side.tagged)
-    pair = _refine(side, side, _pair(colors, colors), range(len(colors)), ())
+    n = len(side.nbrs)
+    pair = _refine(side, side, _unit_pair(n, True), range(n), ())
     levels = []
     while True:
         split = [a for a, _b in pair[2] if len(a) > 1]
@@ -486,8 +465,7 @@ def _candidate(side, level, below, u):
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """Full automorphism group, as generators with its exact order.
 
-    The unit partition is refined to an equitable one, P_0; both sides
-    are one graph, so no distance profiles are computed.  Base point b_i
+    The unit partition is refined to an equitable one, P_0.  Base point b_i
     is the least member of the largest non-singleton class of P_i (the
     oldest id among equals), and P_{i+1} is P_i with b_i individualized
     and refined incrementally from it alone, so each level partition is
@@ -618,8 +596,9 @@ def is_distance_transitive(g: Graph, group: PermGroup) -> bool:
 
 def _cayley_index(elements, mult, generators) -> dict:
     """Each element's position in elements, once the generators are
-    checked to be listed elements other than the identity (s*x == x
-    holds only for s the identity).  Elements must be hashable."""
+    checked to be distinct listed elements other than the identity
+    (s*x == x holds only for s the identity).  Elements must be
+    hashable."""
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
         raise GroupError("duplicate elements")
@@ -628,13 +607,15 @@ def _cayley_index(elements, mult, generators) -> dict:
             raise GroupError(f"generator {s!r} is not a listed element")
         if mult(s, elements[0]) == elements[0]:
             raise GroupError("identity is not allowed as a generator")
+    if len(set(generators)) != len(generators):
+        raise GroupError("repeated generator")
     return index
 
 
 def cayley_digraph(elements, mult, generators) -> Digraph:
     """Digraph with one vertex per element and an arc x -> s*x for every
-    generator s.  Elements must be hashable; generators must be listed
-    elements other than the identity."""
+    generator s.  Elements must be hashable; generators must be distinct
+    listed elements other than the identity."""
     index = _cayley_index(elements, mult, generators)
     arcs = [(index[x], index[mult(s, x)]) for s in generators for x in elements]
     return build_digraph(len(elements), arcs)
@@ -690,48 +671,15 @@ def gl32_elements():
 # Digraph isomorphism and regular subgroups.
 
 
-def _distance_profiles(t) -> list[tuple[int, ...]]:
-    """Each vertex's out-distance profile: the number of vertices at
-    each distance from it along out-arcs (edges of a graph), up to the
-    farthest one it reaches.  The out-balls of all vertices grow together
-    as int bitsets, B_{r+1}(v) = B_r(v) | the union of B_r(w) over the
-    out-neighbors w of v, and a vertex drops out of the sweep when its
-    ball stops growing; a stopped ball is final, so it serves as B_r for
-    every later r."""
-    out = [[w for tag, w in nbrs if tag == 0] for nbrs in t]
-    balls = [1 << v for v in range(len(t))]
-    profiles = [[1] for _ in t]
-    sizes = [1] * len(t)
-    active = range(len(t))
-    while active:
-        grown = []
-        for v in active:
-            ball = balls[v]
-            for w in out[v]:
-                ball |= balls[w]
-            grown.append((v, ball))
-        active = []
-        for v, ball in grown:
-            size = ball.bit_count()
-            if size > sizes[v]:
-                profiles[v].append(size - sizes[v])
-                balls[v], sizes[v] = ball, size
-                active.append(v)
-    return [tuple(p) for p in profiles]
-
-
 def _isomorphism(a: Graph | Digraph, b: Graph | Digraph):
-    """Explicit bijection from a to b preserving tagged adjacency, or
-    None.  The multisets of distance profiles (the distance invariant of
-    McKay & Piperno 2014) must be equal, which also equates order and
-    size; their ranks in one sorted palette are the starting colors."""
-    sa, sb = _side(a), _side(b)
-    pa, pb = _distance_profiles(sa.tagged), _distance_profiles(sb.tagged)
-    if Counter(pa) != Counter(pb):
+    """Explicit bijection from a to b preserving adjacency, or None.
+    Equal orders are checked first; the search then starts from the unit
+    partition on both sides, refined as one two-sided pair."""
+    n = a.order
+    if b.order != n:
         return None
-    rank = {p: i for i, p in enumerate(sorted(set(pa)))}
-    pair = _pair([rank[p] for p in pa], [rank[p] for p in pb])
-    return _search(sa, sb, _refine(sa, sb, pair, range(a.order), range(b.order)))
+    sa, sb = _side(a), _side(b)
+    return _search(sa, sb, _refine(sa, sb, _unit_pair(n, False), range(n), range(n)))
 
 
 def digraph_isomorphic(a: Digraph, b: Digraph):
@@ -742,6 +690,25 @@ def digraph_isomorphic(a: Digraph, b: Digraph):
 def graph_isomorphic(a: Graph, b: Graph):
     """Explicit edge-preserving bijection from a to b, or None."""
     return _isomorphism(a, b)
+
+
+def _kernel(group: PermGroup, values) -> PermGroup:
+    """Kernel of the character of group that gives its i-th generator
+    values[i], 0 or 1, some 1: generated by the Schreier generators of
+    the transversal {1, r}, r the first generator of value 1, with order
+    |group|/2 and the group's base."""
+    r = group.generators[values.index(1)]
+    r_inv = inverse(r)
+    gens = []
+    for g, value in zip(group.generators, values):
+        if value:
+            gens += [compose(g, r_inv), compose(r, g)]
+        else:
+            gens += [g, compose(r, compose(g, r_inv))]
+    kernel = PermGroup(group.degree, tuple(gens))
+    kernel._order = group.order() // 2
+    kernel._base = group._base
+    return kernel
 
 
 def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
@@ -757,11 +724,10 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     generator; one walk gives the words and the relations, one image
     per element and generator.  The characters are the masks with an
     even overlap with every relation, found by elimination.  The kernel
-    of one is generated by the Schreier generators of the transversal
-    {1, g0}, g0 its first generator of value 1.  Its order is |G|/2, so
-    transitivity alone decides regularity.  Its elements are those whose
-    word has an even overlap with the character, so its order spectrum
-    is read off the orders of its elements, and set as its _spectrum.
+    of one is built by _kernel, of order |G|/2, so transitivity alone
+    decides regularity.  Its elements are those whose word has an even
+    overlap with the character, so its order spectrum is read off the
+    orders of its elements, and set as its _spectrum.
     Each order is computed once, and only for elements of a regular
     kernel: with one kernel that is half the group, with two three
     quarters.
@@ -811,17 +777,7 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     for choice in range(1, 1 << len(free)):
         character = sum(bit for j, bit in enumerate(free) if choice >> j & 1)
         character |= sum(p for p, row in rows.items() if (row & character).bit_count() % 2)
-        g0 = gens[(character & -character).bit_length() - 1]
-        g0_inv = inverse(g0)
-        sub_gens = []
-        for i, g in enumerate(gens):
-            if character >> i & 1:
-                sub_gens += [compose(g, g0_inv), compose(g0, g)]
-            else:
-                sub_gens += [g, compose(g0, compose(g, g0_inv))]
-        sub = PermGroup(group.degree, tuple(sub_gens))
-        sub._order = order // 2
-        sub._base = group._base
+        sub = _kernel(group, [character >> i & 1 for i in range(len(gens))])
         if sub.is_transitive(num_points):
             found.append((sub, character))
     if not found:
@@ -902,7 +858,7 @@ def orientation_kernel(s: SeparatorDigraph, group: PermGroup) -> PermGroup:
     one that does neither.  An automorphism of U that keeps the cycle
     edges keeps the transposition edges, so the keepers are Aut(D), and
     the sign is a character of index 2 when some generator reverses.
-    Its kernel is generated by the Schreier generators of the
+    Its kernel is built by _kernel, from the Schreier generators of the
     transversal {1, r}, r the first reverser, as in regular_subgroups;
     its order is |group|/2 and the group's base is its base.
 
@@ -920,20 +876,7 @@ def orientation_kernel(s: SeparatorDigraph, group: PermGroup) -> PermGroup:
             reverses.append(True)
         else:
             raise GroupError(f"generator {i} neither keeps nor reverses the cycle arcs")
-    if True in reverses:
-        r = group.generators[reverses.index(True)]
-        r_inv = inverse(r)
-        gens = []
-        for g, reverser in zip(group.generators, reverses):
-            if reverser:
-                gens += [compose(g, r_inv), compose(r, g)]
-            else:
-                gens += [g, compose(r, compose(g, r_inv))]
-        kernel = PermGroup(group.degree, tuple(gens))
-        kernel._order = group.order() // 2
-        kernel._base = group._base
-    else:
-        kernel = group
+    kernel = _kernel(group, reverses) if True in reverses else group
     _check_regular(s, kernel)
     return kernel
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import networkx as nx
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import cdtsep
@@ -19,7 +20,7 @@ from cdtsep.catalog import (
     GL32_GENERATORS, GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters, reference,
 )
 from cdtsep.graph6 import parse_graph6, write_graph6
-from cdtsep.graphs import build_digraph, build_graph, distances, enumerate_arcs, underlying
+from cdtsep.graphs import Digraph, build_digraph, build_graph, distances, enumerate_arcs, underlying
 from cdtsep.report import run_graph_report
 from cdtsep.groups import (
     GroupError,
@@ -196,28 +197,6 @@ def index_two_subgroups(group):
     return out
 
 
-def bfs_distance_profiles(t):
-    """Reference: each vertex's out-distance profile by one breadth-first
-    search from it over the tagged adjacency's out-arcs."""
-    out = [[w for tag, w in nbrs if tag == 0] for nbrs in t]
-    profiles = []
-    for root in range(len(t)):
-        seen = {root}
-        frontier = [root]
-        counts = []
-        while frontier:
-            counts.append(len(frontier))
-            reached = []
-            for x in frontier:
-                for w in out[x]:
-                    if w not in seen:
-                        seen.add(w)
-                        reached.append(w)
-            frontier = reached
-        profiles.append(tuple(counts))
-    return profiles
-
-
 def isomorphic(n, arcs, target, directed):
     """digraph_isomorphic or graph_isomorphic on two arc (edge) lists."""
     if directed:
@@ -245,6 +224,7 @@ def maps_onto(m, n, arcs, target, directed):
     return {frozenset(e) for e in image} == {frozenset(e) for e in target}
 
 
+CATALOG_GROUPS_SHA256 = "ed9af48e097712d032e1819cf3a518d5bb3b3821c293ec25eb22246f6ac3fa29"
 # two-sided _refine calls of automorphism_group over the twelve hosts
 TWO_SIDED_REFINES = 55
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
@@ -349,6 +329,15 @@ class TestAutomorphisms:
             assert sorted(group.elements()) == sorted(reference), arcs
 
 
+def tagged_adj(x):
+    """Tagged neighbor lists, as groups._refine read them before plain
+    ones: (0, w) for an out-arc or an edge, (1, w) for an in-arc."""
+    if isinstance(x, Digraph):
+        inn = x.in_adj()
+        return [[(0, w) for w in x.out_adj[v]] + [(1, w) for w in inn[v]] for v in range(x.order)]
+    return [[(0, w) for w in x.adj[v]] for v in range(x.order)]
+
+
 def reference_refine(ta, tb, pair, moved_a, moved_b):
     """Reference: groups._refine as it signed members before per-vertex
     signers, over tagged adjacency, each key built by one list
@@ -402,8 +391,8 @@ def two_sided_levels(side):
     """Reference: the base levels of the automorphism search built as
     in groups._levels, but from a root pair whose two sides are separate
     lists (ca is not cb), so every refine signs both sides."""
-    n = len(side.tagged)
-    pair = groups._refine(side, side, groups._pair([0] * n, [0] * n), range(n), range(n))
+    n = len(side.nbrs)
+    pair = groups._refine(side, side, groups._unit_pair(n, False), range(n), range(n))
     levels = []
     while True:
         split = [a for a, _b in pair[2] if len(a) > 1]
@@ -462,11 +451,10 @@ class TestSigners:
     def test_refine_equals_the_tagged_reference(self, structures):
         checked = refuted = 0
         for label, x in structures:
-            side, t, n = groups._side(x), groups._tagged_adj(x), x.order
+            side, t, n = groups._side(x), tagged_adj(x), x.order
             for two_sided in (False, True):
                 def root():
-                    colors = [0] * n
-                    return groups._pair(colors, colors[:] if two_sided else colors)
+                    return groups._unit_pair(n, not two_sided)
 
                 got = groups._refine(side, side, root(), range(n), range(n))
                 assert got == reference_refine(t, t, root(), range(n), range(n)), label
@@ -853,8 +841,8 @@ class TestIsomorphism:
     def test_equal_order_and_size_against_networkx(self, directed):
         # every other pair is regular: two random cubic graphs, or two
         # digraphs with two out-arcs and two in-arcs at every vertex.  They
-        # share their degrees and often their distance profiles, so the
-        # search itself has to refute them
+        # share their degrees, so refining the unit partition often
+        # leaves them standing and the search itself has to refute them
         rng = random.Random(13)
         searched = 0
         for case in range(400):
@@ -885,63 +873,32 @@ class TestIsomorphism:
             else:
                 assert m is None, sides
                 build = build_digraph if directed else build_graph
-                profiles = [
-                    sorted(groups._distance_profiles(groups._tagged_adj(build(n, x)))) for x in sides
-                ]
-                searched += profiles[0] == profiles[1]
+                a, b = (groups._side(build(n, x)) for x in sides)
+                root = groups._unit_pair(n, False)
+                searched += groups._refine(a, b, root, range(n), range(n)) is not None
         assert searched > 10
 
-    @given(
-        st.integers(min_value=0, max_value=12).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))),
-                st.booleans(),
-            )
-        )
-    )
-    @example((0, [], True))
-    @example((1, [], False))
-    @example((4, [(0, 1), (1, 2)], True))  # 3 isolated, 0 reaches 2 but not 3
-    @example((5, [(0, 1), (2, 1), (1, 3), (3, 1)], True))  # 0 and 2 reach no one at all
-    @example((6, [(0, 1), (1, 2), (3, 4)], False))  # two components and an isolated vertex
-    def test_distance_profiles_against_bfs(self, case):
-        n, pairs, directed = case
-        arcs = {(u, v) for u, v in pairs if u != v}
-        if directed:
-            x = build_digraph(n, sorted(arcs))
-        else:
-            x = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in arcs}))
-        t = groups._tagged_adj(x)
-        assert groups._distance_profiles(t) == bfs_distance_profiles(t)
-
-    def test_distance_profiles_of_catalog_separators(self, analysis_of):
-        for text in SOLVABLE:
-            s = analysis_of(text).separator
-            for x in (s.digraph, s.under):
-                t = groups._tagged_adj(x)
-                assert groups._distance_profiles(t) == bfs_distance_profiles(t)
-
-    def test_coxeter_reference_matrices_refuted_at_the_root(self, analysis_of, monkeypatch):
-        # the reference pair's Cayley digraph has other distance profiles
-        # than the separator, so no branch is tried; the corrected pair's
-        # has the same, and its search branches
+    def test_coxeter_reference_matrices_refuted(self, analysis_of):
+        # the reference pair's Cayley digraph is not the separator; the
+        # corrected pair's is
         s = analysis_of("coxeter").separator
-        branches = []
-        original = groups._individualize
-
-        def counted(*args):
-            branches.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(groups, "_individualize", counted)
         elements = gl32_elements()
         reference = cayley_digraph(elements, gl32_mult, list(GL32_GENERATORS))
         assert digraph_isomorphic(s.digraph, reference) is None
-        assert branches == []
         corrected = cayley_digraph(elements, gl32_mult, list(GL32_SEPARATOR_GENERATORS))
         assert digraph_isomorphic(s.digraph, corrected) is not None
-        assert branches
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
+    def test_unequal_orders_and_one_extra_arc(self, directed):
+        build = build_digraph if directed else build_graph
+        test = digraph_isomorphic if directed else graph_isomorphic
+        cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        for m, n in ((0, 1), (1, 0), (3, 4), (5, 4)):
+            assert test(build(m, []), build(n, [])) is None
+        assert test(build(4, cycle), build(5, cycle)) is None
+        assert test(build(4, cycle), build(4, cycle)) is not None
+        assert test(build(4, cycle), build(4, cycle + [(0, 2)])) is None
+        assert test(build(4, cycle + [(0, 2)]), build(4, cycle)) is None
 
 
 def half_order_cases(kind):
@@ -1360,6 +1317,15 @@ class TestCayleyIsomorphism:
             cayley_isomorphism(a.separator, a.kernel, elements, compose, gens)
         assert str(pairing_error.value) == str(digraph_error.value)
 
+    def test_a_repeated_generator_is_refused(self, analysis_of):
+        a = analysis_of("k4")
+        elements, gens = alternating_elements(4), [(1, 2, 0, 3), (1, 2, 0, 3)]
+        with pytest.raises(GroupError, match="repeated generator") as digraph_error:
+            cayley_digraph(elements, compose, gens)
+        with pytest.raises(GroupError) as pairing_error:
+            cayley_isomorphism(a.separator, a.kernel, elements, compose, gens)
+        assert str(pairing_error.value) == str(digraph_error.value)
+
     def test_a_kernel_that_is_not_regular_is_refused(self, analysis_of):
         a = analysis_of("q3")
         s, elements, gens = a.separator, symmetric_elements(4), [(1, 2, 3, 0), (1, 0, 2, 3)]
@@ -1415,6 +1381,23 @@ class TestStabilizerChain:
         assert group.order() == len(reference)
         assert group.order_spectrum() == {element_order(p) for p in reference}
         assert group.elements() == sorted(reference)
+
+
+def test_catalog_groups_are_pinned():
+    # order, base, generators and spectrum of each group of every catalog
+    # graph, in CdtName order: the host group, its recorded stabilizer
+    # and, for a solvable graph, the separator group, its orientation
+    # kernel and its regular subgroups; built afresh, so no other test's
+    # use of a shared group comes first
+    digest = hashlib.sha256()
+    for name in CdtName:
+        a = Analysis.from_catalog(name)
+        found = [a.host_group, a.host_group._stabilizer]
+        if a.solved:
+            found += [a.separator_group, a.kernel, *a.regular]
+        for g in found:
+            digest.update(repr((g.order(), g._base, g.generators, sorted(g.order_spectrum()))).encode())
+    assert digest.hexdigest() == CATALOG_GROUPS_SHA256
 
 
 def loaded_packages(statement):
