@@ -1,7 +1,10 @@
 """Reading and writing undirected graphs in graph6 format.
 
 The format packs the upper triangle of the adjacency matrix, read
-column by column, into 6-bit chunks offset by 63.
+column by column, into 6-bit chunks offset by 63 (McKay, "graph6 and
+sparse6 formats").  The reader turns the body into one "0"/"1" string
+and finds its set bits with str.find, so its Python work is per edge,
+not per bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ __all__ = ["Graph6Error", "parse_graph6", "write_graph6"]
 
 _HEADER = ">>graph6<<"
 _MAX_ORDER = 100_000
+# the data bytes 63..126, and each one's six bits as a "0"/"1" string
+_DATA_BYTES = bytes(range(63, 127))
+_SIX_BITS = {b: format(b - 63, "06b") for b in _DATA_BYTES}
 
 
 class Graph6Error(ValueError):
@@ -45,7 +51,13 @@ def _parse_order(data: bytes) -> tuple[int, bytes]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Graph from one graph6 line (optional >>graph6<< header allowed)."""
+    """Graph from one graph6 line (optional >>graph6<< header allowed).
+
+    Raises Graph6Error for non-ASCII text, a bad order field, a body of
+    the wrong length, a data byte outside 63..126 (the first one is
+    named) and nonzero padding bits.  The set bits are found one by one
+    in the body's bit string, and a running column start turns each
+    position into its edge (i, j)."""
     line = text.strip()
     if line.startswith(_HEADER):
         line = line[len(_HEADER):]
@@ -59,20 +71,22 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {(nbits + 5) // 6} data bytes for order {n}, got {len(body)}"
         )
-    bits = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"data byte {b} out of range")
-        bits.extend((b - 63) >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bad = body.translate(None, _DATA_BYTES)
+    if bad:
+        raise Graph6Error(f"data byte {bad[0]} out of range")
+    bits = "".join([_SIX_BITS[b] for b in body])
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
+    # column j holds the bits of (0, j) .. (j - 1, j) from position start
     edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
+    j = start = 0
+    pos = bits.find("1", 0, nbits)
+    while pos >= 0:
+        while pos >= start + j:
+            start += j
+            j += 1
+        edges.append((pos - start, j))
+        pos = bits.find("1", pos + 1, nbits)
     return build_graph(n, edges)
 
 

@@ -241,8 +241,10 @@ def _graph_signer(nbrs):
 
 def _digraph_signer(out, inn):
     """Callable giving, under a color list c, 2*c[w] for each
-    out-neighbor w of one vertex and 2*c[w] + 1 for each in-neighbor."""
-    return lambda c: [2 * c[w] for w in out] + [2 * c[w] + 1 for w in inn]
+    out-neighbor w of one vertex and 2*c[w] + 1 for each in-neighbor,
+    in one comprehension over the neighbors tagged once here."""
+    tagged = [(w, 0) for w in out] + [(w, 1) for w in inn]
+    return lambda c: [2 * c[w] + bit for w, bit in tagged]
 
 
 class _Side(NamedTuple):

@@ -1,13 +1,17 @@
 """Separator digraph: vertices are the (k-1)-arcs of the host graph,
 arcs follow the oriented girth cycles one step, and each vertex is paired
-with its reversal by a transposition edge."""
+with its reversal by a transposition edge.
+
+The two permutations succ (one cycle step) and trans (the reversal)
+determine the separator, so its digraph, underlying graph and alternate
+census are read off them per vertex on integer ids."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Digraph, Graph, GraphError, build_digraph, enumerate_arcs, underlying
+from .graphs import Digraph, Graph, GraphError, enumerate_arcs
 from .cycles import CycleSet, cycle_windows
 from .orient import OddWitness, OrientationAssignment, oriented_cycles
 
@@ -59,9 +63,16 @@ class SeparatorDigraph:
         return _perm_cycles(self.succ)
 
     def is_two_in_two_out(self) -> bool:
-        """Every vertex of digraph has two out-arcs and two in-arcs."""
-        d = self.digraph
-        return all(len(o) == 2 and len(i) == 2 for o, i in zip(d.out_adj, d.in_adj()))
+        """Every vertex of digraph has two out-arcs and two in-arcs; the
+        in-degrees are counted off out_adj."""
+        out_adj = self.digraph.out_adj
+        indeg = [0] * len(out_adj)
+        for out in out_adj:
+            if len(out) != 2:
+                return False
+            indeg[out[0]] += 1
+            indeg[out[1]] += 1
+        return indeg.count(2) == len(indeg)
 
 
 def _perm_cycles(f) -> list[tuple[int, ...]]:
@@ -127,7 +138,13 @@ def build_separator(
     """Assemble the separator from an orientation assignment; raises
     GraphError for the odd witness of unsolvable constraints, and unless
     the assignment has one flip per cycle and its oriented cycles
-    traverse every (k-1)-arc of g exactly once and nothing else."""
+    traverse every (k-1)-arc of g exactly once and nothing else.
+
+    Each oriented cycle's windows are looked up once as a list of arc
+    ids, each followed by the next.  The digraph and its underlying graph
+    are built straight from succ and trans (see _adjacency), and the
+    separator is checked to be 2-in 2-out with a cubic connected
+    underlying graph and one succ orbit of girth length per cycle."""
     if isinstance(a, OddWitness):
         raise GraphError(
             "no separator: the orientation constraints are unsolvable"
@@ -135,30 +152,54 @@ def build_separator(
         )
     if len(a.flips) != len(cs):
         raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
-    arcs = tuple(tuple(x) for x in enumerate_arcs(g, k - 1))
+    arcs = tuple(enumerate_arcs(g, k - 1))
     index = {arc: i for i, arc in enumerate(arcs)}
-    succ: list[int | None] = [None] * len(arcs)
+    n = len(arcs)
+    succ: list[int | None] = [None] * n
     try:
         for cyc in oriented_cycles(cs, a):
-            for window in cycle_windows(cyc, k):
-                cur = index[window[:k]]
+            # the cycle's (k-1)-arcs in walk order; each is followed by the next
+            ids = [index[w] for w in cycle_windows(cyc, k - 1)]
+            cur = ids[-1]
+            for nxt in ids:
                 if succ[cur] is not None:
-                    raise GraphError(f"arc {window[:k]} traversed more than once")
-                succ[cur] = index[window[1:]]
+                    raise GraphError(f"arc {arcs[cur]} traversed more than once")
+                succ[cur] = nxt
+                cur = nxt
     except KeyError as exc:
         raise GraphError(f"cycle walk {exc.args[0]} is not an arc of the graph") from None
-    if any(s is None for s in succ):
+    if None in succ:
         raise GraphError("some arc is not traversed by any oriented cycle")
-    trans = tuple(index[arc[::-1]] for arc in arcs)
-    if any(trans[v] == v for v in range(len(arcs))):
+    trans = tuple([index[arc[::-1]] for arc in arcs])
+    if any(trans[v] == v for v in range(n)):
         raise GraphError("transposition involution has a fixed point")
-    darcs = [(v, succ[v]) for v in range(len(arcs))]
-    darcs += [(v, trans[v]) for v in range(len(arcs))]
-    digraph = build_digraph(len(arcs), darcs)
-    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index,
-                           underlying(digraph))
+    digraph, under = _adjacency(succ, trans)
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index, under)
     _check_invariants(sep)
     return sep
+
+
+def _adjacency(succ, trans) -> tuple[Digraph, Graph]:
+    """The digraph with out-neighbors {succ v, trans v} of each vertex v,
+    and its underlying graph, whose neighbors of v are {pred v, succ v,
+    trans v} for pred the inverse of succ: the in-neighbors of v are
+    pred v and the vertex whose reversal it is, trans v.
+
+    succ must be a permutation and trans an involution.  Each row is
+    the sorted set, so a coincidence shows as a short row: succ v ==
+    trans v leaves v one out-arc, and pred v == trans v leaves v two
+    neighbors."""
+    n = len(succ)
+    pred = [0] * n
+    for v, w in enumerate(succ):
+        pred[w] = v
+    out = tuple([(w, t) if w < t else (t, w) if t < w else (w,) for w, t in zip(succ, trans)])
+    # pred v put into the sorted set out[v]
+    adj = tuple([
+        (p, *o) if p < o[0] else (*o, p) if p > o[-1] else o if p in o else (o[0], p, o[1])
+        for p, o in zip(pred, out)
+    ])
+    return Digraph(n, out), Graph(n, adj)
 
 
 def _check_invariants(s: SeparatorDigraph) -> None:
@@ -175,24 +216,36 @@ def _check_invariants(s: SeparatorDigraph) -> None:
 
 def alternate_census(s: SeparatorDigraph, max_r: int = 4) -> AlternateCensus:
     """Orbit decomposition of transposition-after-r-cycle-steps for
-    r = 1..max_r, with simple/non-simple classification of each walk."""
+    r = 1..max_r, with simple/non-simple classification of each walk.
+
+    succ^r is one map over succ^(r-1), and f = trans o succ^r one more.
+    Each orbit of f is walked once, and its walk is the concatenation of
+    the rows (w, succ w, ..., succ^r w) of its members w, taken from the
+    power tuples zipped."""
+    n = s.order
     out: dict[int, tuple[AlternateOrbit, ...]] = {}
-    step = list(range(s.order))
+    # powers[j] is succ^j as a tuple, powers[0] the identity
+    powers = [tuple(range(n))]
     for r in range(1, max_r + 1):
-        # succ^r, one cycle step on from succ^(r-1)
-        step = [s.succ[v] for v in step]
-        f = [s.trans[v] for v in step]
+        # succ^r, one cycle step on from succ^(r-1), and f = trans o succ^r
+        powers.append(tuple(map(s.succ.__getitem__, powers[-1])))
+        f = tuple(map(s.trans.__getitem__, powers[-1]))
+        # steps[w] = (w, succ w, ..., succ^r w): the walk from w up to f(w)
+        steps = list(zip(*powers))
+        seen = [False] * n
         orbits = []
-        for cycle_starts in _perm_cycles(f):
-            walk = []
-            for w in cycle_starts:
-                walk.append(w)
-                for _ in range(r):
-                    w = s.succ[w]
-                    walk.append(w)
-            simple = len(set(walk)) == len(walk)
-            orbits.append(AlternateOrbit(len(cycle_starts), tuple(walk), simple))
-        if sum(o.size for o in orbits) != s.order:
+        for start in range(n):
+            if seen[start]:
+                continue
+            w, walk, size = start, [], 0
+            while not seen[w]:
+                seen[w] = True
+                walk += steps[w]
+                size += 1
+                w = f[w]
+            walk = tuple(walk)
+            orbits.append(AlternateOrbit(size, walk, len(set(walk)) == len(walk)))
+        if sum(o.size for o in orbits) != n:
             raise GraphError("alternate orbits do not partition the vertex set")
         out[r] = tuple(orbits)
     return AlternateCensus(out)

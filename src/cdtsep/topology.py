@@ -1,6 +1,10 @@
 """Closed-surface assembly from separator faces: the oriented girth
 cycles plus the simple alternate cycles, with Euler characteristic,
-orientability and genus."""
+orientability and genus.
+
+A face slot, one step of a face boundary, is keyed by the integer code
+u*n + v of its edge (u < v, n the vertex count), walked with the
+previous vertex carried along the boundary."""
 
 from __future__ import annotations
 
@@ -33,22 +37,31 @@ class EulerReport(NamedTuple):
 
 def face_complex(s: SeparatorDigraph, census: AlternateCensus) -> FaceComplex:
     """Faces = the oriented girth cycles plus all simple single-step
-    alternate cycles of the census.  Raises GraphError if some underlying
-    edge is not covered exactly twice."""
-    faces = [tuple(o) for o in s.succ_orbits()]
+    alternate cycles of the census.  Raises GraphError if a face walk
+    is empty or leaves the vertex ids 0..n-1 (on which the slot codes are
+    distinct), steps along a non-edge, or some underlying edge is not
+    covered exactly twice; the last two messages name the edge as a
+    (u, v) pair."""
+    faces = s.succ_orbits()
     faces += [o.walk for o in census.simple_cycles(1)]
     edges = tuple(s.under.edges())
-    coverage = {e: 0 for e in edges}
+    n = s.order
+    coverage = dict.fromkeys([u * n + v for u, v in edges], 0)
     for face in faces:
-        for u, v in zip(face, face[1:] + face[:1]):
-            key = (min(u, v), max(u, v))
+        # the codes u*n + v name distinct pairs only for ids in range(n)
+        if not face or min(face) < 0 or max(face) >= n:
+            raise GraphError(f"face walk {face} is not a walk on the vertices 0..{n - 1}")
+        u = face[-1]
+        for v in face:
+            key = u * n + v if u < v else v * n + u
             if key not in coverage:
-                raise GraphError(f"face walk uses non-edge {key}")
+                raise GraphError(f"face walk uses non-edge {divmod(key, n)}")
             coverage[key] += 1
-    bad = [e for e, c in coverage.items() if c != 2]
-    if bad:
-        raise GraphError(f"edge {bad[0]} lies in {coverage[bad[0]]} face slots")
-    return FaceComplex(s.order, edges, tuple(faces))
+            u = v
+    for e, c in zip(edges, coverage.values()):
+        if c != 2:
+            raise GraphError(f"edge {e} lies in {c} face slots")
+    return FaceComplex(n, edges, tuple(faces))
 
 
 def euler(fc: FaceComplex) -> EulerReport:
@@ -58,17 +71,26 @@ def euler(fc: FaceComplex) -> EulerReport:
     slots of every edge traverse it in opposite directions: a parity
     constraint per edge between its two faces, solved by the parity
     coloring that also solves the girth-cycle orientation problem.
+    Each edge's two slots are collected under its code u*n + v, so the
+    faces must walk vertex ids below fc.vertices, as face_complex
+    checks.
     """
-    chi = fc.vertices - len(fc.edges) + len(fc.faces)
-    # slots[edge] = list of (face id, traversed from its lower end)
-    slots: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    n = fc.vertices
+    chi = n - len(fc.edges) + len(fc.faces)
+    # slots[u*n + v], u < v: (face id, traversed from u) of each slot
+    slots: dict[int, list[tuple[int, bool]]] = {}
     for fid, face in enumerate(fc.faces):
-        for u, v in zip(face, face[1:] + face[:1]):
-            slots.setdefault((min(u, v), max(u, v)), []).append((fid, u < v))
+        u = face[-1]
+        for v in face:
+            if u < v:
+                slots.setdefault(u * n + v, []).append((fid, True))
+            else:
+                slots.setdefault(v * n + u, []).append((fid, False))
+            u = v
     # same natural direction in both slots: one of the two faces flips
     constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]
     orientable = parity_coloring(len(fc.faces), constraints).odd_walk is None
     genus = (2 - chi) // 2 if orientable else None
     if orientable and chi % 2 != 0:
         raise GraphError("orientable complex with odd Euler characteristic")
-    return EulerReport(fc.vertices, len(fc.edges), len(fc.faces), chi, orientable, genus)
+    return EulerReport(n, len(fc.edges), len(fc.faces), chi, orientable, genus)

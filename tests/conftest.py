@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cdtsep import catalog, graphs, groups, orient
+from cdtsep import catalog, graphs, groups, orient, separator
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graph6 import parse_graph6, write_graph6
@@ -89,14 +89,15 @@ def count_calls(mp, owner, fname, counts):
 @pytest.fixture(scope="session")
 def counted_run():
     """The one full run_report() of the session, with the number of calls
-    it made to build_cdt, automorphism_group, underlying, enumerate_arcs,
-    verify_ooa and the one BFS sweep behind distances and girth, under
-    every cdtsep binding."""
+    it made to build_cdt, automorphism_group, build_separator, underlying,
+    enumerate_arcs, verify_ooa and the one BFS sweep behind distances and
+    girth, under every cdtsep binding."""
     counts = {}
     with pytest.MonkeyPatch.context() as mp:
         for owner, fname in (
             (catalog, "build_cdt"),
             (groups, "automorphism_group"),
+            (separator, "build_separator"),
             (graphs, "underlying"),
             (graphs, "enumerate_arcs"),
             (orient, "verify_ooa"),

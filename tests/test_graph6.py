@@ -1,7 +1,69 @@
+import random
+
 import pytest
 
-from cdtsep.graph6 import Graph6Error, parse_graph6, write_graph6
+from cdtsep.catalog import CdtName, build_cdt
+from cdtsep.graph6 import _HEADER, Graph6Error, _parse_order, parse_graph6, write_graph6
 from cdtsep.graphs import Graph, build_graph
+
+
+def reference_parse(text: str) -> Graph:
+    """The per-bit graph6 decoder that parse_graph6 replaced: every bit
+    of the upper triangle read in a Python loop."""
+    line = text.strip()
+    if line.startswith(_HEADER):
+        line = line[len(_HEADER):]
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("graph6 text must be ASCII") from exc
+    n, body = _parse_order(data)
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise Graph6Error(
+            f"expected {(nbits + 5) // 6} data bytes for order {n}, got {len(body)}"
+        )
+    bits = []
+    for b in body:
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"data byte {b} out of range")
+        bits.extend((b - 63) >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise Graph6Error("nonzero padding bits")
+    edges = []
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                edges.append((i, j))
+            pos += 1
+    return build_graph(n, edges)
+
+
+def both_refuse(text: str) -> str:
+    """The message that parse_graph6 and reference_parse both refuse
+    text with."""
+    with pytest.raises(Graph6Error) as ours:
+        parse_graph6(text)
+    with pytest.raises(Graph6Error) as ref:
+        reference_parse(text)
+    assert str(ours.value) == str(ref.value)
+    return str(ours.value)
+
+
+def random_graphs():
+    """One seeded random graph of each order 0..130 at a random density,
+    and the empty and complete graphs of a few orders on both sides of
+    the switch from the 1-byte to the 3-byte order field at 63."""
+    rng = random.Random(2802)
+    out = []
+    for n in range(131):
+        p = rng.random()
+        out.append(build_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+    for n in (0, 1, 2, 7, 61, 62, 63, 64, 130):
+        out.append(build_graph(n, []))
+        out.append(build_graph(n, [(i, j) for j in range(n) for i in range(j)]))
+    return out
 
 
 class TestParse:
@@ -91,3 +153,36 @@ class TestRoundTrip:
 
     def test_known_encoding(self):
         assert write_graph6(build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])) == "C~"
+
+
+class TestAgainstTheBitDecoder:
+    def test_random_graphs(self):
+        for g in random_graphs():
+            text = write_graph6(g)
+            assert parse_graph6(text) == reference_parse(text) == g, text
+
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_catalog_graphs(self, name):
+        g, _ = build_cdt(name)
+        text = write_graph6(g)
+        assert parse_graph6(text) == reference_parse(text) == g
+
+    def test_each_padding_bit_is_refused(self):
+        refused = 0
+        for n in range(2, 70):
+            text = write_graph6(build_graph(n, [(i, j) for j in range(n) for i in range(j)]))
+            nbits = n * (n - 1) // 2
+            for shift in range(-nbits % 6):
+                bad = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1 << shift))
+                assert both_refuse(bad) == "nonzero padding bits", (n, shift)
+                refused += 1
+        assert refused == 148
+
+    def test_out_of_range_first_and_last_body_byte(self):
+        for n in (2, 7, 12, 62, 63, 100):
+            text = write_graph6(build_graph(n, [(0, n - 1)]))
+            head = 1 if n <= 62 else 4
+            for pos in (head, len(text) - 1):
+                for byte in (0, 62, 127):
+                    bad = text[:pos] + chr(byte) + text[pos + 1:]
+                    assert both_refuse(bad) == f"data byte {byte} out of range", (n, pos)

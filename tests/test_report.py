@@ -186,12 +186,12 @@ class TestFullRun:
         assert counted_run[1]["automorphism_group"] == 19
 
     def test_separator_structure_built_once(self, counted_run):
-        # one underlying graph and one arc listing per separator, and one
-        # more arc listing in each of the 7 reference-ooc-valid checks
+        # one separator per solvable graph, whose underlying graph is built
+        # with it from succ and trans, and one arc listing per separator
+        # plus one more in each of the 7 reference-ooc-valid checks
         counts = counted_run[1]
-        assert (counts["underlying"], counts["enumerate_arcs"], counts["verify_ooa"]) == (
-            7, 14, 7
-        )
+        assert (counts["build_separator"], counts["underlying"], counts["enumerate_arcs"],
+                counts["verify_ooa"]) == (7, 0, 14, 7)
 
     def test_one_bfs_sweep_per_graph_invariant(self, counted_run):
         # each catalog graph's distance table and girth, from one sweep

@@ -1,13 +1,14 @@
 import dataclasses
+import random
 
 import pytest
 
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import enumerate_girth_cycles
-from cdtsep.graphs import GraphError, build_graph, underlying
+from cdtsep.graphs import Digraph, GraphError, build_digraph, build_graph, underlying
 from cdtsep.orient import OrientationAssignment, build_constraints, solve
-from cdtsep.separator import build_separator, separator_summary
+from cdtsep.separator import _adjacency, build_separator, separator_summary
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 
@@ -100,6 +101,60 @@ class TestStructure:
         assert hash(other) == hash(s)
         assert repr(other) == repr(s)
         assert "index" not in repr(s) and "under" not in repr(s)
+
+
+class TestDirectConstruction:
+    """The digraph and underlying graph that build_separator makes straight
+    from succ and trans, against the generic builders."""
+
+    def test_equals_the_generic_builders(self, layer_graphs):
+        checked = 0
+        for label, g, k in layer_graphs:
+            if label.split("/")[0] not in SOLVABLE:
+                continue
+            cs = enumerate_girth_cycles(g)
+            s = build_separator(g, cs, k, solve(build_constraints(g, cs, k)))
+            arcs = [*enumerate(s.succ), *enumerate(s.trans)]
+            assert s.digraph == build_digraph(s.order, arcs), label
+            assert s.under == underlying(s.digraph), label
+            checked += 1
+        assert checked == 28
+
+    def test_coincidences_give_short_rows(self):
+        # random permutations and involutions of small sets coincide
+        # often: succ v == trans v or pred v == trans v must shorten the
+        # row, as the generic builders' sets do
+        rng = random.Random(2801)
+        short = 0
+        for _ in range(300):
+            n = rng.choice((2, 4, 6))
+            succ = list(range(n))
+            rng.shuffle(succ)
+            points = list(range(n))
+            rng.shuffle(points)
+            trans = [0] * n
+            for a, b in zip(points[::2], points[1::2]):
+                trans[a], trans[b] = b, a
+            digraph, under = _adjacency(succ, trans)
+            out = tuple(tuple(sorted({succ[v], trans[v]})) for v in range(n))
+            assert digraph == Digraph(n, out)
+            assert under == underlying(digraph)
+            short += any(len(a) < 3 for a in under.adj)
+        assert short > 100
+
+    def test_in_degrees_are_read(self, analysis_of):
+        # move one arc u -> a to u -> c: every out-degree stays 2, while a
+        # keeps one in-arc and c gets three
+        s = analysis_of("k4").separator
+        assert s.is_two_in_two_out()
+        out = [list(o) for o in s.digraph.out_adj]
+        u = 0
+        c = next(v for v in range(s.order) if v != u and v not in out[u])
+        out[u][0] = c
+        bent = Digraph(s.order, tuple(tuple(sorted(o)) for o in out))
+        assert all(len(o) == 2 for o in bent.out_adj)
+        assert sorted(map(len, bent.in_adj())) == [1] + [2] * (s.order - 2) + [3]
+        assert not dataclasses.replace(s, digraph=bent).is_two_in_two_out()
 
 
 class TestAlternateCensus:

@@ -39,7 +39,23 @@ class TestFaceComplex:
     def test_rejects_non_edge_walk(self, analysis_of):
         s = analysis_of("k4").separator
         fake = AlternateOrbit(3, (0, 0, 0, 0, 0, 0), True)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"non-edge \(0, 0\)"):
+            face_complex(s, AlternateCensus({1: (fake,)}))
+
+    def test_names_the_edge_covered_once(self, analysis_of):
+        a = analysis_of("k4")
+        s, census = a.separator, a.census
+        trimmed = AlternateCensus({1: tuple(census.simple_cycles(1)[:-1])})
+        with pytest.raises(GraphError, match=r"^edge \(\d+, \d+\) lies in 1 face slots$"):
+            face_complex(s, trimmed)
+
+    def test_rejects_a_vertex_out_of_range(self, analysis_of):
+        # (u - 1, v + n) would share the slot code u*n + v of the edge (u, v)
+        s = analysis_of("k4").separator
+        n = s.order
+        u, v = next((u, v) for u, v in s.under.edges() if u > 0)
+        fake = AlternateOrbit(1, (u - 1, v + n), True)
+        with pytest.raises(GraphError, match="is not a walk on the vertices"):
             face_complex(s, AlternateCensus({1: (fake,)}))
 
 
