@@ -1,5 +1,6 @@
-"""Girth-cycle enumeration, canonical forms, path indexing and the
-uniform path-sharing profile."""
+"""Girth cycles from one layered BFS per root, canonical forms, path
+indexes read off zipped cycle windows, and the uniform path-sharing
+profile."""
 
 from __future__ import annotations
 
@@ -74,13 +75,21 @@ class CycleSet:
         direction is +1 when the cycle traverses the key order forward."""
         if length not in self._indexes:
             index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            n = self.girth
+            reps, rest = divmod(length, n)
             for cid, cyc in enumerate(self.cycles):
-                for window in cycle_windows(cyc, length):
+                # the window from position i is column i of the rows
+                # ext[j : j + n], j = 0..length, as in cycle_windows
+                ext = cyc * (reps + 1) + cyc[:rest]
+                fwd, bwd = (cid, 1), (cid, -1)
+                for window in zip(*[ext[j : j + n] for j in range(length + 1)]):
+                    # a window of length >= girth repeats vertices, so
+                    # its two ends alone do not settle the key
                     rev = window[::-1]
                     if window <= rev:
-                        index.setdefault(window, []).append((cid, 1))
+                        index.setdefault(window, []).append(fwd)
                     else:
-                        index.setdefault(rev, []).append((cid, -1))
+                        index.setdefault(rev, []).append(bwd)
             self._indexes[length] = index
         return self._indexes[length]
 
@@ -102,31 +111,65 @@ class FasteningProfile(NamedTuple):
 def enumerate_girth_cycles(g: Graph) -> CycleSet:
     """Every simple cycle of minimum length, each once in canonical form.
 
-    DFS from each root vertex, pruned by exact distances back to the
-    root, so the whole search stays shallow at catalog scale.
+    One BFS per root r over the vertices above r, to depth m = g // 2
+    for girth g, each vertex keeping its path from r, which is its
+    parent chain.  A girth cycle whose least vertex is r lies in that
+    subgraph, and each of its vertices at cycle distance d <= m from r
+    is at depth d there: a shorter path would close, with the cycle's
+    own arc, a cycle of fewer than 2d <= g edges.  For the same reason
+    a vertex of depth d with 2d < g, as at every depth the BFS keeps,
+    has only one shortest path from r.  So for even g each pair of
+    depth-(m - 1) neighbours a, b of a depth-m vertex v closes the cycle
+    r..a, v, b..r, and for odd g each edge u < w between two depth-m
+    vertices closes the cycle r..u, w..r.
+    The two chains meet only at r, since a later common vertex would
+    close a cycle shorter than g, so each is a girth cycle; and each
+    girth cycle with least vertex r is closed exactly once, at its
+    vertex or edge opposite r.  Reversed when cyc[1] > cyc[-1], the
+    cycle is in canonical form.
+
+    Raises GraphError on acyclic or disconnected input.
     """
     glen = girth(g)
-    dist = distances(g).dist
+    distances(g)  # raises GraphError on disconnected input
+    half, odd = divmod(glen, 2)
+    adj, n = g.adj, g.order
     found: list[tuple[int, ...]] = []
-    for root in range(g.order):
-        # paths root -> ... with all interior vertices > root; a closing
-        # edge back to root meets each cycle in both directions, and
-        # path[1] < path[-1] keeps the one that is already canonical
-        stack = [(root, v) for v in g.adj[root] if v > root]
-        while stack:
-            path = stack.pop()
-            if len(path) == glen:
-                if path[1] < path[-1] and g.has_edge(path[-1], root):
-                    found.append(path)
-                continue
-            last = path[-1]
-            # adding nxt uses len(path) edges; the rest must reach root
-            for nxt in g.adj[last]:
-                if nxt <= root or nxt in path:
-                    continue
-                if dist[nxt][root] > glen - len(path):
-                    continue
-                stack.append(path + (nxt,))
+    for root in range(n):
+        # path[v]: the path root..v, None until v is reached
+        path: list[tuple[int, ...] | None] = [None] * n
+        path[root] = (root,)
+        layer = [root]
+        # the layers to depth m - 1, or to depth m when the girth is odd
+        for _ in range(half - 1 + odd):
+            below = []
+            for u in layer:
+                pu = path[u]
+                for v in adj[u]:
+                    if v > root and path[v] is None:
+                        path[v] = pu + (v,)
+                        below.append(v)
+            layer = below
+        if odd:
+            top = set(layer)
+            for u in layer:
+                for w in adj[u]:
+                    if w > u and w in top:
+                        cyc = path[u] + path[w][:0:-1]
+                        found.append(cyc if cyc[1] < cyc[-1] else (root,) + cyc[:0:-1])
+            continue
+        # meets[v]: the depth-(m - 1) neighbours of the depth-m vertex v
+        meets: dict[int, list[int]] = {}
+        for u in layer:
+            for v in adj[u]:
+                if v > root and path[v] is None:
+                    meets.setdefault(v, []).append(u)
+        for v, ends in meets.items():
+            for i, a in enumerate(ends):
+                pa = path[a] + (v,)
+                for b in ends[i + 1 :]:
+                    cyc = pa + path[b][:0:-1]
+                    found.append(cyc if cyc[1] < cyc[-1] else (root,) + cyc[:0:-1])
     return CycleSet(g, glen, tuple(sorted(found)))
 
 

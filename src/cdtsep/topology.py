@@ -73,7 +73,8 @@ def euler(fc: FaceComplex) -> EulerReport:
     coloring that also solves the girth-cycle orientation problem.
     Each edge's two slots are collected under its code u*n + v, so the
     faces must walk vertex ids below fc.vertices, as face_complex
-    checks.
+    checks.  Raises GraphError, naming the edge as a (u, v) pair, when
+    the faces walk an edge in a number of slots other than two.
     """
     n = fc.vertices
     chi = n - len(fc.edges) + len(fc.faces)
@@ -88,7 +89,11 @@ def euler(fc: FaceComplex) -> EulerReport:
                 slots.setdefault(v * n + u, []).append((fid, False))
             u = v
     # same natural direction in both slots: one of the two faces flips
-    constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]
+    try:
+        constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]
+    except ValueError:
+        key, pair = next((key, pair) for key, pair in slots.items() if len(pair) != 2)
+        raise GraphError(f"edge {divmod(key, n)} lies in {len(pair)} face slots") from None
     orientable = parity_coloring(len(fc.faces), constraints).odd_walk is None
     genus = (2 - chi) // 2 if orientable else None
     if orientable and chi % 2 != 0:

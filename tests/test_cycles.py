@@ -22,7 +22,8 @@ from conftest import count_calls, generalized_petersen, random_cubic
 
 def reference_girth_cycles(g):
     """Every girth cycle put in canonical form by canonical_cycle and
-    deduplicated through a set, the DFS pruned as in the library."""
+    deduplicated through a set, found by a path DFS from each root
+    pruned by the distance table."""
     glen, dist = girth(g), distances(g).dist
     found = set()
     for root in range(g.order):
@@ -109,6 +110,39 @@ class TestAgainstReferences:
     def test_girth_cycles(self, layer_graphs):
         for label, g, _k in layer_graphs:
             assert enumerate_girth_cycles(g).cycles == reference_girth_cycles(g), label
+
+    def test_girth_cycles_beyond_the_catalog(self):
+        # cubic GP(n, j) for n <= 15, seeded random cubic graphs, and
+        # graphs that are not cubic: K5, whose depth-1 vertices are all
+        # joined; K3,4, where a depth-2 vertex has four depth-1
+        # neighbours; Q4 and the torus C4 x C4 (Q4 labelled as a grid);
+        # and Petersen with a pendant edge
+        graphs = [(f"GP({n},{j})", generalized_petersen(n, j))
+                  for n in range(3, 16) for j in range(1, (n + 1) // 2)]
+        rng = random.Random(2903)
+        graphs += [(f"cubic{n}/{t}", random_cubic(n, rng)) for n in range(4, 33, 2) for t in range(4)]
+        petersen, _ = build_cdt(CdtName.PETERSEN)
+        graphs += [
+            ("K5", build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])),
+            ("K3,4", build_graph(7, [(u, v) for u in range(3) for v in range(3, 7)])),
+            ("Q4", build_graph(16, [(v, v ^ 1 << i) for v in range(16) for i in range(4) if v < v ^ 1 << i])),
+            ("C4xC4", build_graph(16, [(4 * i + j, 4 * ((i + d) % 4) + (j + 1 - d) % 4)
+                                       for i in range(4) for j in range(4) for d in (0, 1)])),
+            ("petersen+pendant", build_graph(11, petersen.edges() + [(0, 10)])),
+        ]
+        for label, g in graphs:
+            cs = enumerate_girth_cycles(g)
+            assert cs.cycles == reference_girth_cycles(g), label
+            for length in (1, cs.girth - 1, cs.girth + 1):
+                assert cs.path_index(length) == reference_path_index(cs, length), (label, length)
+
+    def test_refuses_disconnected_and_acyclic_graphs(self):
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(GraphError, match="^graph is disconnected: no path from 0 to 3$"):
+            enumerate_girth_cycles(two_triangles)
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(GraphError, match="^graph is acyclic; girth undefined$"):
+            enumerate_girth_cycles(path)
 
     def test_path_index(self, layer_graphs):
         # lengths from single vertices to windows wrapping past the girth

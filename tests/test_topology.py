@@ -86,3 +86,21 @@ class TestEuler:
         assert (report.edges, report.faces, report.chi) == (15, 10, 1)
         assert report.orientable is False
         assert report.genus is None
+
+    def test_names_an_edge_in_one_slot(self):
+        # the hemi-icosahedron less its last face (5, 1, 3), whose three
+        # edges are then left in one slot each
+        faces = (
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2),
+        )
+        edges = tuple(sorted({tuple(sorted((f[i], f[i - 1]))) for f in faces for i in range(3)}))
+        with pytest.raises(GraphError, match=r"^edge \((1, 3|1, 5|3, 5)\) lies in 1 face slots$"):
+            euler(FaceComplex(6, edges, faces))
+
+    def test_names_an_edge_in_three_slots(self):
+        # the tetrahedron with its face (0, 1, 2) walked a second time
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0), (0, 1, 2))
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        with pytest.raises(GraphError, match=r"^edge \((0, 1|0, 2|1, 2)\) lies in 3 face slots$"):
+            euler(FaceComplex(4, edges, faces))
