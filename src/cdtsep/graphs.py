@@ -2,8 +2,10 @@
 
 Vertices are dense integers 0..order-1.  All structures are immutable
 after construction and every function here is pure, so shared instances
-are safe to use concurrently.  A Graph finds its distance table and its
-girth in one all-roots BFS sweep on first use and keeps both.
+are safe to use concurrently.  A Graph finds its diameter and its girth
+in one sweep on first use and keeps both: the diameter from bitset balls
+grown one hop per round, the girth from a BFS above each root cut at
+half the best cycle so far.  No all-pairs table is built.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph with sorted per-vertex neighbor lists.
 
-    The all-pairs distance table and the girth come from one all-roots
-    BFS sweep, run on the first call of distances() or girth() and kept
-    in the instance __dict__, so ==, hash and repr see only order and
-    adj.  A disconnected graph keeps no table, and an acyclic one no
-    girth: those calls raise every time.
+    The diameter and the girth come from one sweep, run on the first
+    call of distances() or girth() and kept in the instance __dict__, so
+    ==, hash and repr see only order and adj.  A disconnected graph keeps
+    no diameter, and an acyclic one no girth: those calls raise every
+    time.
     """
 
     __slots__ = ("order", "adj", "__dict__")
@@ -113,9 +115,9 @@ class Digraph:
 
 
 class DistanceTable(NamedTuple):
-    """All-pairs hop distances of a connected graph."""
+    """Distance facts of a connected graph: its diameter, the largest
+    hop distance between two vertices (0 on at most one vertex)."""
 
-    dist: tuple[tuple[int, ...], ...]
     diameter: int
 
 
@@ -174,8 +176,8 @@ def _bfs_dist(adj, root: int, n: int) -> list[int]:
 
 
 def distances(g: Graph) -> DistanceTable:
-    """BFS-exact all-pairs distances, from the one sweep per Graph;
-    raises GraphError when disconnected."""
+    """The diameter, from the one sweep per Graph; raises GraphError
+    when disconnected."""
     table = g._sweep[0]
     if table.__class__ is str:
         raise GraphError(table)
@@ -194,36 +196,63 @@ def girth(g: Graph) -> int:
 
 
 def _bfs_sweep(g: Graph) -> tuple[DistanceTable | str, int]:
-    """One BFS per root: the distance table, or the disconnection message
-    when root 0 leaves a vertex unreached, and a girth bound that exceeds
-    the order when g is acyclic.
+    """The DistanceTable with the diameter, or the disconnection message
+    naming the least vertex that 0 does not reach, and a girth bound that
+    exceeds the order when g is acyclic.
 
-    Each reached neighbour v of u other than u's BFS parent closes a walk
+    Diameter: the ball of v starts as v's own bit, and each round ORs in
+    the balls of v's neighbours, so after r rounds it holds the vertices
+    within r hops of v.  The diameter is the number of rounds until every
+    ball is full; a round that changes no ball leaves some pair apart.
+
+    Girth: from each root, a BFS over the vertices above it only.  Each
+    reached neighbour v of u other than u's BFS parent closes a walk
     root..u, v..root of dist[u] + dist[v] + 1 edges through a non-tree
     edge, so it holds a cycle at most that long; from a root on a
-    shortest cycle the bound is exact (Itai and Rodeh 1978).
+    shortest cycle the bound is exact (Itai and Rodeh 1978).  The least
+    vertex of a shortest cycle sees the whole cycle above it, so it is
+    such a root.  A vertex at depth d closes no walk shorter than
+    2d + 1 that an earlier vertex did not, so the BFS stops at the first
+    vertex with 2d + 1 >= best.
     """
     n, adj = g.order, g.adj
-    rows = []
     best = n + 1
     for root in range(n):
         dist = [-1] * n
-        parent = [-1] * n
+        parent = dist[:]
         dist[root] = 0
         queue = [root]
         for u in queue:
-            pu, du1 = parent[u], dist[u] + 1
+            du1 = dist[u] + 1
+            if 2 * du1 > best:
+                break
+            pu = parent[u]
             for v in adj[u]:
-                dv = dist[v]
-                if dv < 0:
-                    dist[v], parent[v] = du1, u
-                    queue.append(v)
-                elif v != pu and du1 + dv < best:
-                    best = du1 + dv
-        rows.append(tuple(dist))
-    if n and -1 in rows[0]:
-        return f"graph is disconnected: no path from 0 to {rows[0].index(-1)}", best
-    return DistanceTable(tuple(rows), max(map(max, rows)) if n else 0), best
+                if v > root:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v], parent[v] = du1, u
+                        queue.append(v)
+                    elif v != pu and du1 + dv < best:
+                        best = du1 + dv
+    if not n:
+        return DistanceTable(0), best
+    full = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
+    diameter = 0
+    while min(balls) != full:
+        grown = []
+        for ball, a in zip(balls, adj):
+            for w in a:
+                ball |= balls[w]
+            grown.append(ball)
+        if grown == balls:
+            # the lowest zero bit of vertex 0's ball
+            j = ((balls[0] + 1) & ~balls[0]).bit_length() - 1
+            return f"graph is disconnected: no path from 0 to {j}", best
+        balls = grown
+        diameter += 1
+    return DistanceTable(diameter), best
 
 
 def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ previous vertex carried along the boundary."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .graphs import GraphError, parity_coloring
@@ -74,20 +75,31 @@ def euler(fc: FaceComplex) -> EulerReport:
     Each edge's two slots are collected under its code u*n + v, so the
     faces must walk vertex ids below fc.vertices, as face_complex
     checks.  Raises GraphError, naming the edge as a (u, v) pair, when
-    the faces walk an edge in a number of slots other than two.
+    fc.edges lists an edge twice, or the faces walk a pair that fc.edges
+    does not list, leave a listed edge unwalked, or walk an edge in a
+    number of slots other than two.
     """
     n = fc.vertices
     chi = n - len(fc.edges) + len(fc.faces)
-    # slots[u*n + v], u < v: (face id, traversed from u) of each slot
-    slots: dict[int, list[tuple[int, bool]]] = {}
-    for fid, face in enumerate(fc.faces):
-        u = face[-1]
-        for v in face:
-            if u < v:
-                slots.setdefault(u * n + v, []).append((fid, True))
-            else:
-                slots.setdefault(v * n + u, []).append((fid, False))
-            u = v
+    # slots[u*n + v], u < v: (face id, traversed from u) of each slot,
+    # one list per listed edge, so a listed edge no face walks keeps none
+    codes = [u * n + v if u < v else v * n + u for u, v in fc.edges]
+    slots: dict[int, list[tuple[int, bool]]] = {code: [] for code in codes}
+    if len(slots) != len(codes):
+        twice = min(code for code, count in Counter(codes).items() if count > 1)
+        raise GraphError(f"edge {divmod(twice, n)} is listed more than once")
+    try:
+        for fid, face in enumerate(fc.faces):
+            forward, backward = (fid, True), (fid, False)
+            u = face[-1]
+            for v in face:
+                if u < v:
+                    slots[u * n + v].append(forward)
+                else:
+                    slots[v * n + u].append(backward)
+                u = v
+    except KeyError as unlisted:
+        raise GraphError(f"face walk uses non-edge {divmod(unlisted.args[0], n)}") from None
     # same natural direction in both slots: one of the two faces flips
     try:
         constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]

@@ -29,6 +29,23 @@ def random_cubic(n, rng):
             return build_graph(n, edges)
 
 
+def bfs_distance_table(g):
+    """All-pairs hop distances of g as rows of a tuple, by one plain BFS
+    from each vertex; -1 marks a vertex the row's root does not reach."""
+    rows = []
+    for root in range(g.order):
+        dist = [-1] * g.order
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in g.adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
 @pytest.fixture(scope="session")
 def analysis_of():
     """Shared per-graph pipeline: text name -> its catalog Analysis."""

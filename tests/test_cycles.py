@@ -15,16 +15,16 @@ from cdtsep.cycles import (
     path_key,
     unordered_paths,
 )
-from cdtsep.graphs import GraphError, build_graph, distances, girth
+from cdtsep.graphs import GraphError, build_graph, girth
 from cdtsep.orient import build_constraints
-from conftest import count_calls, generalized_petersen, random_cubic
+from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic
 
 
 def reference_girth_cycles(g):
     """Every girth cycle put in canonical form by canonical_cycle and
     deduplicated through a set, found by a path DFS from each root
     pruned by the distance table."""
-    glen, dist = girth(g), distances(g).dist
+    glen, dist = girth(g), bfs_distance_table(g)
     found = set()
     for root in range(g.order):
         stack = [(root, v) for v in g.adj[root] if v > root]

@@ -21,7 +21,7 @@ from cdtsep.graphs import (
     is_planar,
     underlying,
 )
-from conftest import generalized_petersen, random_cubic
+from conftest import bfs_distance_table, generalized_petersen, random_cubic
 
 
 def petersen():
@@ -285,8 +285,10 @@ class TestMemoizedSweeps:
 
 def sweep_cases(seed):
     """Seeded networkx graphs on 0..n-1: G(n, m) graphs, sparse ones often
-    disconnected, random trees, cycles, random cubic graphs, and disjoint
-    unions of pairs of these."""
+    disconnected, random trees, cycles, random cubic graphs, disjoint
+    unions of pairs of these, larger non-regular G(n, m) graphs, and
+    graphs whose shortest cycle lies far above vertex 0, as numbered and
+    seeded relabelings."""
     rng = random.Random(seed)
     cases = []
     for _ in range(200):
@@ -296,6 +298,20 @@ def sweep_cases(seed):
     cases += [nx.cycle_graph(n) for n in range(3, 16)]
     cases += [nx.random_regular_graph(3, n, seed=rng.randrange(2**31)) for n in range(4, 31, 2)]
     cases += [nx.disjoint_union(rng.choice(cases), rng.choice(cases)) for _ in range(60)]
+    for _ in range(100):
+        n = rng.randint(13, 40)
+        cases.append(nx.gnm_random_graph(n, rng.randint(n - 1, 3 * n), seed=rng.randrange(2**31)))
+    for tail, long, short in itertools.product((1, 2, 6, 12), (0, 9, 15), (3, 4, 5, 8, 9)):
+        if long and short >= long:
+            continue
+        # a path from vertex 0, or from a long cycle through 0, to a short cycle
+        h = nx.cycle_graph(long) if long else nx.empty_graph(1)
+        top = len(h) + tail - 1
+        nx.add_path(h, [0] + list(range(len(h), top + 1)))
+        nx.add_cycle(h, [top] + list(range(top + 1, top + short)))
+        perm = list(h)
+        rng.shuffle(perm)
+        cases += [h, nx.relabel_nodes(h, dict(zip(h, perm)))]
     return cases
 
 
@@ -314,12 +330,11 @@ class TestOneSweepAgainstNetworkx:
                 else:
                     assert girth(g) == expected, sorted(h.edges())
                 if connected:
-                    table = distances(g)
                     lengths = dict(nx.all_pairs_shortest_path_length(h))
-                    assert table.dist == tuple(
+                    assert bfs_distance_table(g) == tuple(
                         tuple(lengths[u][v] for v in range(n)) for u in range(n)
                     )
-                    assert table.diameter == nx.diameter(h)
+                    assert distances(g).diameter == nx.diameter(h)
                 elif n:
                     reached = nx.node_connected_component(h, 0)
                     j = min(set(range(n)) - reached)
@@ -328,6 +343,38 @@ class TestOneSweepAgainstNetworkx:
                     assert str(exc.value) == f"graph is disconnected: no path from 0 to {j}"
             disconnected_with_cycle += n > 0 and not connected and expected != float("inf")
         assert disconnected_with_cycle > 50
+
+
+class TestBallsAndCutBfs:
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_paths_and_cycles(self, n):
+        path = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        assert distances(path).diameter == n - 1
+        with pytest.raises(GraphError, match="acyclic"):
+            girth(path)
+        if n >= 3:
+            cycle = build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+            assert distances(cycle).diameter == n // 2
+            assert girth(cycle) == n
+
+    def test_tiny_orders(self):
+        for n, edges, diameter in [(0, [], 0), (1, [], 0), (2, [(0, 1)], 1)]:
+            g = build_graph(n, edges)
+            assert distances(g).diameter == diameter
+            with pytest.raises(GraphError, match="acyclic"):
+                girth(g)
+        with pytest.raises(GraphError, match=r"^graph is disconnected: no path from 0 to 1$"):
+            distances(build_graph(2, []))
+
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_relabeled_catalog_rows(self, name):
+        g, _ = build_cdt(name)
+        p = cdt_parameters(name)
+        for seed in range(4):
+            perm = list(range(g.order))
+            random.Random(seed).shuffle(perm)
+            h = build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert (distances(h).diameter, girth(h)) == (p.d, p.g), seed
 
 
 class TestArcs:

@@ -20,7 +20,7 @@ from cdtsep.catalog import (
     GL32_GENERATORS, GL32_SEPARATOR_GENERATORS, CdtName, build_cdt, cdt_parameters, reference,
 )
 from cdtsep.graph6 import parse_graph6, write_graph6
-from cdtsep.graphs import Digraph, build_digraph, build_graph, distances, enumerate_arcs, underlying
+from cdtsep.graphs import Digraph, build_digraph, build_graph, enumerate_arcs, underlying
 from cdtsep.report import run_graph_report
 from cdtsep.groups import (
     GroupError,
@@ -43,7 +43,7 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
-from conftest import count_calls, generalized_petersen, random_cubic
+from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic
 
 
 def matrix_order(m) -> int:
@@ -120,11 +120,11 @@ def reference_is_distance_transitive(g, group):
     """Reference: whether the group's orbits on ordered vertex pairs are
     the classes of pairs at equal distance, by a walk over all n^2 pairs
     of a connected g."""
-    table = distances(g)
+    table = bfs_distance_table(g)
     classes = {}
     for u in range(g.order):
         for v in range(g.order):
-            classes.setdefault(table.dist[u][v], set()).add((u, v))
+            classes.setdefault(table[u][v], set()).add((u, v))
     return all(
         groups._orbit(group.generators, min(pairs), lambda p, q: (p[q[0]], p[q[1]])).keys() == pairs
         for pairs in classes.values()

@@ -104,3 +104,26 @@ class TestEuler:
         edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         with pytest.raises(GraphError, match=r"^edge \((0, 1|0, 2|1, 2)\) lies in 3 face slots$"):
             euler(FaceComplex(4, edges, faces))
+
+    def test_names_a_listed_edge_that_no_face_walks(self):
+        # the tetrahedron on five vertices with the extra edge (0, 4)
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0))
+        edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3))
+        with pytest.raises(GraphError, match=r"^edge \(0, 4\) lies in 0 face slots$"):
+            euler(FaceComplex(5, edges, faces))
+
+    def test_names_a_walked_pair_that_is_not_listed(self):
+        # the tetrahedron with (2, 3) left out of its edges, listed either way round
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0))
+        for edges in [((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
+                      ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1))]:
+            with pytest.raises(GraphError, match=r"^face walk uses non-edge \(2, 3\)$"):
+                euler(FaceComplex(4, edges, faces))
+
+    def test_names_an_edge_listed_twice(self):
+        # the tetrahedron with (0, 1) listed again, either way round
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0))
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        for extra in [((1, 0),), ((0, 1), (1, 0))]:
+            with pytest.raises(GraphError, match=r"^edge \(0, 1\) is listed more than once$"):
+                euler(FaceComplex(4, edges + extra, faces))
