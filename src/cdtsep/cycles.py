@@ -1,10 +1,12 @@
-"""Girth cycles from one layered BFS per root, canonical forms, path
-indexes read off zipped cycle windows, and the uniform path-sharing
-profile."""
+"""Girth cycles from one layered BFS per root, canonical forms, the
+(k-1)-arc table that the fastening profile, the constraints, the
+separator and cycles_through share, with the cycles' windows read onto
+it, and the uniform path-sharing profile."""
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import NamedTuple
 
 from .graphs import Graph, GraphError, distances, enumerate_arcs, girth
@@ -13,6 +15,7 @@ __all__ = [
     "ConstraintError",
     "canonical_cycle",
     "cycle_windows",
+    "ArcTable",
     "CycleSet",
     "FasteningProfile",
     "enumerate_girth_cycles",
@@ -56,42 +59,87 @@ def path_key(seq) -> tuple[int, ...]:
     return seq if seq <= rev else rev
 
 
-class CycleSet:
-    """All girth cycles of a graph in canonical form, sorted, with lazy
-    indexes from path keys to the cycles containing them."""
+class ArcTable(NamedTuple):
+    """The non-backtracking walks of one length L >= 1 of a cycle set's
+    graph, with its girth cycles read onto them (see CycleSet.arc_table).
 
-    __slots__ = ("graph", "girth", "cycles", "_indexes")
+    arcs lists the walks, each L+1 vertices, in lexicographic order; a
+    walk's position there is its id, and index maps the walk to it.
+    trans[a] is the id of the reversal of walk a, an involution without
+    fixed points.  rows[c] lists the ids of the windows of cycle c, in
+    the order of cycle_windows(cycles[c], L).  hits maps the key id of
+    each walk that is a window of some girth cycle, either way round, to
+    the (cycle id, direction) pairs of those windows in cycle order.  The
+    key id is the lesser of the walk's two ids, that of its path_key,
+    and the direction is +1 when the window is the key walk itself.
+    Below the girth every walk is a simple path.
+    runs[l][j], for l = 0..L-1, is the number of (l+1)-walks that extend
+    the l-walk j (of the lexicographic order) by one vertex; they are
+    consecutive in the order of the (l+1)-walks.
+    """
+
+    arcs: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    trans: tuple[int, ...]
+    rows: tuple[list[int], ...]
+    hits: dict[int, list[tuple[int, int]]]
+    runs: tuple[list[int], ...]
+
+
+class CycleSet:
+    """All girth cycles of a graph in canonical form, sorted, with one
+    lazy arc table per walk length, which every reader of that length
+    shares."""
+
+    __slots__ = ("graph", "girth", "cycles", "_tables")
 
     def __init__(self, graph: Graph, girth: int, cycles: tuple[tuple[int, ...], ...]):
         self.graph, self.girth, self.cycles = graph, girth, cycles
-        self._indexes: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
+        self._tables: dict[int, ArcTable] = {}
 
     def __len__(self) -> int:
         return len(self.cycles)
 
-    def path_index(self, length: int) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        """Map from canonical path key (length+1 vertices) to the list of
-        (cycle id, direction) pairs whose cycle contains the path;
-        direction is +1 when the cycle traverses the key order forward."""
-        if length not in self._indexes:
-            index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-            n = self.girth
-            reps, rest = divmod(length, n)
-            for cid, cyc in enumerate(self.cycles):
-                # the window from position i is column i of the rows
-                # ext[j : j + n], j = 0..length, as in cycle_windows
-                ext = cyc * (reps + 1) + cyc[:rest]
-                fwd, bwd = (cid, 1), (cid, -1)
-                for window in zip(*[ext[j : j + n] for j in range(length + 1)]):
-                    # a window of length >= girth repeats vertices, so
-                    # its two ends alone do not settle the key
-                    rev = window[::-1]
-                    if window <= rev:
-                        index.setdefault(window, []).append(fwd)
-                    else:
-                        index.setdefault(rev, []).append(bwd)
-            self._indexes[length] = index
-        return self._indexes[length]
+    def arc_table(self, length: int) -> ArcTable:
+        """The ArcTable of the walks of the given length, built on first
+        use and kept.  Raises GraphError for a length below 1."""
+        if length not in self._tables:
+            self._tables[length] = _arc_table(self.graph, self.girth, self.cycles, length)
+        return self._tables[length]
+
+
+def _arc_table(g: Graph, glen: int, cycles, length: int) -> ArcTable:
+    """Each level of walks is the level below extended at its end, walk
+    by walk, so the levels stay in lexicographic order.  The windows of
+    each cycle are zipped from the rows ext[j : j + girth], j = 0..L, of
+    the cycle wrapped round far enough for every window to fit (window i
+    is column i), and each is looked up in the index once."""
+    if length < 1:
+        raise GraphError("arc length must be >= 1")
+    adj = g.adj
+    runs = [[len(a) for a in adj]]
+    walks = [(u, v) for u in range(g.order) for v in adj[u]]
+    for _ in range(length - 1):
+        runs.append([len(adj[w[-1]]) - 1 for w in walks])
+        walks = [w + (x,) for w in walks for x in adj[w[-1]] if x != w[-2]]
+    arcs = tuple(walks)
+    index = {arc: i for i, arc in enumerate(arcs)}
+    trans = tuple([index[arc[::-1]] for arc in arcs])
+    reps, rest = divmod(length, glen)
+    rows = []
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for cid, cyc in enumerate(cycles):
+        ext = cyc * (reps + 1) + cyc[:rest]
+        row = [index[w] for w in zip(*[ext[j : j + glen] for j in range(length + 1)])]
+        rows.append(row)
+        fwd, bwd = (cid, 1), (cid, -1)
+        for a in row:
+            b = trans[a]
+            if a < b:
+                hits.setdefault(a, []).append(fwd)
+            else:
+                hits.setdefault(b, []).append(bwd)
+    return ArcTable(arcs, index, trans, tuple(rows), hits, tuple(runs))
 
 
 class FasteningProfile(NamedTuple):
@@ -99,9 +147,10 @@ class FasteningProfile(NamedTuple):
 
     levels[i] is a Counter mapping (cycles through a path of length
     k-1-i) -> (number of such paths), paths in no girth cycle included.
-    Level 0 is read off the path index of length k-1; each level below
-    it is summed from the level above, as fastening_profile describes.
-    uniform is true when level i is concentrated on 2**(i+1) for every i.
+    Level 0 is read off the hits of the arc table of length k-1; each
+    level below it is summed from the level above, as fastening_profile
+    describes.  uniform is true when level i is concentrated on 2**(i+1)
+    for every i.
     """
 
     levels: dict[int, Counter]
@@ -174,10 +223,12 @@ def enumerate_girth_cycles(g: Graph) -> CycleSet:
 
 
 def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
-    """All cycles containing the path p, with traversal direction.
+    """All cycles containing the path p, with traversal direction, in
+    cycle order: the hits of p's key in the arc table of p's length.
 
-    p is a vertex sequence forming a simple path of the host graph.
-    Raises GraphError when p is not a path.
+    p is a vertex sequence forming a simple path of the host graph; one
+    of girth or more edges lies in no girth cycle.  Raises GraphError
+    when p is not a path.
     """
     p = tuple(p)
     if len(set(p)) != len(p) or len(p) < 2:
@@ -185,10 +236,14 @@ def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
     for a, b in zip(p, p[1:]):
         if not cs.graph.has_edge(a, b):
             raise GraphError(f"{p} is not a path: missing edge ({a}, {b})")
-    key = path_key(p)
-    flip = 1 if key == p else -1
-    hits = cs.path_index(len(p) - 1).get(key, [])
-    return sorted((cid, d * flip) for cid, d in hits)
+    if len(p) > cs.girth:
+        return []
+    t = cs.arc_table(len(p) - 1)
+    a = t.index[p]
+    b = t.trans[a]
+    if a < b:
+        return list(t.hits.get(a, ()))
+    return [(cid, -d) for cid, d in t.hits.get(b, ())]
 
 
 def unordered_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
@@ -197,42 +252,21 @@ def unordered_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
             if len(set(arc)) == len(arc) and arc == path_key(arc)]
 
 
-def _path_counts(g: Graph, length: int) -> list[int]:
-    """Entry l is the number of unordered non-backtracking walks of
-    length l, for l = 0..length.  For 1 <= l < girth every such walk is
-    a simple path, so entry l then counts the simple paths of length l.
-    """
-    deg = [len(a) for a in g.adj]
-    # older[v], old[v], new[v]: walks of length l-2, l-1, l from v
-    older, old = [], [1] * g.order
-    counts = [g.order]
-    for l in range(1, length + 1):
-        # a step to a neighbor w and a walk of length l-1 from w, less
-        # those that step straight back to v: each is a walk of length
-        # l-2 from v, entered from any neighbor but its own next vertex
-        new = [sum(old[w] for w in a) for a in g.adj]
-        if l > 1:
-            back = 1 if l > 2 else 0
-            new = [x - (d - back) * y for x, d, y in zip(new, deg, older)]
-        older, old = old, new
-        counts.append(sum(new) // 2)
-    return counts
-
-
 def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     """How many girth cycles share each simple path of length k-1-i, for
     i = 0..k-2; uniform when the level-i count is always 2**(i+1).
 
-    Only the top level reads the girth cycles, through the path index of
-    length k-1.  Each level below is summed from the one above: a girth
-    cycle through a directed path p shorter than girth-1 reaches p's
-    first vertex by exactly one edge (v, p[0]), and (v,) + p is a
-    directed path one edge longer that lies in the same cycle.  So p lies
-    in as many girth cycles as the paths one edge longer that end in it,
-    summed.  Every level keeps both directions of each path, with equal
-    counts, so halving the multiplicities gives the undirected level.
-    The simple paths missing from a level lie in no girth cycle; their
-    number is the level's path count less the paths it holds.
+    Only the top level reads the girth cycles, through the hits of the
+    arc table of length k-1, which gives both directions of each path
+    its count.  Each level below is summed from the one above on walk
+    ids: a girth cycle through a directed path p shorter than girth-1
+    leaves p's last vertex by exactly one edge (p[-1], v), and p + (v,)
+    is a directed path one edge longer that lies in the same cycle.  So
+    p lies in as many girth cycles as the paths one edge longer that
+    begin with it, summed, and those are the run of p in the table's
+    runs.  A path in no girth cycle counts 0, so halving the
+    multiplicities of a level's counts gives the undirected level, zeros
+    included.  g must be the graph of cs, whose walks the table holds.
 
     All of this needs k-1 < girth: then every walk of length at most k-1
     without backtracking is a simple path, and every level below the top
@@ -242,25 +276,16 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     """
     if k - 1 >= cs.girth:
         raise ConstraintError(f"paths of length {k - 1} are not shorter than the girth {cs.girth}")
-    paths = _path_counts(g, k - 1)
+    if k < 2:
+        return FasteningProfile({}, True)
+    t = cs.arc_table(k - 1)
+    counts = [0] * len(t.arcs)  # walk id -> girth cycles through it
+    for key, hits in t.hits.items():
+        counts[key] = counts[t.trans[key]] = len(hits)
     levels: dict[int, Counter] = {}
-    uniform = True
-    counts: dict[tuple[int, ...], int] = {}  # directed path -> girth cycles through it
     for i in range(k - 1):
-        length = k - 1 - i
-        if i == 0:
-            for key, hits in cs.path_index(length).items():
-                counts[key] = counts[key[::-1]] = len(hits)
-        else:
-            lower: dict[tuple[int, ...], int] = {}
-            for p, c in counts.items():
-                q = p[1:]
-                lower[q] = lower.get(q, 0) + c
-            counts = lower
-        counter = Counter({c: m // 2 for c, m in Counter(counts.values()).items()})
-        if paths[length] > len(counts) // 2:
-            counter[0] = paths[length] - len(counts) // 2
-        levels[i] = counter
-        if set(counter) != {2 ** (i + 1)}:
-            uniform = False
-    return FasteningProfile(levels, uniform)
+        if i:
+            walks = iter(counts)
+            counts = [sum(islice(walks, run)) for run in t.runs[k - 1 - i]]
+        levels[i] = Counter({c: m // 2 for c, m in Counter(counts).items()})
+    return FasteningProfile(levels, all(set(levels[i]) == {2 ** (i + 1)} for i in levels))

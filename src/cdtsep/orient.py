@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph, enumerate_arcs, parity_coloring
-from .cycles import (
-    ConstraintError, CycleSet, _path_counts, canonical_cycle, cycle_windows, cycles_through,
-    unordered_paths,
-)
+from .cycles import ConstraintError, CycleSet, canonical_cycle, cycle_windows, unordered_paths
 
 __all__ = [
     "ParityConstraintGraph",
@@ -67,27 +64,28 @@ def build_constraints(g: Graph, cs: CycleSet, k: int) -> ParityConstraintGraph:
     """Parity constraints over all unordered simple paths of length k-1,
     in lexicographic order of the paths.
 
-    The edges are read off cs.path_index(k-1) when 1 <= k-1 < girth,
-    every key lies in exactly two girth cycles and the keys are as many
-    as the simple paths, so that every path is a key.  Otherwise the
-    paths are listed and looked up one by one, and ConstraintError names
-    the first path that lies in a number of girth cycles other than two.
+    When 1 <= k-1 < girth the paths are the walks of cs.arc_table(k-1)
+    whose id is less than their reversal's, taken in id order, which is
+    lexicographic, and each edge is read off the path's hits.  A simple
+    path of girth or more edges lies in no girth cycle.  ConstraintError
+    names the first path that lies in a number of girth cycles other
+    than two.
     """
-    index = cs.path_index(k - 1) if 1 <= k - 1 < cs.girth else {}
-    if (
-        index
-        and all(len(hits) == 2 for hits in index.values())
-        and len(index) == _path_counts(g, k - 1)[k - 1]
-    ):
-        pairs = ((p, sorted(hits)) for p, hits in sorted(index.items()))
-    else:
-        pairs = ((p, cycles_through(cs, p)) for p in unordered_paths(g, k - 1))
+    if not 1 <= k - 1 < cs.girth:
+        paths = unordered_paths(g, k - 1)  # GraphError when k - 1 < 1
+        if paths:
+            raise ConstraintError(f"path {paths[0]} lies in 0 girth cycles, expected 2")
+        return ParityConstraintGraph(len(cs), ())
+    t = cs.arc_table(k - 1)
+    arcs, hits = t.arcs, t.hits
     edges = []
-    for p, hits in pairs:
-        if len(hits) != 2:
-            raise ConstraintError(f"path {p} lies in {len(hits)} girth cycles, expected 2")
-        (c1, d1), (c2, d2) = hits
-        edges.append((c1, c2, d1 == d2, p))
+    for a, b in enumerate(t.trans):
+        if a < b:
+            pair = hits.get(a, ())
+            if len(pair) != 2:
+                raise ConstraintError(f"path {arcs[a]} lies in {len(pair)} girth cycles, expected 2")
+            (c1, d1), (c2, d2) = pair
+            edges.append((c1, c2, d1 == d2, arcs[a]))
     return ParityConstraintGraph(len(cs), tuple(edges))
 
 

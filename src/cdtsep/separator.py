@@ -2,18 +2,20 @@
 arcs follow the oriented girth cycles one step, and each vertex is paired
 with its reversal by a transposition edge.
 
-The two permutations succ (one cycle step) and trans (the reversal)
-determine the separator, so its digraph, underlying graph and alternate
-census are read off them per vertex on integer ids."""
+The vertices, their index and trans come from the cycle set's arc table
+of length k-1, and succ from its window rows.  The two permutations succ
+(one cycle step) and trans (the reversal) determine the separator, so
+its digraph, underlying graph and alternate census are read off them per
+vertex on integer ids."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Digraph, Graph, GraphError, enumerate_arcs
-from .cycles import CycleSet, cycle_windows
-from .orient import OddWitness, OrientationAssignment, oriented_cycles
+from .graphs import Digraph, Graph, GraphError
+from .cycles import CycleSet
+from .orient import OddWitness, OrientationAssignment
 
 __all__ = [
     "SeparatorDigraph",
@@ -34,9 +36,9 @@ class SeparatorDigraph:
     lexicographically); succ follows the unique oriented girth cycle one
     step; trans maps a vertex to its reversal; digraph combines succ arcs
     with both directions of every transposition pair.  index maps each
-    arc back to its vertex and under is the underlying graph of digraph;
-    both are built once with the separator and kept outside ==, hash
-    and repr.
+    arc back to its vertex (it is the index of the cycle set's arc table)
+    and under is the underlying graph of digraph, built once with the
+    separator; both are kept outside ==, hash and repr.
     """
 
     girth: int
@@ -136,15 +138,18 @@ def build_separator(
     g: Graph, cs: CycleSet, k: int, a: OrientationAssignment | OddWitness
 ) -> SeparatorDigraph:
     """Assemble the separator from an orientation assignment; raises
-    GraphError for the odd witness of unsolvable constraints, and unless
-    the assignment has one flip per cycle and its oriented cycles
-    traverse every (k-1)-arc of g exactly once and nothing else.
+    GraphError for the odd witness of unsolvable constraints, for a
+    cycle set of another graph than g, and unless the assignment has one
+    flip per cycle and its oriented cycles traverse every (k-1)-arc of g
+    exactly once.
 
-    Each oriented cycle's windows are looked up once as a list of arc
-    ids, each followed by the next.  The digraph and its underlying graph
-    are built straight from succ and trans (see _adjacency), and the
-    separator is checked to be 2-in 2-out with a cubic connected
-    underlying graph and one succ orbit of girth length per cycle."""
+    The arcs, their index and the reversal trans are those of
+    cs.arc_table(k-1).  Each cycle's row of window ids is walked once,
+    each id followed by the next; a flipped cycle walks the reversals of
+    its row backwards.  The digraph and its underlying graph are built
+    straight from succ and trans (see _adjacency), and the separator is
+    checked to be 2-in 2-out with a cubic connected underlying graph and
+    one succ orbit of girth length per cycle."""
     if isinstance(a, OddWitness):
         raise GraphError(
             "no separator: the orientation constraints are unsolvable"
@@ -152,29 +157,26 @@ def build_separator(
         )
     if len(a.flips) != len(cs):
         raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
-    arcs = tuple(enumerate_arcs(g, k - 1))
-    index = {arc: i for i, arc in enumerate(arcs)}
-    n = len(arcs)
-    succ: list[int | None] = [None] * n
-    try:
-        for cyc in oriented_cycles(cs, a):
-            # the cycle's (k-1)-arcs in walk order; each is followed by the next
-            ids = [index[w] for w in cycle_windows(cyc, k - 1)]
-            cur = ids[-1]
-            for nxt in ids:
-                if succ[cur] is not None:
-                    raise GraphError(f"arc {arcs[cur]} traversed more than once")
-                succ[cur] = nxt
-                cur = nxt
-    except KeyError as exc:
-        raise GraphError(f"cycle walk {exc.args[0]} is not an arc of the graph") from None
+    if g != cs.graph:
+        raise GraphError("the girth cycles are not those of this graph")
+    t = cs.arc_table(k - 1)
+    arcs, trans = t.arcs, t.trans
+    # the reversed cycle's window j is the reversal of window s - j
+    s = (cs.girth - k) % cs.girth
+    succ: list[int | None] = [None] * len(arcs)
+    for row, flip in zip(t.rows, a.flips):
+        if flip:
+            row = [trans[v] for v in row[s::-1] + row[:s:-1]]
+        cur = row[-1]
+        for nxt in row:
+            if succ[cur] is not None:
+                raise GraphError(f"arc {arcs[cur]} traversed more than once")
+            succ[cur] = nxt
+            cur = nxt
     if None in succ:
         raise GraphError("some arc is not traversed by any oriented cycle")
-    trans = tuple([index[arc[::-1]] for arc in arcs])
-    if any(trans[v] == v for v in range(n)):
-        raise GraphError("transposition involution has a fixed point")
     digraph, under = _adjacency(succ, trans)
-    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index, under)
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), t.index, under)
     _check_invariants(sep)
     return sep
 

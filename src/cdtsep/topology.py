@@ -74,10 +74,11 @@ def euler(fc: FaceComplex) -> EulerReport:
     coloring that also solves the girth-cycle orientation problem.
     Each edge's two slots are collected under its code u*n + v, so the
     faces must walk vertex ids below fc.vertices, as face_complex
-    checks.  Raises GraphError, naming the edge as a (u, v) pair, when
-    fc.edges lists an edge twice, or the faces walk a pair that fc.edges
-    does not list, leave a listed edge unwalked, or walk an edge in a
-    number of slots other than two.
+    checks.  Raises GraphError naming the face when a face walk is
+    empty, and naming the edge as a (u, v) pair when fc.edges lists an
+    edge twice, or the faces walk a pair that fc.edges does not list,
+    leave a listed edge unwalked, or walk an edge in a number of slots
+    other than two.
     """
     n = fc.vertices
     chi = n - len(fc.edges) + len(fc.faces)
@@ -100,6 +101,9 @@ def euler(fc: FaceComplex) -> EulerReport:
                 u = v
     except KeyError as unlisted:
         raise GraphError(f"face walk uses non-edge {divmod(unlisted.args[0], n)}") from None
+    except IndexError:
+        empty = next(fid for fid, face in enumerate(fc.faces) if not face)
+        raise GraphError(f"face {empty} is an empty walk") from None
     # same natural direction in both slots: one of the two faces flips
     try:
         constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from cdtsep import catalog, graphs, groups, orient, separator
+from cdtsep import catalog, cycles, graphs, groups, orient, separator
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graph6 import parse_graph6, write_graph6
@@ -16,6 +16,30 @@ def generalized_petersen(n, k):
     inner edges n+i -- n+(i+k)."""
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
     return build_graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def hex_torus(b, c):
+    """The hexagonal torus map {6,3}_{b,c} (Coxeter, Bull. AMS 1950) as a
+    graph on 2(b² + bc + c²) vertices, for b >= 2 and c >= 0.
+
+    The honeycomb's hexagons sit on the lattice points x + yω of the
+    triangular lattice, ω at 60°; the up triangle (z, z + 1, z + ω) is
+    vertex 2i and the down triangle (z + 1, z + ω, z + 1 + ω) vertex
+    2i + 1, for z the i-th class of the lattice modulo the sublattice
+    spanned by u = b + cω and ωu = -c + (b + c)ω.  Each up triangle at
+    z meets the down triangles at z, z - 1 and z - ω."""
+    d = b * b + b * c + c * c
+
+    def cell(x, y):
+        # x + yω less its whole coordinates over the basis u, ωu
+        s, t = ((b + c) * x + c * y) // d, (b * y - c * x) // d
+        return x - s * b + t * c, y - s * c - t * (b + c)
+
+    cells = sorted({cell(x, y) for x in range(d) for y in range(d)})
+    ids = {z: i for i, z in enumerate(cells)}
+    edges = [(2 * ids[(x, y)], 2 * ids[cell(x + dx, y + dy)] + 1)
+             for x, y in cells for dx, dy in ((0, 0), (-1, 0), (0, -1))]
+    return build_graph(2 * d, edges)
 
 
 def random_cubic(n, rng):
@@ -107,8 +131,9 @@ def count_calls(mp, owner, fname, counts):
 def counted_run():
     """The one full run_report() of the session, with the number of calls
     it made to build_cdt, automorphism_group, build_separator, underlying,
-    enumerate_arcs, verify_ooa and the one BFS sweep behind distances and
-    girth, under every cdtsep binding."""
+    enumerate_arcs, verify_ooa, the arc table builder of the cycle sets,
+    and the one BFS sweep behind distances and girth, under every cdtsep
+    binding."""
     counts = {}
     with pytest.MonkeyPatch.context() as mp:
         for owner, fname in (
@@ -118,6 +143,7 @@ def counted_run():
             (graphs, "underlying"),
             (graphs, "enumerate_arcs"),
             (orient, "verify_ooa"),
+            (cycles, "_arc_table"),
             (graphs, "_bfs_sweep"),
         ):
             count_calls(mp, owner, fname, counts)

@@ -3,20 +3,22 @@ from collections import Counter
 
 import pytest
 
+from cdtsep import cycles
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import (
     ConstraintError,
-    CycleSet,
     FasteningProfile,
     canonical_cycle,
+    cycle_windows,
     cycles_through,
     enumerate_girth_cycles,
     fastening_profile,
     path_key,
     unordered_paths,
 )
-from cdtsep.graphs import GraphError, build_graph, girth
-from cdtsep.orient import build_constraints
+from cdtsep.graphs import GraphError, build_graph, enumerate_arcs, girth
+from cdtsep.orient import OddWitness, build_constraints, solve
+from cdtsep.separator import build_separator
 from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic
 
 
@@ -52,6 +54,12 @@ def reference_path_index(cs, length):
     return index
 
 
+def table_hits(cs, length):
+    """The hits of the arc table of the given length, keyed by walk."""
+    t = cs.arc_table(length)
+    return {t.arcs[a]: pairs for a, pairs in t.hits.items()}
+
+
 def reference_fastening_profile(g, cs, k):
     """Every simple path of each level listed and looked up in the
     reference index."""
@@ -67,6 +75,22 @@ def reference_fastening_profile(g, cs, k):
         if set(counter) != {2 ** (i + 1)}:
             uniform = False
     return FasteningProfile(levels, uniform)
+
+
+def off_cubic_graphs():
+    """Graphs that are not cubic: K5, whose depth-1 vertices are all
+    joined; K3,4, where a depth-2 vertex has four depth-1 neighbours; Q4
+    and the torus C4 x C4 (Q4 labelled as a grid); and Petersen with a
+    pendant edge."""
+    petersen, _ = build_cdt(CdtName.PETERSEN)
+    return [
+        ("K5", build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])),
+        ("K3,4", build_graph(7, [(u, v) for u in range(3) for v in range(3, 7)])),
+        ("Q4", build_graph(16, [(v, v ^ 1 << i) for v in range(16) for i in range(4) if v < v ^ 1 << i])),
+        ("C4xC4", build_graph(16, [(4 * i + j, 4 * ((i + d) % 4) + (j + 1 - d) % 4)
+                                   for i in range(4) for j in range(4) for d in (0, 1)])),
+        ("petersen+pendant", build_graph(11, petersen.edges() + [(0, 10)])),
+    ]
 
 
 class TestCanonicalForms:
@@ -113,28 +137,17 @@ class TestAgainstReferences:
 
     def test_girth_cycles_beyond_the_catalog(self):
         # cubic GP(n, j) for n <= 15, seeded random cubic graphs, and
-        # graphs that are not cubic: K5, whose depth-1 vertices are all
-        # joined; K3,4, where a depth-2 vertex has four depth-1
-        # neighbours; Q4 and the torus C4 x C4 (Q4 labelled as a grid);
-        # and Petersen with a pendant edge
+        # the graphs that are not cubic
         graphs = [(f"GP({n},{j})", generalized_petersen(n, j))
                   for n in range(3, 16) for j in range(1, (n + 1) // 2)]
         rng = random.Random(2903)
         graphs += [(f"cubic{n}/{t}", random_cubic(n, rng)) for n in range(4, 33, 2) for t in range(4)]
-        petersen, _ = build_cdt(CdtName.PETERSEN)
-        graphs += [
-            ("K5", build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])),
-            ("K3,4", build_graph(7, [(u, v) for u in range(3) for v in range(3, 7)])),
-            ("Q4", build_graph(16, [(v, v ^ 1 << i) for v in range(16) for i in range(4) if v < v ^ 1 << i])),
-            ("C4xC4", build_graph(16, [(4 * i + j, 4 * ((i + d) % 4) + (j + 1 - d) % 4)
-                                       for i in range(4) for j in range(4) for d in (0, 1)])),
-            ("petersen+pendant", build_graph(11, petersen.edges() + [(0, 10)])),
-        ]
+        graphs += off_cubic_graphs()
         for label, g in graphs:
             cs = enumerate_girth_cycles(g)
             assert cs.cycles == reference_girth_cycles(g), label
             for length in (1, cs.girth - 1, cs.girth + 1):
-                assert cs.path_index(length) == reference_path_index(cs, length), (label, length)
+                assert table_hits(cs, length) == reference_path_index(cs, length), (label, length)
 
     def test_refuses_disconnected_and_acyclic_graphs(self):
         two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -145,11 +158,14 @@ class TestAgainstReferences:
             enumerate_girth_cycles(path)
 
     def test_path_index(self, layer_graphs):
-        # lengths from single vertices to windows wrapping past the girth
+        # the arc table's hits at every length below the girth, on the
+        # graphs as built (TestArcTable checks the relabelings at k - 1)
         for label, g, _k in layer_graphs:
+            if "/" in label:
+                continue
             cs = enumerate_girth_cycles(g)
-            for length in range(2 * cs.girth + 2):
-                assert cs.path_index(length) == reference_path_index(cs, length), (label, length)
+            for length in range(1, cs.girth):
+                assert table_hits(cs, length) == reference_path_index(cs, length), (label, length)
 
     def test_fastening_profile(self, layer_graphs):
         for label, g, k in layer_graphs:
@@ -166,6 +182,17 @@ class TestCyclesThrough:
         assert {cid for cid, _ in forward} == {cid for cid, _ in backward}
         fwd = dict(forward)
         assert all(fwd[cid] == -d for cid, d in backward)
+
+    def test_direction_matches_the_reference(self, layer_graphs):
+        # every (k-1)-arc, both ways round, against the reference index
+        for label, g, k in layer_graphs:
+            cs = enumerate_girth_cycles(g)
+            index = reference_path_index(cs, k - 1)
+            for p in enumerate_arcs(g, k - 1):
+                key = path_key(p)
+                flip = 1 if key == p else -1
+                expected = sorted((cid, d * flip) for cid, d in index.get(key, []))
+                assert cycles_through(cs, p) == expected, (label, p)
 
     def test_rejects_non_path(self):
         g, _ = build_cdt(CdtName.PETERSEN)
@@ -222,20 +249,103 @@ class TestFastening:
         # cycle and where they lie in differing numbers of them
         assert cases == 300 and zero > 0 and mixed > 0
 
+    def test_equals_the_reference_off_cubic_graphs(self):
+        # vertices of degree 1, 2 and 4 give prefix runs other than two
+        cases = 0
+        for label, g in off_cubic_graphs():
+            cs = enumerate_girth_cycles(g)
+            for k in range(2, cs.girth + 1):
+                assert fastening_profile(g, cs, k) == reference_fastening_profile(g, cs, k), (label, k)
+                cases += 1
+        assert cases == 15
+
     @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
     def test_reads_only_the_top_path_index(self, name, monkeypatch):
+        # one table build per cycle set and length, shared by all four
+        # readers: the fastening profile, the constraints, and then the
+        # separator, or cycles_through on each path of the odd witness
         g, _ = build_cdt(name)
         k = cdt_parameters(name).k
         cs = enumerate_girth_cycles(g)
         counts = {}
-        count_calls(monkeypatch, CycleSet, "path_index", counts)
+        count_calls(monkeypatch, cycles, "_arc_table", counts)
         fastening_profile(g, cs, k)
-        build_constraints(g, cs, k)
-        # one index build, served from the cache to build_constraints
-        assert counts["path_index"] == 2
-        assert list(cs._indexes) == [k - 1]
+        outcome = solve(build_constraints(g, cs, k))
+        if isinstance(outcome, OddWitness):
+            for p in outcome.paths:
+                cycles_through(cs, p)
+        else:
+            build_separator(g, cs, k, outcome)
+        assert counts["_arc_table"] == 1
+        assert list(cs._tables) == [k - 1]
 
     def test_unordered_paths_count(self):
         g, _ = build_cdt(CdtName.HEAWOOD)
         # cubic: n * 3 * 2^(l-1) arcs of length l, halved as paths
         assert len(unordered_paths(g, 3)) == 14 * 3 * 4 // 2
+
+
+def table_corpus(layer_graphs):
+    """(label, graph, cycle set, length): the layer graphs at k - 1, and
+    cubic GP(n, j) for n <= 12, seeded random cubic graphs and the graphs
+    that are not cubic at each length 1..4 below the girth."""
+    out = [(label, g, enumerate_girth_cycles(g), k - 1) for label, g, k in layer_graphs]
+    rng = random.Random(3101)
+    graphs = [(f"GP({n},{j})", generalized_petersen(n, j))
+              for n in range(5, 13) for j in range(1, (n + 1) // 2)]
+    graphs += [(f"cubic{n}/{t}", random_cubic(n, rng)) for n in range(8, 25, 4) for t in range(3)]
+    for label, g in graphs + off_cubic_graphs():
+        cs = enumerate_girth_cycles(g)
+        out += [(label, g, cs, length) for length in range(1, min(5, cs.girth))]
+    return out
+
+
+class TestArcTable:
+    def test_arcs_trans_and_rows(self, layer_graphs):
+        for label, g, cs, length in table_corpus(layer_graphs):
+            t = cs.arc_table(length)
+            assert list(t.arcs) == enumerate_arcs(g, length), (label, length)
+            assert all(t.index[arc] == i for i, arc in enumerate(t.arcs))
+            assert len(t.index) == len(t.arcs)
+            assert all(t.trans[t.trans[a]] == a != t.trans[a] for a in range(len(t.arcs)))
+            assert all(t.arcs[t.trans[a]] == arc[::-1] for a, arc in enumerate(t.arcs))
+            assert list(t.rows) == [[t.index[w] for w in cycle_windows(cyc, length)]
+                                    for cyc in cs.cycles], (label, length)
+
+    def test_hits_equal_the_reference_index(self, layer_graphs):
+        for label, g, cs, length in table_corpus(layer_graphs):
+            t = cs.arc_table(length)
+            assert all(a < t.trans[a] for a in t.hits)
+            assert table_hits(cs, length) == reference_path_index(cs, length), (label, length)
+
+    def test_runs_are_the_prefix_runs(self, layer_graphs):
+        # the (l+1)-walks, cut to their first l+1 vertices, are the
+        # l-walks in order, each repeated as often as its run says
+        for label, g, cs, length in table_corpus(layer_graphs):
+            t = cs.arc_table(length)
+            assert len(t.runs) == length
+            for l, runs in enumerate(t.runs):
+                lower = [(v,) for v in range(g.order)] if l == 0 else enumerate_arcs(g, l)
+                upper = enumerate_arcs(g, l + 1)
+                assert [w[:-1] for w in upper] == [p for p, r in zip(lower, runs) for _ in range(r)], \
+                    (label, length, l)
+
+    def test_is_built_once_per_length(self, monkeypatch):
+        g, _ = build_cdt(CdtName.PETERSEN)
+        cs = enumerate_girth_cycles(g)
+        counts = {}
+        count_calls(monkeypatch, cycles, "_arc_table", counts)
+        assert cs.arc_table(2) is cs.arc_table(2)
+        cs.arc_table(3)
+        assert counts["_arc_table"] == 2
+        with pytest.raises(GraphError, match="^arc length must be >= 1$"):
+            cs.arc_table(0)
+
+    def test_cycles_through_long_paths(self):
+        # a simple path of girth or more edges lies in no girth cycle
+        g, _ = build_cdt(CdtName.PETERSEN)
+        cs = enumerate_girth_cycles(g)
+        p = (0, 1, 2, 3, 4, 9)
+        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+        assert cycles_through(cs, p) == [] == cycles_through(cs, p[::-1])
+        assert list(cs._tables) == []

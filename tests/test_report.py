@@ -23,6 +23,7 @@ from cdtsep.report import (
     run_ingest_report,
     run_report,
 )
+from conftest import generalized_petersen, hex_torus
 
 # sha256 of report_to_json(run_report()) at SCHEMA_VERSION 2
 REPORT_SHA256 = "76afe1cba0da13c230a6d180fbff4e91b534dc72ff963ae4a052dfa37e200171"
@@ -187,11 +188,17 @@ class TestFullRun:
 
     def test_separator_structure_built_once(self, counted_run):
         # one separator per solvable graph, whose underlying graph is built
-        # with it from succ and trans, and one arc listing per separator
-        # plus one more in each of the 7 reference-ooc-valid checks
+        # with it from succ and trans; its arcs come from the cycle set's
+        # arc table, so the only arc listings are the 7 reference-ooc-valid
+        # checks' own
         counts = counted_run[1]
         assert (counts["build_separator"], counts["underlying"], counts["enumerate_arcs"],
-                counts["verify_ooa"]) == (7, 0, 14, 7)
+                counts["verify_ooa"]) == (7, 0, 7, 7)
+
+    def test_one_arc_table_per_cycle_set(self, counted_run):
+        # the fastening profile, the constraints, the separator and the
+        # odd witness row share one (k-1)-arc table
+        assert counted_run[1]["_arc_table"] == 12
 
     def test_one_bfs_sweep_per_graph_invariant(self, counted_run):
         # each catalog graph's distance table and girth, from one sweep
@@ -237,6 +244,23 @@ class TestIngest:
             want = [(n, actual[name][n]) for n in self.INGESTED if n in actual[name]]
             want[0] = ("parameters", {**want[0][1], "k": cdt_parameters(CdtName(name)).k})
             assert [(c.name, c.actual) for c in run_ingest_report(g).checks] == want, label
+
+    @pytest.mark.parametrize("b, c, name", [(2, 1, CdtName.HEAWOOD), (3, 0, CdtName.PAPPUS)])
+    def test_hex_torus_reproduces_its_catalog_graph(self, b, c, name):
+        # {6,3}_{2,1} is Heawood and {6,3}_{3,0} is Pappus, on other labels
+        rows = [(c.name, c.actual) for c in run_ingest_report(hex_torus(b, c)).checks]
+        assert rows == [(c.name, c.actual) for c in run_ingest_report(build_cdt(name)[0]).checks]
+
+    def test_nauru_and_its_hex_torus_agree(self):
+        # GP(12,5) is {6,3}_{2,2}: k = 2, one girth-6 hexagon family, genus 1
+        rows = [(c.name, c.actual) for c in run_ingest_report(hex_torus(2, 2)).checks]
+        assert rows == [(c.name, c.actual) for c in run_ingest_report(generalized_petersen(12, 5)).checks]
+        assert dict(rows)["genus"] == 1
+
+    def test_refuses_the_chiral_hex_torus(self):
+        # {6,3}_{3,1} is arc-transitive but not 2-arc-transitive
+        with pytest.raises(ReportInputError, match="^input graph is not 2-arc-transitive$"):
+            run_ingest_report(hex_torus(3, 1))
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ReportInputError):

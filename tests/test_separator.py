@@ -5,10 +5,12 @@ import pytest
 
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
-from cdtsep.cycles import enumerate_girth_cycles
-from cdtsep.graphs import Digraph, GraphError, build_digraph, build_graph, underlying
-from cdtsep.orient import OrientationAssignment, build_constraints, solve
-from cdtsep.separator import _adjacency, build_separator, separator_summary
+from cdtsep.cycles import cycle_windows, enumerate_girth_cycles
+from cdtsep.graphs import Digraph, GraphError, build_digraph, build_graph, enumerate_arcs, underlying
+from cdtsep.orient import OrientationAssignment, build_constraints, oriented_cycles, solve
+from cdtsep.separator import (
+    SeparatorDigraph, _adjacency, _check_invariants, build_separator, separator_summary,
+)
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 
@@ -22,6 +24,40 @@ CENSUS = {
     "coxeter": (42, 8, 56, 9),
     "tutte": (180, 8, 180, 12),
 }
+
+
+def reference_build_separator(g, cs, k, a):
+    """The separator with its arcs listed by enumerate_arcs, and each
+    oriented cycle's windows looked up in their index, each followed by
+    the next."""
+    if len(a.flips) != len(cs):
+        raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
+    arcs = tuple(enumerate_arcs(g, k - 1))
+    index = {arc: i for i, arc in enumerate(arcs)}
+    succ = [None] * len(arcs)
+    for cyc in oriented_cycles(cs, a):
+        ids = [index[w] for w in cycle_windows(cyc, k - 1)]
+        cur = ids[-1]
+        for nxt in ids:
+            if succ[cur] is not None:
+                raise GraphError(f"arc {arcs[cur]} traversed more than once")
+            succ[cur] = nxt
+            cur = nxt
+    if None in succ:
+        raise GraphError("some arc is not traversed by any oriented cycle")
+    trans = tuple(index[arc[::-1]] for arc in arcs)
+    digraph, under = _adjacency(succ, trans)
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index, under)
+    _check_invariants(sep)
+    return sep
+
+
+def separator_or_error(build, g, cs, k, a):
+    try:
+        s = build(g, cs, k, a)
+    except GraphError as exc:
+        return str(exc)
+    return s, s.index, s.under
 
 
 class TestStructure:
@@ -101,6 +137,28 @@ class TestStructure:
         assert hash(other) == hash(s)
         assert repr(other) == repr(s)
         assert "index" not in repr(s) and "under" not in repr(s)
+
+
+class TestAgainstTheWindowLookup:
+    def test_equals_the_reference(self, layer_graphs):
+        # the solved assignments, each cycle flipped alone, and all flipped
+        rng = random.Random(3102)
+        checked = failed = 0
+        for label, g, k in layer_graphs:
+            if label.split("/")[0] not in SOLVABLE:
+                continue
+            cs = enumerate_girth_cycles(g)
+            flips = solve(build_constraints(g, cs, k)).flips
+            tried = [flips, tuple(not f for f in flips)]
+            for cid in rng.sample(range(len(cs)), 3):
+                tried.append(flips[:cid] + (not flips[cid],) + flips[cid + 1:])
+            for f in tried:
+                a = OrientationAssignment(f, 1)
+                expected = separator_or_error(reference_build_separator, g, cs, k, a)
+                assert separator_or_error(build_separator, g, cs, k, a) == expected, label
+                checked += 1
+                failed += isinstance(expected, str)
+        assert checked == 140 and failed == 84
 
 
 class TestDirectConstruction:

@@ -127,3 +127,10 @@ class TestEuler:
         for extra in [((1, 0),), ((0, 1), (1, 0))]:
             with pytest.raises(GraphError, match=r"^edge \(0, 1\) is listed more than once$"):
                 euler(FaceComplex(4, edges + extra, faces))
+
+    def test_names_an_empty_face(self):
+        # the tetrahedron with an empty walk put in as face 2
+        faces = ((0, 1, 2), (0, 3, 1), (), (1, 3, 2), (2, 3, 0))
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        with pytest.raises(GraphError, match=r"^face 2 is an empty walk$"):
+            euler(FaceComplex(4, edges, faces))
