@@ -73,9 +73,9 @@ class ArcTable(NamedTuple):
     key id is the lesser of the walk's two ids, that of its path_key,
     and the direction is +1 when the window is the key walk itself.
     Below the girth every walk is a simple path.
-    runs[l][j], for l = 0..L-1, is the number of (l+1)-walks that extend
-    the l-walk j (of the lexicographic order) by one vertex; they are
-    consecutive in the order of the (l+1)-walks.
+    runs[l - 1][j], for l = 1..L-1, is the number of (l+1)-walks that
+    extend the l-walk j (of the lexicographic order) by one vertex; they
+    are consecutive in the order of the (l+1)-walks.
     """
 
     arcs: tuple[tuple[int, ...], ...]
@@ -117,7 +117,7 @@ def _arc_table(g: Graph, glen: int, cycles, length: int) -> ArcTable:
     if length < 1:
         raise GraphError("arc length must be >= 1")
     adj = g.adj
-    runs = [[len(a) for a in adj]]
+    runs = []
     walks = [(u, v) for u in range(g.order) for v in adj[u]]
     for _ in range(length - 1):
         runs.append([len(adj[w[-1]]) - 1 for w in walks])
@@ -224,11 +224,15 @@ def enumerate_girth_cycles(g: Graph) -> CycleSet:
 
 def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
     """All cycles containing the path p, with traversal direction, in
-    cycle order: the hits of p's key in the arc table of p's length.
+    cycle order.
 
-    p is a vertex sequence forming a simple path of the host graph; one
-    of girth or more edges lies in no girth cycle.  Raises GraphError
-    when p is not a path.
+    They are the hits of p's key when the cycle set has built the arc
+    table of p's length, as the constraints build that of length k-1;
+    otherwise each cycle through p's first vertex is read from there
+    both ways round, so a call at another length lists no walks and
+    builds no table.  p is a vertex sequence forming a simple path of
+    the host graph; one of girth or more edges lies in no girth cycle.
+    Raises GraphError when p is not a path.
     """
     p = tuple(p)
     if len(set(p)) != len(p) or len(p) < 2:
@@ -238,7 +242,19 @@ def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
             raise GraphError(f"{p} is not a path: missing edge ({a}, {b})")
     if len(p) > cs.girth:
         return []
-    t = cs.arc_table(len(p) - 1)
+    t = cs._tables.get(len(p) - 1)
+    if t is None:
+        head, n = p[0], len(p)
+        out = []
+        for cid, cyc in enumerate(cs.cycles):
+            if head in cyc:
+                i = cyc.index(head)
+                ring = cyc[i:] + cyc[:i] + (head,)
+                if ring[:n] == p:
+                    out.append((cid, 1))
+                elif ring[: -n - 1 : -1] == p:
+                    out.append((cid, -1))
+        return out
     a = t.index[p]
     b = t.trans[a]
     if a < b:
@@ -266,7 +282,8 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     begin with it, summed, and those are the run of p in the table's
     runs.  A path in no girth cycle counts 0, so halving the
     multiplicities of a level's counts gives the undirected level, zeros
-    included.  g must be the graph of cs, whose walks the table holds.
+    included.  Raises GraphError when cs holds the cycles of another
+    graph than g, whose walks the table would not list.
 
     All of this needs k-1 < girth: then every walk of length at most k-1
     without backtracking is a simple path, and every level below the top
@@ -274,6 +291,8 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     every cubic k-arc-transitive graph with k >= 2; for k-1 >= girth it
     raises ConstraintError.
     """
+    if g != cs.graph:
+        raise GraphError("the girth cycles are not those of this graph")
     if k - 1 >= cs.girth:
         raise ConstraintError(f"paths of length {k - 1} are not shorter than the girth {cs.girth}")
     if k < 2:
@@ -286,6 +305,6 @@ def fastening_profile(g: Graph, cs: CycleSet, k: int) -> FasteningProfile:
     for i in range(k - 1):
         if i:
             walks = iter(counts)
-            counts = [sum(islice(walks, run)) for run in t.runs[k - 1 - i]]
+            counts = [sum(islice(walks, run)) for run in t.runs[k - 2 - i]]
         levels[i] = Counter({c: m // 2 for c, m in Counter(counts).items()})
     return FasteningProfile(levels, all(set(levels[i]) == {2 ** (i + 1)} for i in levels))

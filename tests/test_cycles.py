@@ -158,13 +158,11 @@ class TestAgainstReferences:
             enumerate_girth_cycles(path)
 
     def test_path_index(self, layer_graphs):
-        # the arc table's hits at every length below the girth, on the
-        # graphs as built (TestArcTable checks the relabelings at k - 1)
+        # the arc table's hits at every length below the girth, and at
+        # girth + 1, where the windows wrap past their cycle's start
         for label, g, _k in layer_graphs:
-            if "/" in label:
-                continue
             cs = enumerate_girth_cycles(g)
-            for length in range(1, cs.girth):
+            for length in [*range(1, cs.girth), cs.girth + 1]:
                 assert table_hits(cs, length) == reference_path_index(cs, length), (label, length)
 
     def test_fastening_profile(self, layer_graphs):
@@ -184,15 +182,33 @@ class TestCyclesThrough:
         assert all(fwd[cid] == -d for cid, d in backward)
 
     def test_direction_matches_the_reference(self, layer_graphs):
-        # every (k-1)-arc, both ways round, against the reference index
+        # every (k-1)-arc, both ways round, against the reference index:
+        # read off the cycles' windows, then off the arc table
         for label, g, k in layer_graphs:
             cs = enumerate_girth_cycles(g)
             index = reference_path_index(cs, k - 1)
-            for p in enumerate_arcs(g, k - 1):
-                key = path_key(p)
-                flip = 1 if key == p else -1
-                expected = sorted((cid, d * flip) for cid, d in index.get(key, []))
-                assert cycles_through(cs, p) == expected, (label, p)
+            arcs = enumerate_arcs(g, k - 1)
+            expected = [[(cid, d if path_key(p) == p else -d) for cid, d in index.get(path_key(p), [])]
+                        for p in arcs]
+            assert [cycles_through(cs, p) for p in arcs] == expected, label
+            assert list(cs._tables) == []
+            cs.arc_table(k - 1)
+            assert [cycles_through(cs, p) for p in arcs] == expected, label
+
+    def test_other_lengths_build_no_table(self, layer_graphs):
+        # at every length below the girth, each window of the first and
+        # the last cycle, both ways round, read off the cycles' windows
+        for label, g, _k in layer_graphs:
+            cs = enumerate_girth_cycles(g)
+            for length in range(1, cs.girth):
+                index = reference_path_index(cs, length)
+                for w in cycle_windows(cs.cycles[0], length) + cycle_windows(cs.cycles[-1], length):
+                    hits = index[path_key(w)]
+                    if w != path_key(w):
+                        hits = [(cid, -d) for cid, d in hits]
+                    assert cycles_through(cs, w) == hits, (label, w)
+                    assert cycles_through(cs, w[::-1]) == [(cid, -d) for cid, d in hits], (label, w)
+            assert list(cs._tables) == []
 
     def test_rejects_non_path(self):
         g, _ = build_cdt(CdtName.PETERSEN)
@@ -213,6 +229,16 @@ class TestFastening:
         assert profile.uniform
         for i in range(p.k - 1):
             assert set(profile.levels[i]) == {2 ** (i + 1)}
+
+    def test_refuses_the_cycles_of_another_graph(self):
+        g, _ = build_cdt(CdtName.Q3)
+        k = cdt_parameters(CdtName.Q3).k
+        perm = [3, 0, 6, 1, 7, 2, 5, 4]
+        h = build_graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
+        cs = enumerate_girth_cycles(h)
+        with pytest.raises(GraphError, match="^the girth cycles are not those of this graph$"):
+            fastening_profile(g, cs, k)
+        assert fastening_profile(h, cs, k) == fastening_profile(g, enumerate_girth_cycles(g), k)
 
     def test_prism_is_not_uniform(self):
         # triangular prism: edges split between two triangles and a belt
@@ -323,9 +349,9 @@ class TestArcTable:
         # l-walks in order, each repeated as often as its run says
         for label, g, cs, length in table_corpus(layer_graphs):
             t = cs.arc_table(length)
-            assert len(t.runs) == length
-            for l, runs in enumerate(t.runs):
-                lower = [(v,) for v in range(g.order)] if l == 0 else enumerate_arcs(g, l)
+            assert len(t.runs) == length - 1
+            for l, runs in enumerate(t.runs, 1):
+                lower = enumerate_arcs(g, l)
                 upper = enumerate_arcs(g, l + 1)
                 assert [w[:-1] for w in upper] == [p for p, r in zip(lower, runs) for _ in range(r)], \
                     (label, length, l)

@@ -40,8 +40,8 @@ MUTANTS = (
     # the (k-1)-arc table and its readers
     Mutant(
         "fold-prefix-runs", "src/cdtsep/cycles.py",
-        "counts = [sum(islice(walks, run)) for run in t.runs[k - 1 - i]]",
-        "counts = [sum(islice(walks, 2)) for run in t.runs[k - 1 - i]]",
+        "counts = [sum(islice(walks, run)) for run in t.runs[k - 2 - i]]",
+        "counts = [sum(islice(walks, 2)) for run in t.runs[k - 2 - i]]",
         ("tests/test_cycles.py::TestFastening::test_equals_the_reference_off_cubic_graphs",),
     ),
     Mutant(
@@ -75,6 +75,26 @@ MUTANTS = (
         "levels[i] = Counter({c: m // 2 for c, m in Counter(filter(None, counts)).items()})",
         ("tests/test_cycles.py::TestFastening::test_equals_the_reference_beyond_the_catalog",
          "tests/test_cycles.py::TestAgainstReferences::test_fastening_profile"),
+    ),
+    Mutant(
+        "window-scan-direction", "src/cdtsep/cycles.py",
+        "out.append((cid, 1))",
+        "out.append((cid, -1))",
+        ("tests/test_cycles.py::TestCyclesThrough::test_direction_matches_the_reference",
+         "tests/test_cycles.py::TestCyclesThrough::test_other_lengths_build_no_table"),
+    ),
+    Mutant(
+        "cycles-through-builds-tables", "src/cdtsep/cycles.py",
+        "t = cs._tables.get(len(p) - 1)",
+        "t = cs.arc_table(len(p) - 1)",
+        ("tests/test_cycles.py::TestCyclesThrough::test_other_lengths_build_no_table",
+         "tests/test_cycles.py::TestCyclesThrough::test_direction_matches_the_reference"),
+    ),
+    Mutant(
+        "fastening-graph-unchecked", "src/cdtsep/cycles.py",
+        "    if g != cs.graph:\n        raise GraphError(\"the girth cycles are not those of this graph\")\n    if k - 1",
+        "    if k - 1",
+        ("tests/test_cycles.py::TestFastening::test_refuses_the_cycles_of_another_graph",),
     ),
     # girth cycles from one layered BFS per root
     Mutant(
