@@ -34,9 +34,9 @@ on the s-arcs around that vertex (Tutte 1947; Biggs, *Algebraic Graph
 Theory*, 1993).
 
 A separator's Cayley identifications build no second digraph and run
-no search.  Every automorphism of the underlying separator graph keeps
-or reverses all the oriented cycles, and the kernel of that sign is the
-digraph's own group Aut(D), built from Schreier generators and checked
+no search.  The digraph's own group Aut(D) is the stabilizer of its
+cycle step under conjugation by the underlying graph's automorphisms,
+built from Schreier generators as the index-2 kernels are, and checked
 to be regular, so that D is a Cayley digraph of it (Sabidussi, *Proc.
 AMS* 1958).  D ≅ Cay(G, S) is then decided by one labelled walk per way
 of matching the cycle and transposition arcs with the two generators,
@@ -125,8 +125,8 @@ class PermGroup:
     group acts regularly on the images of its base and each element is
     named by its base image.  A group built from bare generators has
     _base and _order None, takes every point as its base, and so its
-    order() enumerates the group; automorphism_group and
-    regular_subgroups set a short _base and the _order after building it.
+    order() enumerates the group; automorphism_group and _stabilizer
+    set a short _base and the _order after building it.
     automorphism_group also sets _stabilizer, the stabilizer of the first
     base point (the group itself when the base is empty), which
     arc_transitivity and is_distance_transitive read.  regular_subgroups
@@ -694,23 +694,33 @@ def graph_isomorphic(a: Graph, b: Graph):
     return _isomorphism(a, b)
 
 
-def _kernel(group: PermGroup, values) -> PermGroup:
-    """Kernel of the character of group that gives its i-th generator
-    values[i], 0 or 1, some 1: generated by the Schreier generators of
-    the transversal {1, r}, r the first generator of value 1, with order
-    |group|/2 and the group's base."""
-    r = group.generators[values.index(1)]
-    r_inv = inverse(r)
-    gens = []
-    for g, value in zip(group.generators, values):
-        if value:
-            gens += [compose(g, r_inv), compose(r, g)]
-        else:
-            gens += [g, compose(r, compose(g, r_inv))]
-    kernel = PermGroup(group.degree, tuple(gens))
-    kernel._order = group.order() // 2
-    kernel._base = group._base
-    return kernel
+def _stabilizer(group: PermGroup, start, act) -> PermGroup:
+    """Stabilizer of start in group, where act(g, x) is x's image under g
+    and acting by g, then h, is acting by g∘h.  The orbit is walked
+    breadth first with t_start = 1 and t_y = t_x∘g for the first x and g
+    to reach y; the Schreier generators t_x∘g∘t_y⁻¹, t_start left out, by
+    generator, then by point, generate the stabilizer (Schreier's lemma;
+    Seress 2003): order |group|/|orbit|, group's base; group if |orbit| = 1."""
+    transversal = {start: None}
+    points, rows = [start], {}
+    for x in points:
+        rows[x] = row = [act(g, x) for g in group.generators]
+        for g, y in zip(group.generators, row):
+            if y not in transversal:
+                transversal[y] = g if x == start else compose(transversal[x], g)
+                points.append(y)
+    if len(points) == 1:
+        return group
+    inverses = {y: inverse(transversal[y]) for y in points[1:]}
+    schreier = []
+    for i, g in enumerate(group.generators):
+        for x, row in rows.items():
+            h = compose(transversal[x], g) if x in inverses else g
+            schreier.append(compose(h, inverses[row[i]]) if row[i] in inverses else h)
+    stabilizer = PermGroup(group.degree, schreier)
+    stabilizer._order = group.order() // len(points)
+    stabilizer._base = group._base
+    return stabilizer
 
 
 def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
@@ -726,8 +736,9 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     generator; one walk gives the words and the relations, one image
     per element and generator.  The characters are the masks with an
     even overlap with every relation, found by elimination.  The kernel
-    of one is built by _kernel, of order |G|/2, so transitivity alone
-    decides regularity.  Its elements are those whose word has an even
+    of a character χ is the stabilizer of 0 under x ↦ x ⊕ χ(g), built by
+    _stabilizer, of order |G|/2, so transitivity alone decides
+    regularity.  Its elements are those whose word has an even
     overlap with the character, so its order spectrum is read off the
     orders of its elements, and set as its _spectrum.
     Each order is computed once, and only for elements of a regular
@@ -779,7 +790,7 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     for choice in range(1, 1 << len(free)):
         character = sum(bit for j, bit in enumerate(free) if choice >> j & 1)
         character |= sum(p for p, row in rows.items() if (row & character).bit_count() % 2)
-        sub = _kernel(group, [character >> i & 1 for i in range(len(gens))])
+        sub = _stabilizer(group, 0, lambda g, x: x ^ character >> gens.index(g) & 1)
         if sub.is_transitive(num_points):
             found.append((sub, character))
     if not found:
@@ -851,34 +862,29 @@ def _check_regular(s: SeparatorDigraph, kernel: PermGroup) -> None:
 
 
 def orientation_kernel(s: SeparatorDigraph, group: PermGroup) -> PermGroup:
-    """Aut(D) for the separator's digraph D: the kernel of the
-    orientation character on group, the automorphism group of its
-    underlying graph U as separator_automorphism_group returns it.
-
-    Every generator must keep every cycle arc (g succ = succ g) or
-    reverse every one (succ g succ = g), and GroupError is raised for
-    one that does neither.  An automorphism of U that keeps the cycle
-    edges keeps the transposition edges, so the keepers are Aut(D), and
-    the sign is a character of index 2 when some generator reverses.
-    Its kernel is built by _kernel, from the Schreier generators of the
-    transversal {1, r}, r the first reverser, as in regular_subgroups;
-    its order is |group|/2 and the group's base is its base.
-
-    GroupError is also raised unless the kernel is regular on the
-    separator's vertices: of order s.order and transitive.  D is then a
-    Cayley digraph of the kernel (Sabidussi, Proc. AMS 1958)."""
+    """Aut(D) for the separator's digraph D: the stabilizer of succ under
+    conjugation x ↦ g⁻¹∘x∘g in group, the automorphism group of its
+    underlying graph U as separator_automorphism_group returns it; an
+    automorphism of U that keeps the cycle edges keeps the rest of U,
+    the transposition edges.  The index is 2 on the catalog separators
+    and 6 on the hexagonal torus maps {6,3}_{b,0}.  GroupError is raised
+    for a new conjugate that takes a vertex off its neighbors in U, as no
+    automorphism of U does, which bounds the walk of a group not made of
+    them; and unless the stabilizer is regular (of order s.order and
+    transitive), so that D is a Cayley digraph of it (Sabidussi 1958)."""
     if group.degree != s.order:
         raise GroupError(f"group of degree {group.degree} on a separator of order {s.order}")
-    succ = s.succ
-    reverses = []
-    for i, g in enumerate(group.generators):
-        if compose(g, succ) == compose(succ, g):
-            reverses.append(False)
-        elif compose(succ, compose(g, succ)) == g:
-            reverses.append(True)
-        else:
-            raise GroupError(f"generator {i} neither keeps nor reverses the cycle arcs")
-    kernel = _kernel(group, reverses) if True in reverses else group
+    inverses = {g: inverse(g) for g in group.generators}
+    seen = {s.succ}
+
+    def conjugate(g, x):
+        y = compose(inverses[g], compose(x, g))
+        if y not in seen and not all(map(tuple.__contains__, s.under.adj, y)):
+            raise GroupError("the group is not made of automorphisms of the underlying graph")
+        seen.add(y)
+        return y
+
+    kernel = _stabilizer(group, s.succ, conjugate)
     _check_regular(s, kernel)
     return kernel
 

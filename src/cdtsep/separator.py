@@ -5,7 +5,7 @@ with its reversal by a transposition edge.
 The vertices, their index and trans come from the cycle set's arc table
 of length k-1, and succ from its window rows.  The two permutations succ
 (one cycle step) and trans (the reversal) determine the separator, so
-its digraph, underlying graph and alternate census are read off them per
+its degrees, underlying graph and alternate census are read off them per
 vertex on integer ids."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Digraph, Graph, GraphError
+from .graphs import Graph, GraphError
 from .cycles import CycleSet
 from .orient import OddWitness, OrientationAssignment
 
@@ -34,10 +34,10 @@ class SeparatorDigraph:
 
     arcs[i] is the vertex-id-sequence of separator vertex i (sorted
     lexicographically); succ follows the unique oriented girth cycle one
-    step; trans maps a vertex to its reversal; digraph combines succ arcs
-    with both directions of every transposition pair.  index maps each
-    arc back to its vertex (it is the index of the cycle set's arc table)
-    and under is the underlying graph of digraph, built once with the
+    step; trans maps a vertex to its reversal; the two are the digraph,
+    whose arcs are v -> succ v and v -> trans v.  index maps each arc
+    back to its vertex (it is the index of the cycle set's arc table)
+    and under is the underlying graph of the digraph, built once with the
     separator; both are kept outside ==, hash and repr.
     """
 
@@ -45,7 +45,6 @@ class SeparatorDigraph:
     arcs: tuple[tuple[int, ...], ...]
     succ: tuple[int, ...]
     trans: tuple[int, ...]
-    digraph: Digraph
     oriented_cycle_count: int
     index: dict[tuple[int, ...], int] = field(compare=False, repr=False)
     under: Graph = field(compare=False, repr=False)
@@ -65,15 +64,14 @@ class SeparatorDigraph:
         return _perm_cycles(self.succ)
 
     def is_two_in_two_out(self) -> bool:
-        """Every vertex of digraph has two out-arcs and two in-arcs; the
-        in-degrees are counted off out_adj."""
-        out_adj = self.digraph.out_adj
-        indeg = [0] * len(out_adj)
-        for out in out_adj:
-            if len(out) != 2:
+        """Every vertex v has two out-arcs, to succ v and trans v, and two
+        in-arcs, counted off succ and trans."""
+        indeg = [0] * len(self.succ)
+        for w, t in zip(self.succ, self.trans):
+            if w == t:
                 return False
-            indeg[out[0]] += 1
-            indeg[out[1]] += 1
+            indeg[w] += 1
+            indeg[t] += 1
         return indeg.count(2) == len(indeg)
 
 
@@ -146,10 +144,10 @@ def build_separator(
     The arcs, their index and the reversal trans are those of
     cs.arc_table(k-1).  Each cycle's row of window ids is walked once,
     each id followed by the next; a flipped cycle walks the reversals of
-    its row backwards.  The digraph and its underlying graph are built
-    straight from succ and trans (see _adjacency), and the separator is
-    checked to be 2-in 2-out with a cubic connected underlying graph and
-    one succ orbit of girth length per cycle."""
+    its row backwards.  The underlying graph is built straight from succ
+    and trans (see _adjacency), and the separator is checked to be 2-in
+    2-out with a cubic connected underlying graph and one succ orbit of
+    girth length per cycle."""
     if isinstance(a, OddWitness):
         raise GraphError(
             "no separator: the orientation constraints are unsolvable"
@@ -175,33 +173,29 @@ def build_separator(
             cur = nxt
     if None in succ:
         raise GraphError("some arc is not traversed by any oriented cycle")
-    digraph, under = _adjacency(succ, trans)
-    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), t.index, under)
+    under = _adjacency(succ, trans)
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, len(cs), t.index, under)
     _check_invariants(sep)
     return sep
 
 
-def _adjacency(succ, trans) -> tuple[Digraph, Graph]:
-    """The digraph with out-neighbors {succ v, trans v} of each vertex v,
-    and its underlying graph, whose neighbors of v are {pred v, succ v,
-    trans v} for pred the inverse of succ: the in-neighbors of v are
-    pred v and the vertex whose reversal it is, trans v.
-
-    succ must be a permutation and trans an involution.  Each row is
-    the sorted set, so a coincidence shows as a short row: succ v ==
-    trans v leaves v one out-arc, and pred v == trans v leaves v two
-    neighbors."""
+def _adjacency(succ, trans) -> Graph:
+    """The underlying graph of the digraph with out-neighbors {succ v,
+    trans v} of each vertex v: the neighbors of v are {pred v, succ v,
+    trans v} for pred the inverse of succ, since the in-neighbors of v
+    are pred v and the vertex whose reversal it is, trans v.  succ must
+    be a permutation and trans an involution.  Each row is the sorted
+    set, so succ v == trans v or pred v == trans v leaves v two neighbors."""
     n = len(succ)
     pred = [0] * n
     for v, w in enumerate(succ):
         pred[w] = v
-    out = tuple([(w, t) if w < t else (t, w) if t < w else (w,) for w, t in zip(succ, trans)])
+    out = [(w, t) if w < t else (t, w) if t < w else (w,) for w, t in zip(succ, trans)]
     # pred v put into the sorted set out[v]
-    adj = tuple([
+    return Graph(n, tuple([
         (p, *o) if p < o[0] else (*o, p) if p > o[-1] else o if p in o else (o[0], p, o[1])
         for p, o in zip(pred, out)
-    ])
-    return Digraph(n, out), Graph(n, adj)
+    ]))
 
 
 def _check_invariants(s: SeparatorDigraph) -> None:

@@ -7,7 +7,7 @@ from cdtsep import catalog, cycles, graphs, groups, orient, separator
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.graph6 import parse_graph6, write_graph6
-from cdtsep.graphs import build_graph
+from cdtsep.graphs import build_digraph, build_graph
 from cdtsep.report import run_report
 
 
@@ -40,6 +40,12 @@ def hex_torus(b, c):
     edges = [(2 * ids[(x, y)], 2 * ids[cell(x + dx, y + dy)] + 1)
              for x, y in cells for dx, dy in ((0, 0), (-1, 0), (0, -1))]
     return build_graph(2 * d, edges)
+
+
+def separator_digraph(s):
+    """The digraph D of a separator: an arc v -> succ v along the
+    oriented cycles and v -> trans v to the reversal of each vertex."""
+    return build_digraph(s.order, [*enumerate(s.succ), *enumerate(s.trans)])
 
 
 def random_cubic(n, rng):

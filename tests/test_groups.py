@@ -21,7 +21,7 @@ from cdtsep.catalog import (
 )
 from cdtsep.graph6 import parse_graph6, write_graph6
 from cdtsep.graphs import Digraph, build_digraph, build_graph, enumerate_arcs, underlying
-from cdtsep.report import run_graph_report
+from cdtsep.report import ingest_analysis, run_graph_report
 from cdtsep.groups import (
     GroupError,
     PermGroup,
@@ -43,7 +43,10 @@ from cdtsep.groups import (
     separator_automorphism_group,
     symmetric_elements,
 )
-from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic
+from conftest import (
+    bfs_distance_table, count_calls, generalized_petersen, hex_torus, random_cubic,
+    separator_digraph,
+)
 
 
 def matrix_order(m) -> int:
@@ -415,7 +418,7 @@ def level_structures(analysis_of):
         out.append((name.value, build_cdt(name)[0]))
     for text in SOLVABLE:
         s = analysis_of(text).separator
-        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", s.digraph)]
+        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", separator_digraph(s))]
     out += [
         ("path-and-isolated", build_graph(6, [(0, 1), (1, 2), (3, 4)])),
         ("star", build_graph(5, [(0, 1), (0, 2), (0, 3)])),
@@ -535,7 +538,7 @@ def candidate_structures(analysis_of):
     out += [(name.value, build_cdt(name)[0]) for name in CdtName]
     for text in SOLVABLE:
         s = analysis_of(text).separator
-        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", s.digraph)]
+        out += [(f"{text}-separator", s.under), (f"{text}-separator-digraph", separator_digraph(s))]
     return out
 
 
@@ -884,9 +887,9 @@ class TestIsomorphism:
         s = analysis_of("coxeter").separator
         elements = gl32_elements()
         reference = cayley_digraph(elements, gl32_mult, list(GL32_GENERATORS))
-        assert digraph_isomorphic(s.digraph, reference) is None
+        assert digraph_isomorphic(separator_digraph(s), reference) is None
         corrected = cayley_digraph(elements, gl32_mult, list(GL32_SEPARATOR_GENERATORS))
-        assert digraph_isomorphic(s.digraph, corrected) is not None
+        assert digraph_isomorphic(separator_digraph(s), corrected) is not None
 
     @pytest.mark.parametrize("directed", [False, True], ids=["graph", "digraph"])
     def test_unequal_orders_and_one_extra_arc(self, directed):
@@ -1118,14 +1121,14 @@ class TestSeparatorAutomorphisms:
     def test_digraph_group_is_half(self, analysis_of):
         a = analysis_of("k4")
         p, s = a.row, a.separator
-        assert automorphism_group(s.digraph).order() == p.a // 2
+        assert automorphism_group(separator_digraph(s)).order() == p.a // 2
 
     def test_underlying_is_vertex_transitive(self, analysis_of):
         a = analysis_of("q3")
         s = a.separator
         group = separator_automorphism_group(s, a.host_group)
         assert group.is_transitive()
-        assert underlying(s.digraph).is_cubic()
+        assert underlying(separator_digraph(s)).is_cubic()
 
 
 # Aut(D) of each separator: the element orders of the regular kernel
@@ -1157,7 +1160,7 @@ class TestOrientationKernel:
         assert kernel.is_transitive()
         assert sorted(kernel.order_spectrum()) == KERNEL_SPECTRA[text]
         assert all(keeps(s, g) for g in kernel.generators)
-        assert kernel.elements() == automorphism_group(s.digraph).elements()
+        assert kernel.elements() == automorphism_group(separator_digraph(s)).elements()
 
     def test_every_separator_generator_keeps_or_reverses(self, analysis_of):
         for text in SOLVABLE:
@@ -1176,6 +1179,17 @@ class TestOrientationKernel:
         assert names.count("cayley-gl32-corrected-involution") == 1
         assert counts["orientation_kernel"] == 1
 
+    @pytest.mark.parametrize("b,order", [(4, 96), (5, 150)])
+    def test_index_six_on_the_hex_torus(self, b, order):
+        # {6,3}_{b,0}: succ has six conjugates, and Aut(D) is still regular
+        a = ingest_analysis(hex_torus(b, 0))
+        s, kernel = a.separator, a.kernel
+        assert kernel.order() == s.order == order
+        assert a.separator_group.order() == 6 * order
+        assert kernel.is_transitive()
+        assert all(keeps(s, g) for g in kernel.generators)
+        assert kernel.elements() == automorphism_group(separator_digraph(s)).elements()
+
     def test_a_group_with_no_reverser_is_its_own_kernel(self, analysis_of):
         a = analysis_of("q3")
         assert orientation_kernel(a.separator, a.kernel) is a.kernel
@@ -1186,7 +1200,7 @@ class TestOrientationKernel:
         swap = list(range(a.separator.order))
         swap[0], swap[1] = 1, 0
         for gens in ([swap], [*a.separator_group.generators, swap]):
-            with pytest.raises(GroupError, match="neither keeps nor reverses"):
+            with pytest.raises(GroupError, match="not made of automorphisms"):
                 orientation_kernel(a.separator, PermGroup(a.separator.order, gens))
 
     def test_a_kernel_that_is_not_regular_is_refused(self, analysis_of):
@@ -1200,6 +1214,30 @@ class TestOrientationKernel:
     def test_a_group_on_other_points_is_refused(self, analysis_of):
         with pytest.raises(GroupError, match="degree"):
             orientation_kernel(analysis_of("k4").separator, analysis_of("q3").separator_group)
+
+
+class TestStabilizer:
+    @pytest.mark.parametrize("text", ["k4", "k33", "q3"])
+    def test_generates_the_fixers_in_the_closure(self, text, analysis_of):
+        # succ under conjugation, and 0 under each nonzero character,
+        # read off the index-2 subgroup that is its kernel
+        a = analysis_of(text)
+        s, group = a.separator, a.separator_group
+        elements = closure(group)
+
+        def conjugate(g, x):
+            return compose(inverse(g), compose(x, g))
+
+        cases = [(s.succ, conjugate, {p for p in elements if conjugate(p, s.succ) == s.succ})]
+        for sub in index_two_subgroups(group):
+            value = {g: int(g not in sub) for g in group.generators}
+            cases.append((0, lambda g, x, value=value: x ^ value[g], sub))
+        assert len(cases) > 1
+        for start, act, fixers in cases:
+            stabilizer = groups._stabilizer(group, start, act)
+            assert closure(stabilizer) == fixers
+            assert stabilizer.order() == len(fixers)
+            assert stabilizer._base == group._base
 
 
 # The five Cayley records: graph, record name, (elements, product)
@@ -1235,7 +1273,7 @@ def carries_arcs(s, phi, elements, mult, gens):
     target = set(cayley_digraph(elements, mult, gens).arcs())
     images = [index[x] for x in phi]
     return sorted(images) == list(range(len(elements))) and all(
-        (images[u], images[v]) in target for u, v in s.digraph.arcs()
+        (images[u], images[v]) in target for u, v in separator_digraph(s).arcs()
     )
 
 
@@ -1252,7 +1290,8 @@ class TestCayleyIsomorphism:
             found = []
             for order in (gens, gens[::-1]):
                 phi = cayley_isomorphism(s, a.kernel, elements, mult, order)
-                oracle = digraph_isomorphic(s.digraph, cayley_digraph(elements, mult, order))
+                target = cayley_digraph(elements, mult, order)
+                oracle = digraph_isomorphic(separator_digraph(s), target)
                 assert (phi is None) == (oracle is None), (text, row, seed)
                 assert phi is None or carries_arcs(s, phi, elements, mult, order)
                 found.append(phi is not None)
@@ -1304,7 +1343,8 @@ class TestCayleyIsomorphism:
             phi = groups._cayley_walk(s, elements[0], compose, x_succ, x_trans)
             assert phi is not None and len(set(phi)) == 6
         assert cayley_isomorphism(s, a.kernel, elements, compose, gens) is None
-        assert digraph_isomorphic(s.digraph, cayley_digraph(elements, compose, gens)) is None
+        target = cayley_digraph(elements, compose, gens)
+        assert digraph_isomorphic(separator_digraph(s), target) is None
 
     @pytest.mark.parametrize("gens", [[(0, 1, 2, 3), (1, 0, 2, 3)], [(1, 2, 3, 0), (9,)]],
                              ids=["identity", "unlisted"])

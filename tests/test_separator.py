@@ -6,11 +6,12 @@ import pytest
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import cycle_windows, enumerate_girth_cycles
-from cdtsep.graphs import Digraph, GraphError, build_digraph, build_graph, enumerate_arcs, underlying
+from cdtsep.graphs import Digraph, GraphError, build_graph, enumerate_arcs, underlying
 from cdtsep.orient import OrientationAssignment, build_constraints, oriented_cycles, solve
 from cdtsep.separator import (
     SeparatorDigraph, _adjacency, _check_invariants, build_separator, separator_summary,
 )
+from conftest import separator_digraph
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 
@@ -46,8 +47,8 @@ def reference_build_separator(g, cs, k, a):
     if None in succ:
         raise GraphError("some arc is not traversed by any oriented cycle")
     trans = tuple(index[arc[::-1]] for arc in arcs)
-    digraph, under = _adjacency(succ, trans)
-    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, digraph, len(cs), index, under)
+    under = _adjacency(succ, trans)
+    sep = SeparatorDigraph(cs.girth, arcs, tuple(succ), trans, len(cs), index, under)
     _check_invariants(sep)
     return sep
 
@@ -72,12 +73,13 @@ class TestStructure:
     @pytest.mark.parametrize("text", SOLVABLE)
     def test_degrees_and_underlying(self, text, analysis_of):
         s = analysis_of(text).separator
+        digraph = separator_digraph(s)
         in_deg = [0] * s.order
-        for _u, v in s.digraph.arcs():
+        for _u, v in digraph.arcs():
             in_deg[v] += 1
-        assert all(len(s.digraph.out_adj[v]) == 2 for v in range(s.order))
+        assert all(len(digraph.out_adj[v]) == 2 for v in range(s.order))
         assert all(d == 2 for d in in_deg)
-        u = underlying(s.digraph)
+        u = underlying(digraph)
         assert u.is_cubic() and u.is_connected()
 
     @pytest.mark.parametrize("text", SOLVABLE)
@@ -162,8 +164,8 @@ class TestAgainstTheWindowLookup:
 
 
 class TestDirectConstruction:
-    """The digraph and underlying graph that build_separator makes straight
-    from succ and trans, against the generic builders."""
+    """The underlying graph that build_separator makes straight from succ
+    and trans, and its degree check, against the generic builders."""
 
     def test_equals_the_generic_builders(self, layer_graphs):
         checked = 0
@@ -172,16 +174,16 @@ class TestDirectConstruction:
                 continue
             cs = enumerate_girth_cycles(g)
             s = build_separator(g, cs, k, solve(build_constraints(g, cs, k)))
-            arcs = [*enumerate(s.succ), *enumerate(s.trans)]
-            assert s.digraph == build_digraph(s.order, arcs), label
-            assert s.under == underlying(s.digraph), label
+            assert s.under == underlying(separator_digraph(s)), label
             checked += 1
         assert checked == 28
 
     def test_coincidences_give_short_rows(self):
         # random permutations and involutions of small sets coincide
         # often: succ v == trans v or pred v == trans v must shorten the
-        # row, as the generic builders' sets do
+        # row, as the generic builder's sets do; the digraph is built from
+        # its sorted rows, since build_digraph refuses the loops and the
+        # repeated arcs that these draws include
         rng = random.Random(2801)
         short = 0
         for _ in range(300):
@@ -193,26 +195,26 @@ class TestDirectConstruction:
             trans = [0] * n
             for a, b in zip(points[::2], points[1::2]):
                 trans[a], trans[b] = b, a
-            digraph, under = _adjacency(succ, trans)
+            under = _adjacency(succ, trans)
             out = tuple(tuple(sorted({succ[v], trans[v]})) for v in range(n))
-            assert digraph == Digraph(n, out)
-            assert under == underlying(digraph)
+            assert under == underlying(Digraph(n, out))
             short += any(len(a) < 3 for a in under.adj)
         assert short > 100
 
     def test_in_degrees_are_read(self, analysis_of):
-        # move one arc u -> a to u -> c: every out-degree stays 2, while a
-        # keeps one in-arc and c gets three
+        # move one arc u -> succ u to u -> c: every out-degree stays 2,
+        # while succ u keeps one in-arc and c gets three
         s = analysis_of("k4").separator
         assert s.is_two_in_two_out()
-        out = [list(o) for o in s.digraph.out_adj]
         u = 0
-        c = next(v for v in range(s.order) if v != u and v not in out[u])
-        out[u][0] = c
-        bent = Digraph(s.order, tuple(tuple(sorted(o)) for o in out))
-        assert all(len(o) == 2 for o in bent.out_adj)
-        assert sorted(map(len, bent.in_adj())) == [1] + [2] * (s.order - 2) + [3]
-        assert not dataclasses.replace(s, digraph=bent).is_two_in_two_out()
+        c = next(v for v in range(s.order) if v not in (u, s.succ[u], s.trans[u]))
+        succ = list(s.succ)
+        succ[u] = c
+        bent = dataclasses.replace(s, succ=tuple(succ))
+        d = separator_digraph(bent)
+        assert all(len(o) == 2 for o in d.out_adj)
+        assert sorted(map(len, d.in_adj())) == [1] + [2] * (s.order - 2) + [3]
+        assert not bent.is_two_in_two_out()
 
 
 class TestAlternateCensus:

@@ -96,6 +96,34 @@ MUTANTS = (
         "    if k - 1",
         ("tests/test_cycles.py::TestFastening::test_refuses_the_cycles_of_another_graph",),
     ),
+    # Aut(D) and the index-2 kernels as Schreier stabilizers
+    Mutant(
+        "transversal-wrong-side", "src/cdtsep/groups.py",
+        "else compose(transversal[x], g)",
+        "else compose(g, transversal[x])",
+        ("tests/test_groups.py::TestOrientationKernel::test_index_six_on_the_hex_torus[4-96]",
+         "tests/test_groups.py::TestOrientationKernel::test_index_six_on_the_hex_torus[5-150]"),
+    ),
+    Mutant(
+        "stabilizer-order-halved", "src/cdtsep/groups.py",
+        "stabilizer._order = group.order() // len(points)",
+        "stabilizer._order = group.order() // 2",
+        ("tests/test_groups.py::TestOrientationKernel::test_index_six_on_the_hex_torus[4-96]",
+         "tests/test_groups.py::TestOrientationKernel::test_index_six_on_the_hex_torus[5-150]"),
+    ),
+    Mutant(
+        "one-point-orbit-rebuilt", "src/cdtsep/groups.py",
+        "    if len(points) == 1:\n        return group\n",
+        "",
+        ("tests/test_groups.py::TestOrientationKernel::"
+         "test_a_group_with_no_reverser_is_its_own_kernel",),
+    ),
+    Mutant(
+        "in-degrees-uncounted", "src/cdtsep/separator.py",
+        "return indeg.count(2) == len(indeg)",
+        "return True",
+        ("tests/test_separator.py::TestDirectConstruction::test_in_degrees_are_read",),
+    ),
     # girth cycles from one layered BFS per root
     Mutant(
         "girth-cycles-v-not-root", "src/cdtsep/cycles.py",
