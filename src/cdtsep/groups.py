@@ -20,13 +20,17 @@ side only.  A candidate image u of base point b_i is refined on one side
 too: P_i with u individualized is checked class by class against the
 stored P_{i+1}, and a search starts from the two only when they agree.
 The automorphism search also reads the group's order, a base and the
-stabilizer of the first base point off its tree.  A group's elements
-and its index-2 subgroups are read off one breadth-first walk over the
-images of its base, and each element's order off its shortest word in
-that walk, with no element built (Seress, *Permutation Group
-Algorithms*, 2003); the one walk that finds the regular index-2
-subgroups also gives each of them its order spectrum, from the orders
-of their elements alone.
+stabilizer of the first base point off its tree.  Products, the images
+of point tuples and point orbits are read by operator.itemgetter, a
+whole permutation or orbit frontier per call, not point by point.  A
+group's elements and its index-2 subgroups are read off one
+breadth-first walk over the images of its base, and each element's
+order off its shortest word in that walk, with no element built
+(Seress, *Permutation Group Algorithms*, 2003).  The walk that finds
+the index-2 subgroups also names the stabilizer of point 0, which
+decides each kernel's regularity with no orbit walked and gives each
+regular kernel's element orders as cycle lengths through 0, so that
+only the regular kernels are built.
 Distance- and s-arc-transitivity are read off that recorded point
 stabilizer: a vertex-transitive group has either property exactly when
 the stabilizer of one vertex has it locally, on the distance spheres or
@@ -83,8 +87,10 @@ class GroupError(ValueError):
 
 
 def compose(p, q) -> tuple[int, ...]:
-    """Permutation applying q first, then p."""
-    return tuple(map(p.__getitem__, q))
+    """Permutation applying q first, then p: p's entries at q's, read by
+    one itemgetter (which gives a bare entry for one index, so the map
+    form serves degrees below 2)."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
 def inverse(p) -> tuple[int, ...]:
@@ -114,8 +120,24 @@ def _orbit(gens, start, act) -> dict:
 
 
 def _image(g, points) -> tuple[int, ...]:
-    """Image of a tuple of points under g."""
-    return tuple(map(g.__getitem__, points))
+    """Image of a tuple of points under g, read as compose reads it."""
+    return itemgetter(*points)(g) if len(points) > 1 else tuple(map(g.__getitem__, points))
+
+
+def _point_orbit(gens, x) -> set[int]:
+    """Orbit of the point x under the group generated by gens, walked one
+    frontier at a time: one itemgetter reads every generator's images of
+    the whole frontier (a bare image for a one-point frontier), and
+    those not reached before make the next frontier."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        take = itemgetter(*frontier)
+        reached = set(map(take, gens)) if len(frontier) == 1 else set().union(*map(take, gens))
+        reached -= orbit
+        orbit |= reached
+        frontier = list(reached)
+    return orbit
 
 
 class PermGroup:
@@ -134,18 +156,24 @@ class PermGroup:
     walk; order_spectrum computes it on first call when it is unset and
     keeps it.  Groups compare and hash by identity.  Orbits,
     transitivity and the elements are walked over the generators, breadth
-    first, and _element_orders reads each element's order off its
-    shortest word in the generators without building the element.
+    first; a point orbit reads each generator's images of a whole
+    frontier with one itemgetter, and a product is one itemgetter over
+    its right factor (compose).  _element_orders reads each element's
+    order off its shortest word in the generators without building the
+    element.  A generator is checked to be a permutation by its length
+    and one set of its entries: no repeats, and all in 0..degree-1.
     """
 
     __slots__ = ("degree", "generators", "_order", "_base", "_stabilizer", "_spectrum")
 
     def __init__(self, degree: int, generators):
         ident = tuple(range(degree))
+        points = set(ident)
         gens = []
         for g in generators:
             g = tuple(g)
-            if sorted(g) != list(ident):
+            entries = set(g)
+            if len(g) != degree or len(entries) != degree or not entries <= points:
                 raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
             if g != ident and g not in gens:
                 gens.append(g)
@@ -163,7 +191,7 @@ class PermGroup:
         return self._order or len(self._base_orbit())
 
     def orbit(self, x: int) -> set[int]:
-        return set(_orbit(self.generators, x, tuple.__getitem__))
+        return _point_orbit(self.generators, x)
 
     def is_transitive(self, num_points: int | None = None) -> bool:
         n = self.degree if num_points is None else num_points
@@ -181,18 +209,21 @@ class PermGroup:
                 named[y] = compose(self.generators[step[1]], named[step[0]])
         return sorted(named.values())
 
-    def _element_orders(self, tree: dict, images) -> dict[tuple[int, ...], int]:
-        """The order of the element carrying the base to each of images,
-        a collection of points of tree, the Schreier vector of the base's
-        orbit, with no element built.  That element is the word of
-        generators on the image's path in the tree; every image's word is
-        kept, since its descendants' words extend it, but only the images
-        asked for are walked.  Only the identity fixes the base, so an
-        element's order is the lcm of the lengths of its cycles through
-        the base points, each walked point by point along the word from
-        the point's image; a base point already on a walked cycle is
-        skipped."""
-        base = self._base_points()
+    def _element_orders(self, tree: dict, images, slots) -> dict[tuple[int, ...], int]:
+        """The order of the element carrying the tree's start to each of
+        images, a collection of points of tree, with no element built.
+        tree is the Schreier vector of the orbit of a base (the start, a
+        tuple of points listed first), so each image names one element:
+        the word of generators on the image's path in the tree.  Every
+        image's word is kept, since its descendants' words extend it, but
+        only the images asked for are walked.  An element's order is the
+        lcm of the lengths of its cycles through the start's points at
+        slots, each walked point by point along the word from the point's
+        image; a point already on a walked cycle is skipped.  That holds
+        when only the identity fixes those points among the elements
+        asked for: every slot of a base, or the slot of a point whose
+        stabilizer meets their group trivially."""
+        start = next(iter(tree))
         words: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         orders = {}
         for y, step in tree.items():
@@ -202,7 +233,8 @@ class PermGroup:
                 continue
             seen: set[int] = set()
             order = 1
-            for x, u in zip(base, y):
+            for i in slots:
+                x, u = start[i], y[i]
                 if x in seen:
                     continue
                 length = 1
@@ -220,7 +252,8 @@ class PermGroup:
         _element_orders, or the _spectrum set when the group was built."""
         if self._spectrum is None:
             tree = self._base_orbit()
-            self._spectrum = frozenset(self._element_orders(tree, tree).values())
+            slots = range(len(self._base_points()))
+            self._spectrum = frozenset(self._element_orders(tree, tree, slots).values())
         return self._spectrum
 
 
@@ -500,7 +533,7 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     for level in reversed(range(len(levels))):
         pair, b, cell = levels[level]
         below = levels[level + 1][0] if level + 1 < len(levels) else discrete
-        orbit = _orbit(gens, b, tuple.__getitem__)
+        orbit = _point_orbit(gens, b)
         if level == 0:
             stabilizer = PermGroup(n, tuple(gens))
             stabilizer._order = order
@@ -508,14 +541,14 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
             for s in map(tuple, seeds):
                 if len(s) == n and s[b] not in orbit and _verify_mapping(side, side, s):
                     gens.append(s)
-                    orbit = _orbit(gens, b, tuple.__getitem__)
+                    orbit = _point_orbit(gens, b)
         for u in cell:
             if u in orbit:
                 continue
             m = _search(side, side, _candidate(side, pair, below, u))
             if m is not None:
                 gens.append(m)
-                orbit = _orbit(gens, b, tuple.__getitem__)
+                orbit = _point_orbit(gens, b)
         order *= len(orbit)
     group = PermGroup(n, tuple(gens))
     group._order = order
@@ -729,18 +762,24 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     can each act regularly).
 
     An index-2 subgroup is the kernel of a character, which gives each
-    generator the value 0 or 1.  The orbit of the base is a Cayley graph
-    of the group: each image gets the bit mask over the generators of
-    its word in the orbit's spanning tree, and each edge outside the tree
-    closes a relation whose mask is the sum of the two words and its
-    generator; one walk gives the words and the relations, one image
-    per element and generator.  The characters are the masks with an
-    even overlap with every relation, found by elimination.  The kernel
-    of a character χ is the stabilizer of 0 under x ↦ x ⊕ χ(g), built by
-    _stabilizer, of order |G|/2, so transitivity alone decides
-    regularity.  Its elements are those whose word has an even
-    overlap with the character, so its order spectrum is read off the
-    orders of its elements, and set as its _spectrum.
+    generator the value 0 or 1.  The orbit of the base, with point 0
+    appended when the base omits it, is a Cayley graph of the group:
+    each image gets the bit mask over the generators of its word in the
+    orbit's spanning tree, and each edge outside the tree closes a
+    relation whose mask is the sum of the two words and its generator;
+    one walk gives the words and the relations, one image per element
+    and generator, and the images that keep 0 name G_0, the stabilizer
+    of point 0.  The characters are the masks with an even overlap with
+    every relation, found by elimination.  The kernel K of a character
+    has order |G|/2 = num_points, and K_0 = K ∩ G_0, so K is transitive
+    on the points, and thus regular, exactly when no element of G_0
+    other than the identity has a word with an even overlap with the
+    character (orbit-stabilizer); no orbit is walked per character.
+    Only a regular kernel is built, as the stabilizer of 0 under
+    x ↦ x ⊕ χ(g) (_stabilizer).  Its elements are those whose word has
+    an even overlap with the character, and with K_0 trivial each one's
+    order is the length of its cycle through 0, so the kernel's order
+    spectrum is read off that cycle alone and set as its _spectrum.
     Each order is computed once, and only for elements of a regular
     kernel: with one kernel that is half the group, with two three
     quarters.
@@ -755,6 +794,9 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         return [group] if group.is_transitive(num_points) else []
     gens = group.generators
     base = group._base_points()
+    if 0 not in base:
+        base += (0,)
+    zero = base.index(0)
     # One walk over the orbit of the base, as _orbit's: each image's tree
     # and word mask, and the relation closed by each edge off the tree.
     tree: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {base: None}
@@ -786,12 +828,13 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
     free = [1 << i for i in range(len(gens)) if 1 << i not in rows]
     if len(free) > 3:
         raise GroupError("abelianized 2-quotient unexpectedly large")
+    fixers = [word for y, word in words.items() if y[zero] == 0 and y != base]
     found = []
     for choice in range(1, 1 << len(free)):
         character = sum(bit for j, bit in enumerate(free) if choice >> j & 1)
         character |= sum(p for p, row in rows.items() if (row & character).bit_count() % 2)
-        sub = _stabilizer(group, 0, lambda g, x: x ^ character >> gens.index(g) & 1)
-        if sub.is_transitive(num_points):
+        if all((word & character).bit_count() % 2 for word in fixers):
+            sub = _stabilizer(group, 0, lambda g, x: x ^ character >> gens.index(g) & 1)
             found.append((sub, character))
     if not found:
         return []
@@ -799,7 +842,7 @@ def regular_subgroups(group: PermGroup, num_points: int) -> list[PermGroup]:
         [y for y, word in words.items() if not (word & character).bit_count() % 2]
         for _sub, character in found
     ]
-    orders = group._element_orders(tree, set().union(*kernels))
+    orders = group._element_orders(tree, set().union(*kernels), (zero,))
     for (sub, _character), kernel in zip(found, kernels):
         sub._spectrum = frozenset(map(orders.__getitem__, kernel))
     return [sub for sub, _character in found]
@@ -818,19 +861,17 @@ def induced_arc_permutation(s: SeparatorDigraph, h) -> tuple[int, ...] | None:
     of them, composing with the transposition involution gives an
     automorphism of the underlying graph that inverts every cycle arc.
     """
+    succ, trans = s.succ, s.trans
     try:
-        m = tuple(s.index[tuple(map(h.__getitem__, arc))] for arc in s.arcs)
+        m = tuple(s.index[_image(h, arc)] for arc in s.arcs)
     except KeyError:
         return None
-    if all(m[s.trans[v]] == s.trans[m[v]] for v in range(s.order)):
-        if all(m[s.succ[v]] == s.succ[m[v]] for v in range(s.order)):
+    if compose(m, trans) == compose(trans, m):
+        if compose(m, succ) == compose(succ, m):
             return m
-        phi = tuple(map(s.trans.__getitem__, m))
+        phi = compose(trans, m)
         # cycle-arc reversal: succ maps phi(succ v) back to phi(v)
-        if all(
-            s.succ[phi[s.succ[v]]] == phi[v] and phi[s.trans[v]] == s.trans[phi[v]]
-            for v in range(s.order)
-        ):
+        if compose(succ, compose(phi, succ)) == phi and compose(phi, trans) == compose(trans, phi):
             return phi
     return None
 

@@ -248,8 +248,37 @@ class TestPermBasics:
         assert g.is_transitive()
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(GroupError):
-            PermGroup(3, ((0, 0, 1),))
+        # a repeated entry, entries out of range or not integers, and
+        # wrong lengths; the permutation of degree 0 is the empty tuple
+        for g in ((0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 0.5, 2), (0, 1), (0, 1, 2, 3)):
+            with pytest.raises(GroupError, match="not a permutation"):
+                PermGroup(3, (g,))
+        assert PermGroup(0, ((),)).generators == ()
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 720])
+    def test_products_and_images_equal_the_map_form(self, degree):
+        rng = random.Random(degree)
+        p, q = (tuple(rng.sample(range(degree), degree)) for _ in range(2))
+        assert compose(p, q) == tuple(map(p.__getitem__, q))
+        for size in sorted({0, min(degree, 1), min(degree, 2), degree}):
+            points = tuple(rng.choices(range(degree), k=size))
+            assert groups._image(p, points) == tuple(map(p.__getitem__, points))
+
+    def test_orbit_equals_the_schreier_vector(self):
+        # seeded random groups, with no generators, degrees 0 and 1, and
+        # one n-cycle, whose walk has one point on every frontier
+        rng = random.Random(31)
+        cases = [(0, [()]), (1, []), (1, [(0,)]), (4, []), (7, [(1, 2, 3, 4, 5, 6, 0)])]
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            cases.append((n, [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]))
+        for n, gens in cases:
+            group = PermGroup(n, gens)
+            orbits = [group.orbit(x) for x in range(n)]
+            assert orbits == [
+                groups._orbit(group.generators, x, tuple.__getitem__).keys() for x in range(n)
+            ]
+            assert group.is_transitive() == (n == 0 or len(orbits[0]) == n)
 
     def test_trivial_group(self):
         g = PermGroup(4, ())
@@ -1055,8 +1084,8 @@ class TestRegularSubgroups:
         counts = []
         original = PermGroup._element_orders
 
-        def recorded(group, tree, images):
-            orders = original(group, tree, images)
+        def recorded(group, tree, images, slots):
+            orders = original(group, tree, images, slots)
             counts.append(len(orders))
             return orders
 
@@ -1074,6 +1103,47 @@ class TestRegularSubgroups:
                 fresh = PermGroup(h.degree, h.generators)
                 fresh._base = h._base
                 assert fresh.order_spectrum() == h.order_spectrum(), text
+
+    def test_a_base_that_omits_zero(self):
+        # with the base n-1, ..., 1 the walk appends 0 and reads it at the
+        # last index; kernels and spectra against the closure
+        checked = 0
+        for group in half_order_cases("generators"):
+            order, n = group.order(), group.degree
+            if order % 2 or n < 2 or len(index_two_subgroups(group)) > 7:
+                continue
+            group._base = tuple(range(n - 1, 0, -1))
+            reference = index_two_subgroups(group)
+            transitive = {h for h in reference if len({p[0] for p in h}) == order // 2}
+            found = regular_subgroups(group, order // 2)
+            assert {frozenset(closure(h)) for h in found} == transitive, group.generators
+            for h in found:
+                assert h.order_spectrum() == {element_order(p) for p in closure(h)}
+            checked += len(found)
+        assert checked > 50
+
+    def test_orders_are_read_at_zero_beyond_the_points(self):
+        # Z4 x Z2 on 8 points, r = (0 1 2 3)(4 5) and t = (6 7), with the
+        # base (4, 6, 1): <r> and <rt> are regular on 0..3, and r's cycle
+        # through 4 has length 2, not r's order 4
+        r, t = (1, 2, 3, 0, 5, 4, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)
+        group = PermGroup(8, (r, t))
+        group._base = (4, 6, 1)
+        found = regular_subgroups(group, 4)
+        transitive = {h for h in index_two_subgroups(group) if len({p[0] for p in h}) == 4}
+        assert len(transitive) == 2
+        assert {frozenset(closure(h)) for h in found} == transitive
+        assert [sorted(h.order_spectrum()) for h in found] == [[1, 2, 4], [1, 2, 4]]
+
+    def test_tutte_builds_only_its_regular_kernels(self, analysis_of, monkeypatch):
+        # of its three index-2 subgroups, two are regular
+        # (test_separator_groups_against_reference)
+        a = analysis_of("tutte")
+        group, n = a.separator_group, a.separator.order
+        counts = {}
+        count_calls(monkeypatch, groups, "_stabilizer", counts)
+        assert len(regular_subgroups(group, n)) == 2
+        assert counts["_stabilizer"] == 2
 
     def test_no_index_two_subgroup(self):
         # A4 on the six edges of the tetrahedron: order 12 on 6 points,

@@ -124,6 +124,60 @@ MUTANTS = (
         "return True",
         ("tests/test_separator.py::TestDirectConstruction::test_in_degrees_are_read",),
     ),
+    # products, permutation checks and seeds by itemgetter
+    Mutant(
+        "compose-operands-swapped", "src/cdtsep/groups.py",
+        "return itemgetter(*q)(p) if len(q) > 1",
+        "return itemgetter(*p)(q) if len(p) > 1",
+        ("tests/test_groups.py::TestPermBasics::test_compose_applies_right_factor_first",
+         "tests/test_groups.py::TestPermBasics::test_products_and_images_equal_the_map_form[720]"),
+    ),
+    Mutant(
+        "permutation-repeats-unchecked", "src/cdtsep/groups.py",
+        " or len(entries) != degree",
+        "",
+        ("tests/test_groups.py::TestPermBasics::test_rejects_non_permutation",),
+    ),
+    Mutant(
+        "seed-succ-unchecked", "src/cdtsep/groups.py",
+        "if compose(m, succ) == compose(succ, m):",
+        "if True:",
+        ("tests/test_groups.py::TestSeparatorAutomorphisms::"
+         "test_orientation_reverser_becomes_arc_reverser",),
+    ),
+    # each kernel's regularity and element orders off the stabilizer of 0
+    Mutant(
+        "identity-counted-in-g0", "src/cdtsep/groups.py",
+        "if y[zero] == 0 and y != base]",
+        "if y[zero] == 0]",
+        ("tests/test_groups.py::TestRegularSubgroups::"
+         "test_separator_groups_against_reference[tutte-3-2]",
+         "tests/test_groups.py::TestRegularSubgroups::test_tutte_builds_only_its_regular_kernels"),
+    ),
+    Mutant(
+        "orders-at-the-first-base-point", "src/cdtsep/groups.py",
+        "set().union(*kernels), (zero,))",
+        "set().union(*kernels), (0,))",
+        ("tests/test_groups.py::TestRegularSubgroups::"
+         "test_orders_are_read_at_zero_beyond_the_points",),
+    ),
+    # the Cayley walk
+    Mutant(
+        "cayley-walk-conflict-unchecked", "src/cdtsep/groups.py",
+        "            elif phi[q] != y:\n                return None\n",
+        "",
+        ("tests/test_groups.py::TestCayleyIsomorphism::"
+         "test_a_conflict_off_the_walk_tree_is_refused[k4]",
+         "tests/test_groups.py::TestCayleyIsomorphism::"
+         "test_a_conflict_off_the_walk_tree_is_refused[q3]"),
+    ),
+    Mutant(
+        "cayley-bijection-unchecked", "src/cdtsep/groups.py",
+        "if phi is not None and set(phi) == index.keys():",
+        "if phi is not None:",
+        ("tests/test_groups.py::TestCayleyIsomorphism::"
+         "test_a_consistent_walk_onto_a_subgroup_is_refused",),
+    ),
     # girth cycles from one layered BFS per root
     Mutant(
         "girth-cycles-v-not-root", "src/cdtsep/cycles.py",
