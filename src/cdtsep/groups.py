@@ -87,9 +87,9 @@ class GroupError(ValueError):
 
 
 def compose(p, q) -> tuple[int, ...]:
-    """Permutation applying q first, then p: p's entries at q's, read by
-    one itemgetter (which gives a bare entry for one index, so the map
-    form serves degrees below 2)."""
+    """Permutation applying q first, then p: the entries of p at the
+    entries of q, read by one itemgetter (which gives a bare entry for
+    one index, so the map form serves degrees below 2)."""
     return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
