@@ -1110,10 +1110,12 @@ class TestRegularSubgroups:
         checked = 0
         for group in half_order_cases("generators"):
             order, n = group.order(), group.degree
-            if order % 2 or n < 2 or len(index_two_subgroups(group)) > 7:
+            if order % 2 or n < 2:
+                continue
+            reference = index_two_subgroups(group)
+            if len(reference) > 7:
                 continue
             group._base = tuple(range(n - 1, 0, -1))
-            reference = index_two_subgroups(group)
             transitive = {h for h in reference if len({p[0] for p in h}) == order // 2}
             found = regular_subgroups(group, order // 2)
             assert {frozenset(closure(h)) for h in found} == transitive, group.generators
