@@ -1,7 +1,8 @@
 """Girth cycles from one layered BFS per root, canonical forms, the
-(k-1)-arc table that the fastening profile, the constraints, the
-separator and cycles_through share, with the cycles' windows read onto
-it, and the uniform path-sharing profile."""
+(k-1)-arc table that the fastening profile, the constraints and the
+separator share, with the cycles' windows read onto it, cycles_through,
+which reads the girth cycles alone, and the uniform path-sharing
+profile."""
 
 from __future__ import annotations
 
@@ -226,40 +227,34 @@ def cycles_through(cs: CycleSet, p) -> list[tuple[int, int]]:
     """All cycles containing the path p, with traversal direction, in
     cycle order.
 
-    They are the hits of p's key when the cycle set has built the arc
-    table of p's length, as the constraints build that of length k-1;
-    otherwise each cycle through p's first vertex is read from there
-    both ways round, so a call at another length lists no walks and
-    builds no table.  p is a vertex sequence forming a simple path of
-    the host graph; one of girth or more edges lies in no girth cycle.
-    Raises GraphError when p is not a path.
+    Each cycle through p's first vertex is read from there both ways
+    round, at every length, so the answer rests on the girth cycles
+    alone, and not on the arc tables that the constraints read.  p is a
+    vertex sequence forming a simple path of the host graph; one of
+    girth or more edges lies in no girth cycle.  Raises GraphError when
+    p is not a path on the vertices 0..n-1.
     """
     p = tuple(p)
+    n = cs.graph.order
     if len(set(p)) != len(p) or len(p) < 2:
         raise GraphError(f"{p} is not a simple path")
+    # has_edge indexes the adjacency list, where -1 is the last vertex
+    if min(p) < 0 or max(p) >= n:
+        raise GraphError(f"{p} is not a path on the vertices 0..{n - 1}")
     for a, b in zip(p, p[1:]):
         if not cs.graph.has_edge(a, b):
             raise GraphError(f"{p} is not a path: missing edge ({a}, {b})")
-    if len(p) > cs.girth:
-        return []
-    t = cs._tables.get(len(p) - 1)
-    if t is None:
-        head, n = p[0], len(p)
-        out = []
-        for cid, cyc in enumerate(cs.cycles):
-            if head in cyc:
-                i = cyc.index(head)
-                ring = cyc[i:] + cyc[:i] + (head,)
-                if ring[:n] == p:
-                    out.append((cid, 1))
-                elif ring[: -n - 1 : -1] == p:
-                    out.append((cid, -1))
-        return out
-    a = t.index[p]
-    b = t.trans[a]
-    if a < b:
-        return list(t.hits.get(a, ()))
-    return [(cid, -d) for cid, d in t.hits.get(b, ())]
+    head, m = p[0], len(p)
+    out = []
+    for cid, cyc in enumerate(cs.cycles):
+        if head in cyc:
+            i = cyc.index(head)
+            ring = cyc[i:] + cyc[:i] + (head,)
+            if ring[:m] == p:
+                out.append((cid, 1))
+            elif ring[: -m - 1 : -1] == p:
+                out.append((cid, -1))
+    return out
 
 
 def unordered_paths(g: Graph, length: int) -> list[tuple[int, ...]]:

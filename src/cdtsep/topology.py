@@ -2,9 +2,10 @@
 cycles plus the simple alternate cycles, with Euler characteristic,
 orientability and genus.
 
-A face slot, one step of a face boundary, is keyed by the integer code
-u*n + v of its edge (u < v, n the vertex count), walked with the
-previous vertex carried along the boundary."""
+face_complex only assembles the faces; euler is the one place that
+checks them.  A face slot, one step of a face boundary, is keyed by the
+integer code u*n + v of its edge (u < v, n the vertex count), walked
+with the previous vertex carried along the boundary."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ __all__ = ["FaceComplex", "EulerReport", "face_complex", "euler"]
 
 
 class FaceComplex(NamedTuple):
-    """Vertices, underlying edges and directed face-boundary walks; every
-    edge lies in exactly two boundary slots."""
+    """Vertices, underlying edges and directed face-boundary walks; a
+    closed surface when every edge lies in exactly two boundary slots,
+    which euler checks."""
 
     vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -38,31 +40,11 @@ class EulerReport(NamedTuple):
 
 def face_complex(s: SeparatorDigraph, census: AlternateCensus) -> FaceComplex:
     """Faces = the oriented girth cycles plus all simple single-step
-    alternate cycles of the census.  Raises GraphError if a face walk
-    is empty or leaves the vertex ids 0..n-1 (on which the slot codes are
-    distinct), steps along a non-edge, or some underlying edge is not
-    covered exactly twice; the last two messages name the edge as a
-    (u, v) pair."""
+    alternate cycles of the census, on the underlying edges of s.  The
+    walks are assembled, not checked: euler checks them."""
     faces = s.succ_orbits()
     faces += [o.walk for o in census.simple_cycles(1)]
-    edges = tuple(s.under.edges())
-    n = s.order
-    coverage = dict.fromkeys([u * n + v for u, v in edges], 0)
-    for face in faces:
-        # the codes u*n + v name distinct pairs only for ids in range(n)
-        if not face or min(face) < 0 or max(face) >= n:
-            raise GraphError(f"face walk {face} is not a walk on the vertices 0..{n - 1}")
-        u = face[-1]
-        for v in face:
-            key = u * n + v if u < v else v * n + u
-            if key not in coverage:
-                raise GraphError(f"face walk uses non-edge {divmod(key, n)}")
-            coverage[key] += 1
-            u = v
-    for e, c in zip(edges, coverage.values()):
-        if c != 2:
-            raise GraphError(f"edge {e} lies in {c} face slots")
-    return FaceComplex(n, edges, tuple(faces))
+    return FaceComplex(s.order, tuple(s.under.edges()), tuple(faces))
 
 
 def euler(fc: FaceComplex) -> EulerReport:
@@ -72,13 +54,14 @@ def euler(fc: FaceComplex) -> EulerReport:
     slots of every edge traverse it in opposite directions: a parity
     constraint per edge between its two faces, solved by the parity
     coloring that also solves the girth-cycle orientation problem.
-    Each edge's two slots are collected under its code u*n + v, so the
-    faces must walk vertex ids below fc.vertices, as face_complex
-    checks.  Raises GraphError naming the face when a face walk is
-    empty, and naming the edge as a (u, v) pair when fc.edges lists an
-    edge twice, or the faces walk a pair that fc.edges does not list,
-    leave a listed edge unwalked, or walk an edge in a number of slots
-    other than two.
+    Each edge's two slots are collected under its code u*n + v, which
+    names distinct pairs only for ids in 0..n-1, so each face's ids are
+    checked before any of its codes is formed: (u - 1, v + n) has the
+    code of (u, v).  Raises GraphError naming the face when a face walk
+    is empty, naming the walk when it leaves the vertices 0..n-1, and
+    naming the edge as a (u, v) pair when fc.edges lists an edge twice,
+    or the faces walk a pair that fc.edges does not list, leave a listed
+    edge unwalked, or walk an edge in a number of slots other than two.
     """
     n = fc.vertices
     chi = n - len(fc.edges) + len(fc.faces)
@@ -91,6 +74,10 @@ def euler(fc: FaceComplex) -> EulerReport:
         raise GraphError(f"edge {divmod(twice, n)} is listed more than once")
     try:
         for fid, face in enumerate(fc.faces):
+            if not face:
+                raise GraphError(f"face {fid} is an empty walk")
+            if min(face) < 0 or max(face) >= n:
+                raise GraphError(f"face walk {face} is not a walk on the vertices 0..{n - 1}")
             forward, backward = (fid, True), (fid, False)
             u = face[-1]
             for v in face:
@@ -101,9 +88,6 @@ def euler(fc: FaceComplex) -> EulerReport:
                 u = v
     except KeyError as unlisted:
         raise GraphError(f"face walk uses non-edge {divmod(unlisted.args[0], n)}") from None
-    except IndexError:
-        empty = next(fid for fid, face in enumerate(fc.faces) if not face)
-        raise GraphError(f"face {empty} is an empty walk") from None
     # same natural direction in both slots: one of the two faces flips
     try:
         constraints = [(f1, f2, d1 == d2) for (f1, d1), (f2, d2) in slots.values()]

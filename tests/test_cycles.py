@@ -182,8 +182,9 @@ class TestCyclesThrough:
         assert all(fwd[cid] == -d for cid, d in backward)
 
     def test_direction_matches_the_reference(self, layer_graphs):
-        # every (k-1)-arc, both ways round, against the reference index:
-        # read off the cycles' windows, then off the arc table
+        # every (k-1)-arc, both ways round, against the reference index,
+        # before and after the arc table of that length is built: the
+        # scan of the cycles reads no table
         for label, g, k in layer_graphs:
             cs = enumerate_girth_cycles(g)
             index = reference_path_index(cs, k - 1)
@@ -217,6 +218,17 @@ class TestCyclesThrough:
             cycles_through(cs, (0, 0))
         with pytest.raises(GraphError):
             cycles_through(cs, (0, 2))  # not an edge of the Petersen graph
+
+    def test_rejects_ids_off_the_vertices(self):
+        # -1 would index the adjacency row of vertex 9, a neighbour of 4
+        g, _ = build_cdt(CdtName.PETERSEN)
+        cs = enumerate_girth_cycles(g)
+        for built in (False, True):
+            if built:
+                cs.arc_table(1)
+            for p in [(-1, 4), (10, 0), (0, 10)]:
+                with pytest.raises(GraphError, match=r"is not a path on the vertices 0\.\.9$"):
+                    cycles_through(cs, p)
 
 
 class TestFastening:
@@ -287,9 +299,9 @@ class TestFastening:
 
     @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
     def test_reads_only_the_top_path_index(self, name, monkeypatch):
-        # one table build per cycle set and length, shared by all four
-        # readers: the fastening profile, the constraints, and then the
-        # separator, or cycles_through on each path of the odd witness
+        # one table build per cycle set and length, shared by the
+        # fastening profile, the constraints and the separator; the odd
+        # witness's cycles_through builds none
         g, _ = build_cdt(name)
         k = cdt_parameters(name).k
         cs = enumerate_girth_cycles(g)

@@ -10,13 +10,16 @@ import pytest
 import cdtsep
 from cdtsep import groups
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
+from cdtsep.cycles import enumerate_girth_cycles
 from cdtsep.dot import emit_dot
 from cdtsep.graph6 import parse_graph6
+from cdtsep.orient import OddWitness, build_constraints, solve
 from cdtsep.report import (
     KNOWN_DISCREPANCIES,
     ReportInputError,
     SCHEMA_VERSION,
     VerificationReport,
+    _witness_is_valid,
     report_from_json,
     report_to_json,
     run_graph_report,
@@ -52,6 +55,23 @@ class TestSingleGraph:
         assert "odd-witness-valid" in names
         assert "separator-order" not in names
         assert r.mismatches() == []
+
+    @pytest.mark.parametrize("name", [n for n in CdtName if cdt_parameters(n).kappa == 0],
+                             ids=lambda n: n.value)
+    def test_witness_check_reads_the_cycles(self, name):
+        # the solver read the hits of the (k-1)-arc table; flipping the
+        # direction of each path's first hit after the solve, which
+        # inverts every parity the table gives, leaves the witness valid,
+        # since its check reads the girth cycles themselves
+        g, _ = build_cdt(name)
+        k = cdt_parameters(name).k
+        cs = enumerate_girth_cycles(g)
+        witness = solve(build_constraints(g, cs, k))
+        assert isinstance(witness, OddWitness)
+        hits = cs.arc_table(k - 1).hits
+        for key, ((cid, d), *rest) in hits.items():
+            hits[key] = [(cid, -d), *rest]
+        assert _witness_is_valid(cs, k, witness)
 
     def test_budget_zero_skips_group_checks(self):
         r = run_graph_report(CdtName.K4, budget=0)
@@ -196,8 +216,8 @@ class TestFullRun:
                 counts["verify_ooa"]) == (7, 0, 7, 7)
 
     def test_one_arc_table_per_cycle_set(self, counted_run):
-        # the fastening profile, the constraints, the separator and the
-        # odd witness row share one (k-1)-arc table
+        # the fastening profile, the constraints and the separator share
+        # one (k-1)-arc table, which the odd witness row does not read
         assert counted_run[1]["_arc_table"] == 12
 
     def test_one_bfs_sweep_per_graph_invariant(self, counted_run):

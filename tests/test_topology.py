@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cdtsep.graphs import GraphError
@@ -17,6 +19,7 @@ EXPECTED = {
 
 
 class TestFaceComplex:
+    # face_complex only assembles; euler checks what it assembled
     @pytest.mark.parametrize("text", sorted(EXPECTED))
     def test_every_edge_in_two_face_slots(self, text, analysis_of):
         a = analysis_of(text)
@@ -34,20 +37,20 @@ class TestFaceComplex:
             {1: tuple(census.simple_cycles(1)[:-1])}
         )
         with pytest.raises(GraphError):
-            face_complex(s, trimmed)
+            euler(face_complex(s, trimmed))
 
     def test_rejects_non_edge_walk(self, analysis_of):
         s = analysis_of("k4").separator
         fake = AlternateOrbit(3, (0, 0, 0, 0, 0, 0), True)
         with pytest.raises(GraphError, match=r"non-edge \(0, 0\)"):
-            face_complex(s, AlternateCensus({1: (fake,)}))
+            euler(face_complex(s, AlternateCensus({1: (fake,)})))
 
     def test_names_the_edge_covered_once(self, analysis_of):
         a = analysis_of("k4")
         s, census = a.separator, a.census
         trimmed = AlternateCensus({1: tuple(census.simple_cycles(1)[:-1])})
         with pytest.raises(GraphError, match=r"^edge \(\d+, \d+\) lies in 1 face slots$"):
-            face_complex(s, trimmed)
+            euler(face_complex(s, trimmed))
 
     def test_rejects_a_vertex_out_of_range(self, analysis_of):
         # (u - 1, v + n) would share the slot code u*n + v of the edge (u, v)
@@ -56,7 +59,7 @@ class TestFaceComplex:
         u, v = next((u, v) for u, v in s.under.edges() if u > 0)
         fake = AlternateOrbit(1, (u - 1, v + n), True)
         with pytest.raises(GraphError, match="is not a walk on the vertices"):
-            face_complex(s, AlternateCensus({1: (fake,)}))
+            euler(face_complex(s, AlternateCensus({1: (fake,)})))
 
 
 class TestEuler:
@@ -127,6 +130,15 @@ class TestEuler:
         for extra in [((1, 0),), ((0, 1), (1, 0))]:
             with pytest.raises(GraphError, match=r"^edge \(0, 1\) is listed more than once$"):
                 euler(FaceComplex(4, edges + extra, faces))
+
+    @pytest.mark.parametrize("walk", [(0, 6), (-1, 5)], ids=["above-n", "negative"])
+    def test_names_a_walk_off_the_vertices(self, walk):
+        # the tetrahedron with a digon whose two slot codes are those of
+        # (1, 2) or (0, 1), for 6 = 1*4 + 2 and -1*4 + 5 = 0*4 + 1
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0), walk)
+        edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        with pytest.raises(GraphError, match=rf"^face walk {re.escape(str(walk))} is not a walk on the vertices 0..3$"):
+            euler(FaceComplex(4, edges, faces))
 
     def test_names_an_empty_face(self):
         # the tetrahedron with an empty walk put in as face 2

@@ -84,17 +84,27 @@ MUTANTS = (
          "tests/test_cycles.py::TestCyclesThrough::test_other_lengths_build_no_table"),
     ),
     Mutant(
-        "cycles-through-builds-tables", "src/cdtsep/cycles.py",
-        "t = cs._tables.get(len(p) - 1)",
-        "t = cs.arc_table(len(p) - 1)",
-        ("tests/test_cycles.py::TestCyclesThrough::test_other_lengths_build_no_table",
-         "tests/test_cycles.py::TestCyclesThrough::test_direction_matches_the_reference"),
+        "cycles-through-ids-unchecked", "src/cdtsep/cycles.py",
+        "    if min(p) < 0 or max(p) >= n:\n"
+        "        raise GraphError(f\"{p} is not a path on the vertices 0..{n - 1}\")\n",
+        "",
+        ("tests/test_cycles.py::TestCyclesThrough::test_rejects_ids_off_the_vertices",),
     ),
     Mutant(
         "fastening-graph-unchecked", "src/cdtsep/cycles.py",
         "    if g != cs.graph:\n        raise GraphError(\"the girth cycles are not those of this graph\")\n    if k - 1",
         "    if k - 1",
         ("tests/test_cycles.py::TestFastening::test_refuses_the_cycles_of_another_graph",),
+    ),
+    # the face walks, checked once, in euler
+    Mutant(
+        "euler-range-unchecked", "src/cdtsep/topology.py",
+        "            if min(face) < 0 or max(face) >= n:\n"
+        "                raise GraphError(f\"face walk {face} is not a walk on the vertices 0..{n - 1}\")\n",
+        "",
+        ("tests/test_topology.py::TestEuler::test_names_a_walk_off_the_vertices[above-n]",
+         "tests/test_topology.py::TestEuler::test_names_a_walk_off_the_vertices[negative]",
+         "tests/test_topology.py::TestFaceComplex::test_rejects_a_vertex_out_of_range"),
     ),
     # Aut(D) and the index-2 kernels as Schreier stabilizers
     Mutant(
