@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import islice
 from typing import NamedTuple
 
-from .graphs import Graph, GraphError, distances, enumerate_arcs, girth
+from .graphs import Graph, GraphError, _walk_runs, distances, enumerate_arcs, girth
 
 __all__ = [
     "ConstraintError",
@@ -47,7 +47,8 @@ def canonical_cycle(seq) -> tuple[int, ...]:
 def cycle_windows(cyc: tuple[int, ...], length: int) -> list[tuple[int, ...]]:
     """The walks of the given length (in edges) along the closed cycle
     cyc, one from each position, as slices of cyc wrapped round far
-    enough for every window to fit."""
+    enough for every window to fit; the arc table's rows and verify_ooa
+    read their windows here."""
     reps, rest = divmod(length, len(cyc))
     ext = cyc * (reps + 1) + cyc[:rest]
     return [ext[i : i + length + 1] for i in range(len(cyc))]
@@ -64,8 +65,8 @@ class ArcTable(NamedTuple):
     """The non-backtracking walks of one length L >= 1 of a cycle set's
     graph, with its girth cycles read onto them (see CycleSet.arc_table).
 
-    arcs lists the walks, each L+1 vertices, in lexicographic order; a
-    walk's position there is its id, and index maps the walk to it.
+    arcs lists the walks, each L+1 vertices, in _walk_runs' lexicographic
+    order; a walk's position there is its id, and index maps the walk to it.
     trans[a] is the id of the reversal of walk a, an involution without
     fixed points.  rows[c] lists the ids of the windows of cycle c, in
     the order of cycle_windows(cycles[c], L).  hits maps the key id of
@@ -105,33 +106,20 @@ class CycleSet:
         """The ArcTable of the walks of the given length, built on first
         use and kept.  Raises GraphError for a length below 1."""
         if length not in self._tables:
-            self._tables[length] = _arc_table(self.graph, self.girth, self.cycles, length)
+            self._tables[length] = _arc_table(self.graph, self.cycles, length)
         return self._tables[length]
 
 
-def _arc_table(g: Graph, glen: int, cycles, length: int) -> ArcTable:
-    """Each level of walks is the level below extended at its end, walk
-    by walk, so the levels stay in lexicographic order.  The windows of
-    each cycle are zipped from the rows ext[j : j + girth], j = 0..L, of
-    the cycle wrapped round far enough for every window to fit (window i
-    is column i), and each is looked up in the index once."""
-    if length < 1:
-        raise GraphError("arc length must be >= 1")
-    adj = g.adj
-    runs = []
-    walks = [(u, v) for u in range(g.order) for v in adj[u]]
-    for _ in range(length - 1):
-        runs.append([len(adj[w[-1]]) - 1 for w in walks])
-        walks = [w + (x,) for w in walks for x in adj[w[-1]] if x != w[-2]]
-    arcs = tuple(walks)
+def _arc_table(g: Graph, cycles, length: int) -> ArcTable:
+    """The walks and their prefix runs from graphs._walk_runs, and each
+    cycle's row from cycle_windows, each window looked up once."""
+    arcs, runs = _walk_runs(g, length)
     index = {arc: i for i, arc in enumerate(arcs)}
     trans = tuple([index[arc[::-1]] for arc in arcs])
-    reps, rest = divmod(length, glen)
     rows = []
     hits: dict[int, list[tuple[int, int]]] = {}
     for cid, cyc in enumerate(cycles):
-        ext = cyc * (reps + 1) + cyc[:rest]
-        row = [index[w] for w in zip(*[ext[j : j + glen] for j in range(length + 1)])]
+        row = [index[w] for w in cycle_windows(cyc, length)]
         rows.append(row)
         fwd, bwd = (cid, 1), (cid, -1)
         for a in row:
@@ -140,7 +128,7 @@ def _arc_table(g: Graph, glen: int, cycles, length: int) -> ArcTable:
                 hits.setdefault(a, []).append(fwd)
             else:
                 hits.setdefault(b, []).append(bwd)
-    return ArcTable(arcs, index, trans, tuple(rows), hits, tuple(runs))
+    return ArcTable(tuple(arcs), index, trans, tuple(rows), hits, tuple(runs))
 
 
 class FasteningProfile(NamedTuple):

@@ -258,27 +258,26 @@ def _bfs_sweep(g: Graph) -> tuple[DistanceTable | str, int]:
 def enumerate_arcs(g: Graph, length: int) -> list[tuple[int, ...]]:
     """All directed non-backtracking walks of a given length.
 
-    Each walk is a tuple of length+1 vertices; output is in lexicographic
-    order of the vertex sequences.  For a cubic graph there are exactly
+    Each walk is a tuple of length+1 vertices, in lexicographic order, as
+    _walk_runs lists them.  For a cubic graph there are exactly
     3 * order * 2**(length-1) of them.
     """
+    return _walk_runs(g, length)[0]
+
+
+def _walk_runs(g: Graph, length: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The non-backtracking walks of length >= 1 edges, in lexicographic
+    order as each level extends the one below at its end, and the prefix
+    runs: runs[l - 1][j] counts the (l+1)-walks extending the l-walk j."""
     if length < 1:
         raise GraphError("arc length must be >= 1")
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [
-        (u, v) for u in range(g.order) for v in g.adj[u]
-    ]
-    stack.reverse()
-    while stack:
-        walk = stack.pop()
-        if len(walk) == length + 1:
-            out.append(walk)
-            continue
-        prev, cur = walk[-2], walk[-1]
-        for nxt in reversed(g.adj[cur]):
-            if nxt != prev:
-                stack.append(walk + (nxt,))
-    return out
+    adj = g.adj
+    runs = []
+    walks = [(u, v) for u in range(g.order) for v in adj[u]]
+    for _ in range(length - 1):
+        runs.append([len(adj[w[-1]]) - 1 for w in walks])
+        walks = [w + (x,) for w in walks for x in adj[w[-1]] if x != w[-2]]
+    return walks, runs
 
 
 class ParityColoring(NamedTuple):

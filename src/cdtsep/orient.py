@@ -115,15 +115,12 @@ def oriented_cycles(cs: CycleSet, a: OrientationAssignment) -> list[tuple[int, .
 
 def verify_ooa(g: Graph, cs: CycleSet, k: int, a: OrientationAssignment) -> bool:
     """Independent re-check: every directed (k-1)-arc of g is traversed by
-    exactly one oriented cycle of the assignment."""
+    exactly one oriented cycle of the assignment, so the cycles' windows,
+    sorted, are the sorted, repeat-free list of enumerate_arcs."""
     if len(a.flips) != len(cs):
         return False
-    count: dict[tuple[int, ...], int] = {}
-    for cyc in oriented_cycles(cs, a):
-        for arc in cycle_windows(cyc, k - 1):
-            count[arc] = count.get(arc, 0) + 1
-    arcs = enumerate_arcs(g, k - 1)
-    return all(count.get(tuple(arc), 0) == 1 for arc in arcs) and len(count) == len(arcs)
+    windows = [w for cyc in oriented_cycles(cs, a) for w in cycle_windows(cyc, k - 1)]
+    return sorted(windows) == enumerate_arcs(g, k - 1)
 
 
 def assignment_from_cycles(cs: CycleSet, cycles) -> OrientationAssignment:

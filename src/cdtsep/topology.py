@@ -55,16 +55,20 @@ def euler(fc: FaceComplex) -> EulerReport:
     constraint per edge between its two faces, solved by the parity
     coloring that also solves the girth-cycle orientation problem.
     Each edge's two slots are collected under its code u*n + v, which
-    names distinct pairs only for ids in 0..n-1, so each face's ids are
-    checked before any of its codes is formed: (u - 1, v + n) has the
-    code of (u, v).  Raises GraphError naming the face when a face walk
-    is empty, naming the walk when it leaves the vertices 0..n-1, and
-    naming the edge as a (u, v) pair when fc.edges lists an edge twice,
-    or the faces walk a pair that fc.edges does not list, leave a listed
-    edge unwalked, or walk an edge in a number of slots other than two.
+    names distinct pairs only for ids in 0..n-1, so the ids of the listed
+    edges and of each face are checked before any of their codes is
+    formed: (u - 1, v + n) has the code of (u, v).  Raises GraphError
+    naming the face when a face walk is empty, naming the walk or the
+    listed edge when it leaves the vertices 0..n-1, and naming the edge
+    as a (u, v) pair when fc.edges lists an edge twice, or the faces walk
+    a pair that fc.edges does not list, leave a listed edge unwalked, or
+    walk an edge in a number of slots other than two.
     """
     n = fc.vertices
     chi = n - len(fc.edges) + len(fc.faces)
+    for edge in fc.edges:
+        if min(edge) < 0 or max(edge) >= n:
+            raise GraphError(f"edge {edge} is not an edge on the vertices 0..{n - 1}")
     # slots[u*n + v], u < v: (face id, traversed from u) of each slot,
     # one list per listed edge, so a listed edge no face walks keeps none
     codes = [u * n + v if u < v else v * n + u for u, v in fc.edges]

@@ -59,6 +59,25 @@ def random_cubic(n, rng):
             return build_graph(n, edges)
 
 
+def reference_walks(g, length):
+    """The non-backtracking walks of length >= 1 edges of g, in
+    lexicographic order, by a DFS stack that pushes each walk's
+    extensions in reverse, so that the least is popped first."""
+    out = []
+    stack = [(u, v) for u in range(g.order) for v in g.adj[u]]
+    stack.reverse()
+    while stack:
+        walk = stack.pop()
+        if len(walk) == length + 1:
+            out.append(walk)
+            continue
+        prev, cur = walk[-2], walk[-1]
+        for nxt in reversed(g.adj[cur]):
+            if nxt != prev:
+                stack.append(walk + (nxt,))
+    return out
+
+
 def bfs_distance_table(g):
     """All-pairs hop distances of g as rows of a tuple, by one plain BFS
     from each vertex; -1 marks a vertex the row's root does not reach."""

@@ -19,7 +19,7 @@ from cdtsep.cycles import (
 from cdtsep.graphs import GraphError, build_graph, enumerate_arcs, girth
 from cdtsep.orient import OddWitness, build_constraints, solve
 from cdtsep.separator import build_separator
-from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic
+from conftest import bfs_distance_table, count_calls, generalized_petersen, random_cubic, reference_walks
 
 
 def reference_girth_cycles(g):
@@ -342,13 +342,14 @@ class TestArcTable:
     def test_arcs_trans_and_rows(self, layer_graphs):
         for label, g, cs, length in table_corpus(layer_graphs):
             t = cs.arc_table(length)
-            assert list(t.arcs) == enumerate_arcs(g, length), (label, length)
+            assert list(t.arcs) == reference_walks(g, length), (label, length)
             assert all(t.index[arc] == i for i, arc in enumerate(t.arcs))
             assert len(t.index) == len(t.arcs)
             assert all(t.trans[t.trans[a]] == a != t.trans[a] for a in range(len(t.arcs)))
             assert all(t.arcs[t.trans[a]] == arc[::-1] for a, arc in enumerate(t.arcs))
-            assert list(t.rows) == [[t.index[w] for w in cycle_windows(cyc, length)]
-                                    for cyc in cs.cycles], (label, length)
+            glen = cs.girth
+            assert list(t.rows) == [[t.index[tuple(cyc[(i + j) % glen] for j in range(length + 1))]
+                                     for i in range(glen)] for cyc in cs.cycles], (label, length)
 
     def test_hits_equal_the_reference_index(self, layer_graphs):
         for label, g, cs, length in table_corpus(layer_graphs):
@@ -363,8 +364,8 @@ class TestArcTable:
             t = cs.arc_table(length)
             assert len(t.runs) == length - 1
             for l, runs in enumerate(t.runs, 1):
-                lower = enumerate_arcs(g, l)
-                upper = enumerate_arcs(g, l + 1)
+                lower = reference_walks(g, l)
+                upper = reference_walks(g, l + 1)
                 assert [w[:-1] for w in upper] == [p for p, r in zip(lower, runs) for _ in range(r)], \
                     (label, length, l)
 

@@ -141,6 +141,15 @@ class TestVerifierIndependence:
         flipped = OrientationAssignment(tuple(not f for f in a.flips), a.components)
         assert verify_ooa(g, cs, p.k, flipped)
 
+    def test_arc_covered_more_than_once_fails(self):
+        # K33's nine 4-cycles at k = 2 give 36 windows on its 18 arcs;
+        # these flips cover every arc, six of them two times and six
+        # three times, so the windows' set is the set of arcs
+        g, _ = build_cdt(CdtName.K33)
+        cs = enumerate_girth_cycles(g)
+        F, T = False, True
+        assert not verify_ooa(g, cs, 2, OrientationAssignment((F, F, F, T, F, F, F, T, F), 1))
+
     def test_wrong_length_rejected(self):
         g, p, cs, a = pipeline("k4")
         assert not verify_ooa(g, cs, p.k, OrientationAssignment((False,), 1))

@@ -6,12 +6,12 @@ import pytest
 from cdtsep.analysis import Analysis
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
 from cdtsep.cycles import cycle_windows, enumerate_girth_cycles
-from cdtsep.graphs import Digraph, GraphError, build_graph, enumerate_arcs, underlying
+from cdtsep.graphs import Digraph, GraphError, build_graph, underlying
 from cdtsep.orient import OrientationAssignment, build_constraints, oriented_cycles, solve
 from cdtsep.separator import (
     SeparatorDigraph, _adjacency, _check_invariants, build_separator, separator_summary,
 )
-from conftest import separator_digraph
+from conftest import reference_walks, separator_digraph
 
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 
@@ -28,12 +28,12 @@ CENSUS = {
 
 
 def reference_build_separator(g, cs, k, a):
-    """The separator with its arcs listed by enumerate_arcs, and each
+    """The separator with its arcs listed by reference_walks, and each
     oriented cycle's windows looked up in their index, each followed by
     the next."""
     if len(a.flips) != len(cs):
         raise GraphError(f"{len(a.flips)} flips for {len(cs)} girth cycles")
-    arcs = tuple(enumerate_arcs(g, k - 1))
+    arcs = tuple(reference_walks(g, k - 1))
     index = {arc: i for i, arc in enumerate(arcs)}
     succ = [None] * len(arcs)
     for cyc in oriented_cycles(cs, a):

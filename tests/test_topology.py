@@ -141,6 +141,16 @@ class TestEuler:
         with pytest.raises(GraphError, match=message):
             euler(FaceComplex(4, edges, faces))
 
+    @pytest.mark.parametrize("edge", [(0, 6), (-1, 7)], ids=["above-n", "negative"])
+    def test_names_a_listed_edge_off_the_vertices(self, edge):
+        # the tetrahedron with (1, 2) listed as (0, 6), of the same code
+        # 1*4 + 2, or as (-1, 7), of the code 3 of (0, 3)
+        faces = ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0))
+        edges = ((0, 1), (0, 2), (0, 3), edge, (1, 3), (2, 3))
+        message = rf"^edge {re.escape(str(edge))} is not an edge on the vertices 0\.\.3$"
+        with pytest.raises(GraphError, match=message):
+            euler(FaceComplex(4, edges, faces))
+
     def test_names_an_empty_face(self):
         # the tetrahedron with an empty walk put in as face 2
         faces = ((0, 1, 2), (0, 3, 1), (), (1, 3, 2), (2, 3, 0))

@@ -95,6 +95,19 @@ MUTANTS = (
         "    if k - 1",
         ("tests/test_cycles.py::TestFastening::test_refuses_the_cycles_of_another_graph",),
     ),
+    Mutant(
+        "walk-lister-backtracks", "src/cdtsep/graphs.py",
+        "for x in adj[w[-1]] if x != w[-2]]",
+        "for x in adj[w[-1]]]",
+        ("tests/test_graphs.py::TestArcs::test_non_backtracking",
+         "tests/test_cycles.py::TestArcTable::test_arcs_trans_and_rows"),
+    ),
+    Mutant(
+        "verify-ooa-as-sets", "src/cdtsep/orient.py",
+        "return sorted(windows) == enumerate_arcs(g, k - 1)",
+        "return set(windows) == set(enumerate_arcs(g, k - 1))",
+        ("tests/test_orient.py::TestVerifierIndependence::test_arc_covered_more_than_once_fails",),
+    ),
     # the face walks, checked once, in euler
     Mutant(
         "euler-range-unchecked", "src/cdtsep/topology.py",
@@ -104,6 +117,15 @@ MUTANTS = (
         ("tests/test_topology.py::TestEuler::test_names_a_walk_off_the_vertices[above-n]",
          "tests/test_topology.py::TestEuler::test_names_a_walk_off_the_vertices[negative]",
          "tests/test_topology.py::TestFaceComplex::test_rejects_a_vertex_out_of_range"),
+    ),
+    Mutant(
+        "euler-edge-range-unchecked", "src/cdtsep/topology.py",
+        "    for edge in fc.edges:\n"
+        "        if min(edge) < 0 or max(edge) >= n:\n"
+        "            raise GraphError(f\"edge {edge} is not an edge on the vertices 0..{n - 1}\")\n",
+        "",
+        ("tests/test_topology.py::TestEuler::test_names_a_listed_edge_off_the_vertices[above-n]",
+         "tests/test_topology.py::TestEuler::test_names_a_listed_edge_off_the_vertices[negative]"),
     ),
     # Aut(D) and the index-2 kernels as Schreier stabilizers
     Mutant(
