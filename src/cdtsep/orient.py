@@ -115,8 +115,8 @@ def oriented_cycles(cs: CycleSet, a: OrientationAssignment) -> list[tuple[int, .
 
 def verify_ooa(g: Graph, cs: CycleSet, k: int, a: OrientationAssignment) -> bool:
     """Independent re-check: every directed (k-1)-arc of g is traversed by
-    exactly one oriented cycle of the assignment, so the cycles' windows,
-    sorted, are the sorted, repeat-free list of enumerate_arcs."""
+    exactly one oriented cycle of the assignment, which holds when their
+    sorted windows equal the sorted, repeat-free list of enumerate_arcs."""
     if len(a.flips) != len(cs):
         return False
     windows = [w for cyc in oriented_cycles(cs, a) for w in cycle_windows(cyc, k - 1)]

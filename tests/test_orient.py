@@ -143,8 +143,8 @@ class TestVerifierIndependence:
 
     def test_arc_covered_more_than_once_fails(self):
         # K33's nine 4-cycles at k = 2 give 36 windows on its 18 arcs;
-        # these flips cover every arc, six of them two times and six
-        # three times, so the windows' set is the set of arcs
+        # these flips cover six arcs once, six twice and six three times,
+        # so the windows' set is the set of arcs
         g, _ = build_cdt(CdtName.K33)
         cs = enumerate_girth_cycles(g)
         F, T = False, True
