@@ -5,7 +5,9 @@ after construction and every function here is pure, so shared instances
 are safe to use concurrently.  A Graph finds its diameter and its girth
 in one sweep on first use and keeps both: the diameter from bitset balls
 grown one hop per round, the girth from a BFS above each root cut at
-half the best cycle so far.  No all-pairs table is built.
+half the best cycle so far.  No all-pairs table is built.  Planarity
+is decided only for the connected arc-transitive cubic graphs that the
+pipeline asks about, from their girth cycles taken as faces.
 """
 
 from __future__ import annotations
@@ -552,183 +554,40 @@ def _hamilton_search(g: Graph, budget: float) -> tuple[bool | None, tuple[int, .
 
 
 def is_planar(g: Graph) -> bool:
-    """Left-right planarity test (de Fraysseix and Rosenstiehl 1982, in
-    the form of Brandes 2009), test phase only: no embedding is built.
+    """Whether g, a connected arc-transitive cubic graph, is planar: its
+    girth cycles, taken as faces, cover every edge twice and close up
+    into an orientable surface of genus 0 (euler's genus is None on a
+    non-orientable one).
 
-    More than 3n - 6 edges refute planarity at once.  Otherwise one DFS
-    orients every edge and computes lowpoints and nesting depths, and a
-    second DFS, visiting arcs in nesting order, checks that the return
-    arcs split into a left and a right side.  Both run in linear time on
-    explicit stacks, so the depth of a search is not bounded by the
-    interpreter's.
+    The precondition holds wherever the program asks: ingest_analysis
+    and the catalog guarantee it before Analysis.planar is read.
+    Sufficient on any cubic graph: such faces embed g in the sphere, so
+    a True is sound for every cubic graph.  Necessary under the
+    precondition: a connected arc-transitive graph is 3-connected
+    (Watkins 1970), so a planar one has one embedding (Whitney 1933), on
+    which every automorphism acts; its faces then have one length f, and
+    V - E + F = 2 with E = 3V/2 and fF = 2E gives V = 4f/(6 - f).  That
+    leaves K4, Q3 and the dodecahedron, whose faces are their girth
+    cycles.  The same count, with the girth for f, makes any other order
+    fail the certificate, so it is refused before the girth sweep runs.
+    Each edge's girth cycles are counted: on an arc-transitive g every
+    edge lies in equally many, so 2E = eta * girth would do, but cubic
+    graphs on 20 vertices meet that sum with edges in 0 to 4 girth
+    cycles, on which euler would raise.  Outside the precondition a False
+    can be wrong: the hexagonal prism GP(6, 1) is cubic and planar but
+    not arc-transitive, and gets False.
+
+    Raises GraphError when g is not cubic, and from
+    enumerate_girth_cycles when g is disconnected and of order 8 or 20.
     """
-    n = g.order
-    if n >= 3 and g.num_edges() > 3 * n - 6:
+    from .cycles import cycle_windows, enumerate_girth_cycles, path_key
+    from .topology import FaceComplex, euler
+
+    if not g.is_cubic():
+        raise GraphError("planarity is decided only for cubic graphs")
+    if g.order not in (4, 8, 20):
         return False
-    return _lr_partition_exists(*_lr_orientation(g))
-
-
-def _lr_orientation(g: Graph):
-    """Orient each edge as a DFS tree arc (v, w) to a child w or a back
-    arc (v, w) to an ancestor w.  Returns each vertex's height and
-    parent arc (None at a DFS root), each arc's lowpoint (the least height
-    its subtree returns to) and each vertex's out-neighbors in nesting
-    order."""
-    n = g.order
-    height = [-1] * n
-    parent: list[tuple[int, int] | None] = [None] * n
-    lowpt: dict[tuple[int, int], int] = {}
-    lowpt2: dict[tuple[int, int], int] = {}
-    # nesting depth 2 lowpt + [chordal] is below 2n: bucket, don't sort
-    by_depth: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-
-    def settle(vw: tuple[int, int]) -> None:
-        # the lowpoints of vw are final: bucket it, fold them into the
-        # parent arc of its tail
-        v = vw[0]
-        low, low2 = lowpt[vw], lowpt2[vw]
-        by_depth[2 * low + (low2 < height[v])].append(vw)
-        e = parent[v]
-        if e is None:
-            return
-        if low < lowpt[e]:
-            lowpt2[e] = min(lowpt[e], low2)
-            lowpt[e] = low
-        elif low > lowpt[e]:
-            lowpt2[e] = min(lowpt2[e], low)
-        else:
-            lowpt2[e] = min(lowpt2[e], low2)
-
-    for root in range(n):
-        if height[root] >= 0:
-            continue
-        height[root] = 0
-        stack = [(root, iter(g.adj[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for w in todo:
-                if (w, v) in lowpt:  # already oriented from w
-                    continue
-                vw = (v, w)
-                lowpt[vw] = lowpt2[vw] = height[v]
-                if height[w] < 0:  # tree arc, settled once w is done
-                    parent[w] = vw
-                    height[w] = height[v] + 1
-                    stack.append((w, iter(g.adj[w])))
-                    break
-                lowpt[vw] = height[w]
-                settle(vw)
-            else:
-                stack.pop()
-                if stack:
-                    settle(parent[v])
-    ordered: list[list[int]] = [[] for _ in range(n)]
-    for bucket in by_depth:
-        for v, w in bucket:
-            ordered[v].append(w)
-    return height, parent, lowpt, ordered
-
-
-_NO_ARCS = (None, None)
-
-
-def _lr_partition_exists(height, parent, lowpt, ordered) -> bool:
-    """Testing DFS over conflict pairs.  An interval (low, high) is a
-    set of return arcs that must lie on one side, chained from high down
-    to low through ref; a conflict pair (left, right) holds two intervals
-    that must lie on opposite sides.  False when some pair is forced
-    onto one side."""
-    pairs: list = []
-    bottom: dict[tuple[int, int], int] = {}  # len(pairs) on entering an arc
-    ref: dict = {}
-
-    def conflicting(interval, b) -> bool:
-        return interval != _NO_ARCS and lowpt[interval[1]] > lowpt[b]
-
-    def lowest(pair) -> int:
-        left, right = pair
-        if left == _NO_ARCS:
-            return lowpt[right[0]]
-        if right == _NO_ARCS:
-            return lowpt[left[0]]
-        return min(lowpt[left[0]], lowpt[right[0]])
-
-    def below(interval, lower):
-        # the interval of both, lower's arcs chained under interval's
-        if interval == _NO_ARCS:
-            return lower
-        if lower == _NO_ARCS:
-            return interval
-        ref[interval[0]] = lower[1]
-        return lower[0], interval[1]
-
-    def add_constraints(ei, e) -> bool:
-        left = right = _NO_ARCS
-        # the return arcs of ei go right, but those returning as low as
-        # e does add no constraint and leave the test
-        while True:
-            ql, qr = pairs.pop()
-            if ql != _NO_ARCS:
-                ql, qr = qr, ql
-            if ql != _NO_ARCS:
-                return False
-            if lowpt[qr[0]] > lowpt[e]:
-                right = below(right, qr)
-            if len(pairs) == bottom[ei]:
-                break
-        # the return arcs of earlier siblings that conflict with ei go left
-        while pairs and (conflicting(pairs[-1][0], ei) or conflicting(pairs[-1][1], ei)):
-            ql, qr = pairs.pop()
-            if conflicting(qr, ei):
-                ql, qr = qr, ql
-            if conflicting(qr, ei):
-                return False
-            right = below(right, qr)
-            left = below(left, ql)
-        if left != _NO_ARCS or right != _NO_ARCS:
-            pairs.append((left, right))
-        return True
-
-    def remove_back_edges(e) -> None:
-        # drop the return arcs that end at the tail u of e
-        u = e[0]
-        while pairs and lowest(pairs[-1]) == height[u]:
-            pairs.pop()
-        if pairs:
-            (ll, lh), (rl, rh) = pairs.pop()
-            while lh and lh[1] == u:
-                lh = ref.get(lh)
-            while rh and rh[1] == u:
-                rh = ref.get(rh)
-            pairs.append(((ll if lh else None, lh), (rl if rh else None, rh)))
-
-    def integrate(ei) -> bool:
-        # ei adds constraints at its tail v when it returns below v and is
-        # not v's first arc, whose return arcs the others are checked against
-        v = ei[0]
-        return lowpt[ei] >= height[v] or ei[1] == ordered[v][0] or add_constraints(
-            ei, parent[v]
-        )
-
-    for root in range(len(height)):
-        if parent[root] is not None:
-            continue
-        stack = [(root, iter(ordered[root]))]
-        while stack:
-            v, todo = stack[-1]
-            for w in todo:
-                ei = (v, w)
-                bottom[ei] = len(pairs)
-                if parent[w] == ei:  # tree arc, integrated once w is done
-                    stack.append((w, iter(ordered[w])))
-                    break
-                pairs.append((_NO_ARCS, (ei, ei)))
-                if not integrate(ei):
-                    return False
-            else:
-                stack.pop()
-                if stack:
-                    remove_back_edges(parent[v])
-                    if not integrate(parent[v]):
-                        return False
-    return True
+    cs = enumerate_girth_cycles(g)
+    sides = sorted(path_key(w) for cyc in cs.cycles for w in cycle_windows(cyc, 1))
+    return (sides == sorted(g.edges() * 2)
+            and euler(FaceComplex(g.order, tuple(g.edges()), cs.cycles)).genus == 0)

@@ -4,10 +4,10 @@ import time
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cdtsep.catalog import CdtName, build_cdt, cdt_parameters
+from cdtsep.cycles import enumerate_girth_cycles
+from cdtsep.graph6 import parse_graph6
 from cdtsep.graphs import (
     GraphError,
     build_digraph,
@@ -21,7 +21,7 @@ from cdtsep.graphs import (
     is_planar,
     underlying,
 )
-from conftest import bfs_distance_table, generalized_petersen, random_cubic
+from conftest import bfs_distance_table, generalized_petersen, hex_torus, random_cubic
 
 
 def petersen():
@@ -51,59 +51,6 @@ def random_graphs(count, max_order, seed):
             density = rng.random()
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         yield build_graph(n, edges)
-
-
-def stacked_triangulation(rng, n):
-    """Edges (u, v), u < v, of a random stacked triangulation on n >= 3
-    vertices: each new vertex goes into a random face and joins its
-    three corners."""
-    edges = [(0, 1), (0, 2), (1, 2)]
-    faces = [(0, 1, 2), (0, 1, 2)]
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges += [(a, v), (b, v), (c, v)]
-        faces += [(a, b, v), (a, c, v), (b, c, v)]
-    return edges
-
-
-def kuratowski_subdivision(rng):
-    """Order and edges of a random subdivision of K5 or K3,3 with
-    pendant trees hung on it."""
-    if rng.random() < 0.5:
-        n, base = 5, list(itertools.combinations(range(5), 2))
-    else:
-        n, base = 6, [(i, j) for i in range(3) for j in range(3, 6)]
-    edges = []
-    for u, v in base:
-        for _ in range(rng.randint(0, 3)):
-            edges.append((u, n))
-            u, n = n, n + 1
-        edges.append((u, v))
-    for _ in range(rng.randint(0, 6)):
-        edges.append((rng.randrange(n), n))
-        n += 1
-    return n, edges
-
-
-def planarity_family_member(family, n, rng):
-    """Order, edges and planarity, known by construction, of a random
-    member of family; n is the order of a forest, or bounds that of a
-    triangulation from below."""
-    if family == "kuratowski":
-        return *kuratowski_subdivision(rng), False
-    if family == "forest":
-        return n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8], True
-    n = max(n, 5 if family == "triangulation-plus-edge" else 3)  # K4 has no non-edge
-    edges = stacked_triangulation(rng, n)
-    if family == "triangulation":
-        return n, edges, True
-    if family == "triangulation-minus-edges":
-        return n, rng.sample(edges, rng.randrange(len(edges) + 1)), True
-    if family == "triangulation-plus-edge":
-        non_edges = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
-        return n, edges + [rng.choice(non_edges)], False
-    k, more = kuratowski_subdivision(rng)  # "union": planar plus non-planar
-    return n + k, edges + [(u + n, v + n) for u, v in more], False
 
 
 def has_hamilton_cycle(g):
@@ -518,49 +465,66 @@ class TestPredicates:
         with pytest.raises(ValueError, match="NaN"):
             is_hamiltonian(petersen(), budget=float("nan"))
 
-    def test_planarity(self):
-        assert is_planar(build_graph(0, []))
-        assert is_planar(build_graph(1, []))
-        assert is_planar(build_graph(2, [(0, 1)]))
-        assert is_planar(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-        k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-        assert not is_planar(k5)
 
-    def test_planarity_is_not_quadratic(self):
-        # a girth sweep from every root would be quadratic on a long
-        # cycle; the left-right test is linear
-        cycle = build_graph(20000, [(v, (v + 1) % 20000) for v in range(20000)])
-        for g in (cycle, prism(6000)):
-            start = time.perf_counter()
-            assert is_planar(g)
-            assert time.perf_counter() - start < 2.0
-        # a DFS 20000 deep, far beyond the interpreter's recursion limit
-        assert is_planar(build_graph(20000, [(v, v + 1) for v in range(19999)]))
+def networkx_planar(g):
+    return nx.check_planarity(nx.Graph(g.edges()))[0]
 
-    def test_planarity_against_networkx(self):
-        for g in random_graphs(3000, 11, seed=0):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.order))
-            h.add_edges_from(g.edges())
-            assert is_planar(g) == nx.check_planarity(h)[0], g
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([
-            "kuratowski", "forest", "triangulation", "triangulation-minus-edges",
-            "triangulation-plus-edge", "union",
-        ]),
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_planarity_of_structured_families(self, family, n, seed):
-        rng = random.Random(seed)
-        order, edges, planar = planarity_family_member(family, n, rng)
-        g = build_graph(order, edges)
-        h = nx.Graph()
-        h.add_nodes_from(range(order))
-        h.add_edges_from(edges)
-        assert is_planar(g) is planar is nx.check_planarity(h)[0]
-        relabel = rng.sample(range(order), order)
-        relabeled = build_graph(order, [(relabel[u], relabel[v]) for u, v in edges])
-        assert is_planar(relabeled) is planar
+class TestPlanarity:
+    """is_planar against networkx's planarity test on connected
+    arc-transitive cubic graphs, and at the edges of that precondition."""
+
+    @pytest.mark.parametrize("name", list(CdtName), ids=lambda n: n.value)
+    def test_the_twelve_and_their_relabelings(self, name):
+        g, _ = build_cdt(name)
+        assert is_planar(g) is networkx_planar(g)
+        for seed in (1, 2, 3):
+            perm = random.Random(seed).sample(range(g.order), g.order)
+            h = build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert is_planar(h) is networkx_planar(h)
+
+    @pytest.mark.parametrize("b, c", [(2, 1), (3, 0), (2, 2), (3, 1), (4, 0), (5, 0)])
+    def test_hex_torus_maps(self, b, c):
+        g = hex_torus(b, c)
+        assert is_planar(g) is networkx_planar(g) is False
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5)])
+    def test_arc_transitive_generalized_petersen(self, n, k):
+        # GP(4,1) is Q3 and GP(10,2) the dodecahedron; GP(10,3), Desargues,
+        # has 20 vertices and girth cycles that cover each edge more than twice
+        g = generalized_petersen(n, k)
+        assert is_planar(g) is networkx_planar(g)
+
+    @pytest.mark.parametrize("text", [
+        "SKgI??O@CACG?COG_Y???@?C?IO@GOc?_",
+        "S??QH@?A???ECQ?ADC?IAq?AACC?o@_A?",
+    ], ids=["girth-6", "girth-5"])
+    def test_an_uneven_cover_is_refused(self, text):
+        # 20 vertices, and 2E = eta * girth (ten hexagons, twelve
+        # pentagons), but some edges lie in three girth cycles and others
+        # in fewer; outside the precondition, yet the answer is right
+        g = parse_graph6(text)
+        cs = enumerate_girth_cycles(g)
+        assert g.is_cubic() and g.is_connected() and 2 * g.num_edges() == len(cs) * cs.girth
+        assert is_planar(g) is networkx_planar(g) is False
+
+    def test_the_hexagonal_prism_is_outside_the_precondition(self):
+        # cubic and planar, but not arc-transitive: its faces have two lengths
+        prism6 = generalized_petersen(6, 1)
+        assert networkx_planar(prism6) and not is_planar(prism6)
+
+    def test_refuses_non_cubic_and_disconnected_graphs(self):
+        with pytest.raises(GraphError, match="cubic"):
+            is_planar(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        k4 = list(itertools.combinations(range(4), 2))
+        two_k4 = build_graph(8, k4 + [(u + 4, v + 4) for u, v in k4])
+        with pytest.raises(GraphError, match="disconnected"):
+            is_planar(two_k4)
+
+    def test_other_orders_are_refused_before_the_sweep(self):
+        # {6,3}_{32,0}: 2,048 vertices and diameter 43
+        g = hex_torus(32, 0)
+        start = time.perf_counter()
+        assert not is_planar(g)
+        assert time.perf_counter() - start < 0.1
+        assert "_sweep" not in g.__dict__

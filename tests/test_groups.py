@@ -1548,5 +1548,6 @@ def kappa_statement(name):
 )
 def test_loads_no_third_party_package(statement):
     """The program needs no package outside the standard library; the
-    planar graphs' kappa and verify k4 run the in-repo planarity test."""
+    planar graphs' kappa and verify k4 decide planarity from the girth
+    cycles, in the package itself."""
     assert loaded_packages(statement) == "['cdtsep']"

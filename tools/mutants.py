@@ -127,6 +127,28 @@ MUTANTS = (
         ("tests/test_topology.py::TestEuler::test_names_a_listed_edge_off_the_vertices[above-n]",
          "tests/test_topology.py::TestEuler::test_names_a_listed_edge_off_the_vertices[negative]"),
     ),
+    # planarity from the girth cycles taken as faces
+    Mutant(
+        "planar-skips-double-cover", "src/cdtsep/graphs.py",
+        "sides == sorted(g.edges() * 2)\n            and ",
+        "",
+        ("tests/test_graphs.py::TestPlanarity::test_the_twelve_and_their_relabelings[desargues]",
+         "tests/test_graphs.py::TestPlanarity::test_arc_transitive_generalized_petersen[10-3]",
+         "tests/test_graphs.py::TestPlanarity::test_an_uneven_cover_is_refused[girth-6]",
+         "tests/test_graphs.py::TestPlanarity::test_an_uneven_cover_is_refused[girth-5]"),
+    ),
+    Mutant(
+        "planar-order-unchecked", "src/cdtsep/graphs.py",
+        "    if g.order not in (4, 8, 20):\n        return False\n",
+        "",
+        ("tests/test_graphs.py::TestPlanarity::test_other_orders_are_refused_before_the_sweep",),
+    ),
+    Mutant(
+        "planar-cubic-unchecked", "src/cdtsep/graphs.py",
+        "    if not g.is_cubic():\n        raise GraphError(\"planarity is decided only for cubic graphs\")\n",
+        "",
+        ("tests/test_graphs.py::TestPlanarity::test_refuses_non_cubic_and_disconnected_graphs",),
+    ),
     # Aut(D) and the index-2 kernels as Schreier stabilizers
     Mutant(
         "transversal-wrong-side", "src/cdtsep/groups.py",
@@ -238,10 +260,30 @@ MUTANTS = (
         ("tests/test_graphs.py::TestOneSweepAgainstNetworkx::test_girth_distances_and_errors",),
     ),
     Mutant(
+        "sweep-empty-graph", "src/cdtsep/graphs.py",
+        "    if not n:\n        return DistanceTable(0), best\n",
+        "",
+        ("tests/test_graphs.py::TestOneSweepAgainstNetworkx::test_girth_distances_and_errors",),
+    ),
+    Mutant(
         "diameter-from-one", "src/cdtsep/graphs.py",
         "    diameter = 0\n    while min(balls) != full:",
         "    diameter = 1\n    while min(balls) != full:",
         ("tests/test_graphs.py::TestDistances::test_petersen_diameter",),
+    ),
+    # graph6 input checks
+    Mutant(
+        "graph6-padding-unchecked", "src/cdtsep/graph6.py",
+        'if "1" in bits[nbits:]:',
+        "if False:",
+        ("tests/test_graph6.py::TestParse::test_rejects_nonzero_padding",
+         "tests/test_graph6.py::TestAgainstTheBitDecoder::test_each_padding_bit_is_refused"),
+    ),
+    Mutant(
+        "graph6-byte-range-unchecked", "src/cdtsep/graph6.py",
+        "if bad:",
+        "if False:",
+        ("tests/test_graph6.py::TestAgainstTheBitDecoder::test_out_of_range_first_and_last_body_byte",),
     ),
 )
 
