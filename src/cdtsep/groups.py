@@ -3,24 +3,18 @@ groups, transitivity tests, Cayley digraphs and the separator's Cayley
 identifications, regular subgroups and explicit isomorphisms.
 
 Automorphisms and isomorphisms come from one partition-refinement
-backtrack search over a coloring shared by two sides (McKay 1981; McKay
-& Piperno, JSC 2014).  Each side is built once per graph: its neighbor
-lists, one signer per vertex that reads its neighbors' colors off a
-color list in one call, and its arcs as integer codes.  Every search
-starts from the unit partition, one color on both sides.  Refinement is
-incremental: a color class is re-split only next to a vertex recolored
-in the round before, a split class keeps its id for its first part, and
-a class that gets different sizes on the two sides ends the node.  Each
-search node refines from its parent's partition with one new color, on
-an explicit stack, and a discrete node's mapping is verified by
-comparing the mapped arc codes with the other side's as sets.  The
-automorphism search's level partitions have two equal sides, so they
-are kept as diagonal pairs, one color list for both, and refined on one
-side only.  A candidate image u of base point b_i is refined on one side
-too: P_i with u individualized is checked class by class against the
-stored P_{i+1}, and a search starts from the two only when they agree.
-The automorphism search also reads the group's order, a base and the
-stabilizer of the first base point off its tree.  Products, the images
+backtrack search (McKay 1981; McKay & Piperno, JSC 2014).  Each side is
+built once per graph: its neighbor lists, one signer per vertex that
+reads its neighbors' colors off a color list in one call, and its arcs
+as integer codes.  Each side is refined on its own, incrementally: a
+class is re-split only next to a vertex recolored in the round before,
+and keeps its id for its first part.  A search node pairs a partition
+of each side and ends unless the two are twins, class by class in size
+and signature.  Each child refines from its parent with one new color,
+on an explicit stack, and a discrete node's mapping is verified by its
+arc codes.  The automorphism search builds its level partitions once,
+and also reads the group's order, a base and the stabilizer of the
+first base point off its tree.  Products, the images
 of point tuples and point orbits are read by operator.itemgetter, a
 whole permutation or orbit frontier per call, not point by point.  A
 group's elements and its index-2 subgroups are read off one
@@ -308,111 +302,86 @@ def _side(x: Graph | Digraph) -> _Side:
     return _Side(nbrs, sign, tails, heads, {v * n + w for v, w in zip(tails, heads)})
 
 
-def _unit_pair(n, diagonal):
-    """The unit partition of n vertices as a pair (ca, cb, cells): color
-    0 on both sides, cells[0] its members on each, and one color list
-    for both sides when diagonal."""
-    colors, unit = [0] * n, tuple(range(n))
-    return colors, colors if diagonal else colors[:], [(unit, unit)] if n else []
+def _root(side):
+    """The unit partition of side's vertices, refined.  A partition is
+    (colors, cells): each vertex's color, each color's members."""
+    n = len(side.nbrs)
+    return _refine(side, ([0] * n, [tuple(range(n))] if n else []), range(n))
 
 
-def _refine(a, b, pair, moved_a, moved_b):
-    """Refine pair, a coloring of sides a and b, in place to the
-    coarsest equitable two-sided coloring below it, or return None when
-    a color class gets different sizes on the two sides.  pair must be
-    equitable except around moved_a and moved_b, the vertices of each
-    side recolored since it was.
+def _refine(side, part, moved):
+    """Refine part, a partition of side's vertices, in place to the
+    coarsest equitable partition below it and return it.  part must be
+    equitable except around moved, the vertices recolored since it was.
 
-    Each round re-splits, by member signature over both sides together,
-    the classes that hold a neighbor of a vertex recolored in the round
-    before, read off each side's neighbor lists.  A member's signature
-    is its signer's values under the side's color list, sorted: its
-    neighbors' colors in a graph, and 2c for each out-neighbor and
-    2c + 1 for each in-neighbor of color c in a digraph.  The part with
-    the least signature keeps the class's id and each other part gets a
-    fresh one, so ids are stable and no id is reused (McKay 1981).
-
-    A diagonal pair, whose two sides are one color list (ca is cb) over
-    one graph, is refined on side a alone: each member is signed once,
-    each part is its own twin, and the result is the pair that refining
-    two equal copies would give, id for id.
+    Each round re-splits, by member signature, the classes that hold a
+    neighbor of a vertex recolored in the round before.  A member's
+    signature is its signer's values under the colors, sorted: its
+    neighbors' colors in a graph, and 2c or 2c + 1 for each out- or
+    in-neighbor of color c in a digraph.  The piece with the least
+    signature keeps the class's id and each other piece gets a fresh
+    one, so ids are stable and no id is reused (McKay 1981).
     """
-    ca, cb, cells = pair
-    diagonal = ca is cb
-    na, sign_a = a.nbrs, a.sign
-    nb, sign_b = b.nbrs, b.sign
-    while moved_a:
-        touched = {ca[w] for v in moved_a for w in na[v]}
-        if not diagonal:
-            touched.update(cb[w] for v in moved_b for w in nb[v])
-        moved_a, moved_b = [], []
+    colors, cells = part
+    nbrs, sign = side.nbrs, side.sign
+    while moved:
+        touched = {colors[w] for v in moved for w in nbrs[v]}
+        moved = []
         for c in sorted(touched):
-            members_a, members_b = cells[c]
-            if len(members_a) == 1:
+            members = cells[c]
+            if len(members) == 1:
                 continue
-            parts: dict[tuple, tuple[list[int], list[int]]] = {}
-            for v in members_a:
-                parts.setdefault(tuple(sorted(sign_a[v](ca))), ([], []))[0].append(v)
-            if not diagonal:
-                for v in members_b:
-                    parts.setdefault(tuple(sorted(sign_b[v](cb))), ([], []))[1].append(v)
-            if len(parts) == 1:
+            pieces: dict[tuple, list[int]] = {}
+            for v in members:
+                pieces.setdefault(tuple(sorted(sign[v](colors))), []).append(v)
+            if len(pieces) == 1:
                 continue
-            for i, key in enumerate(sorted(parts)):
-                part_a, part_b = parts[key]
-                part_a = tuple(part_a)
-                if diagonal:
-                    part_b = part_a
-                elif len(part_a) != len(part_b):
-                    return None
-                else:
-                    part_b = tuple(part_b)
-                if i == 0:
-                    cells[c] = part_a, part_b
-                    continue
+            first, *rest = sorted(pieces)
+            cells[c] = tuple(pieces[first])
+            for key in rest:
+                piece = tuple(pieces[key])
                 fresh = len(cells)
-                cells.append((part_a, part_b))
-                for v in part_a:
-                    ca[v] = fresh
-                moved_a += part_a
-                if not diagonal:
-                    for v in part_b:
-                        cb[v] = fresh
-                    moved_b += part_b
-    return pair
+                cells.append(piece)
+                for v in piece:
+                    colors[v] = fresh
+                moved += piece
+    return part
 
 
-def _individualize(a, b, pair, v, u):
-    """Copy of pair, an equitable pair in which v and u share a color,
-    with v and u alone in a fresh color, refined from them; or None.
-    The copy stays diagonal, one list for both sides, only when pair is
-    diagonal and v == u; otherwise each side gets its own list, so a
-    search from a diagonal level partition is always two-sided and never
-    writes to the level's lists."""
-    ca, cb, cells = pair
-    diagonal = ca is cb and v == u
-    cells = cells[:]
-    members_a, members_b = cells[ca[v]]
-    rest_a = tuple(x for x in members_a if x != v)
-    if diagonal:
-        ca = cb = ca[:]
-        cells[ca[v]] = rest_a, rest_a
-    else:
-        ca, cb = ca[:], cb[:]
-        cells[ca[v]] = rest_a, tuple(x for x in members_b if x != u)
-    ca[v] = cb[u] = len(cells)
-    cells.append(((v,), (u,)))
-    return _refine(a, b, (ca, cb, cells), [v], [u])
+def _individualize(side, part, v):
+    """Copy of part, an equitable partition, with v alone in a fresh
+    color, refined from v; part itself is not written."""
+    colors, cells = part[0][:], part[1][:]
+    c = colors[v]
+    cells[c] = tuple(x for x in cells[c] if x != v)
+    colors[v] = len(cells)
+    cells.append((v,))
+    return _refine(side, (colors, cells), [v])
+
+
+def _twins(a, b, pa, pb) -> bool:
+    """Whether pa and pb, equitable partitions of sides a and b, are
+    twins: equally many classes, each the size of its twin, and one
+    member of each with the sorted signature of one member of the twin
+    (members of an equitable class share theirs); sizes alone do not
+    suffice.  On a discrete pair this checks each vertex's neighbors
+    against its image's, so the mapping it names is an isomorphism."""
+    (ca, cells_a), (cb, cells_b) = pa, pb
+    if len(cells_a) != len(cells_b):
+        return False
+    sign_a, sign_b = a.sign, b.sign
+    for xa, xb in zip(cells_a, cells_b):
+        if len(xa) != len(xb) or sorted(sign_a[xa[0]](ca)) != sorted(sign_b[xb[0]](cb)):
+            return False
+    return True
 
 
 def _verify_mapping(a, b, m) -> bool:
     """Whether m is a bijection from side a's vertices onto side b's
     that carries a's out-arcs onto b's, compared as sets of arc codes.
-    Graphs and digraphs have no parallel arcs and a bijection maps
-    distinct codes to distinct codes, so equal sets hold equally many
-    codes and the arc lists correspond one to one.  Every in-arc is
-    another vertex's out-arc, so this checks every neighbor list, in-arcs
-    included."""
+    With no parallel arcs, equal sets pair the two arc lists one to one,
+    and every in-arc is another vertex's out-arc, so this checks every
+    neighbor list, in-arcs included."""
     n = len(a.nbrs)
     if sorted(m) != list(range(n)):
         return False
@@ -420,99 +389,80 @@ def _verify_mapping(a, b, m) -> bool:
     return set(map(add, map(scaled.__getitem__, a.tails), map(m.__getitem__, a.heads))) == b.codes
 
 
-def _search(a, b, pair):
+def _search(a, b, pa, pb):
     """Arc-preserving bijection from side a to side b that maps each
-    color class of pair, an equitable pair or None, onto its twin; or
-    None when there is none.
+    color class of pa onto its twin in pb, both equitable partitions;
+    or None when there is none.
 
-    The root pair is the refined unit partition for an isomorphism test;
-    for an automorphism search it is a base level's partition with the
-    base point individualized against one candidate image.
-    Depth first over an explicit stack of frames, each a node's pair and
-    the candidates it has left, so no depth raises RecursionError.  A
-    node branches on its smallest non-singleton class: the least member
-    on side a is individualized against each member on side b in turn.
-    Each child copies its node's pair, gives the two one fresh color and
-    refines incrementally from them alone; ids are stable, so the
-    child's classes are its parent's, split.
+    Depth first over an explicit stack of frames, so no depth raises
+    RecursionError.  A node that fails _twins is refuted.  Otherwise it
+    branches on its smallest non-singleton class: side a's least member
+    is individualized once, and the frame keeps that child, the node's
+    pb and the members on side b left to individualize in pb in turn.
+    A discrete node's mapping is returned once _verify_mapping accepts
+    it.
+
+    The result is that of refining both sides in lockstep, as one
+    coloring that ends a node at the first class whose parts differ in
+    size.  Take a node with an isomorphism that carries each vertex
+    individualized on side a to its partner on side b.  It carries each
+    refinement step on one side onto the same step on the other, so the
+    one-sided partitions are the lockstep pair, id for id, with the same
+    branching class and candidates.  A node with no such isomorphism has
+    no verified leaf below it, refuted or not.  So the first mapping
+    found, and each generator of automorphism_group, is the lockstep
+    search's; only the cost of nodes with none below them differs.
     """
     stack = []
     while True:
-        if pair is not None:
-            ca, _cb, cells = pair
-            split = [(len(x), c) for c, (x, _y) in enumerate(cells) if len(x) > 1]
+        if _twins(a, b, pa, pb):
+            (ca, cells_a), cells_b = pa, pb[1]
+            split = [(len(x), c) for c, x in enumerate(cells_a) if len(x) > 1]
             if not split:
-                m = [cells[c][1][0] for c in ca]
+                m = [cells_b[c][0] for c in ca]
                 if _verify_mapping(a, b, m):
                     return tuple(m)
             else:
-                members_a, members_b = cells[min(split)[1]]
-                stack.append((pair, min(members_a), sorted(members_b, reverse=True)))
+                c = min(split)[1]
+                child = _individualize(a, pa, min(cells_a[c]))
+                stack.append((child, pb, sorted(cells_b[c], reverse=True)))
         while stack and not stack[-1][2]:
             stack.pop()
         if not stack:
             return None
-        node, v, candidates = stack[-1]
-        pair = _individualize(a, b, node, v, candidates.pop())
+        pa, node_b, candidates = stack[-1]
+        pb = _individualize(b, node_b, candidates.pop())
 
 
 def _levels(side):
     """The base levels of the automorphism search over side: (levels,
-    the discrete partition), where levels holds (P_i, b_i, the class of
-    b_i in P_i, sorted) for each i and the discrete partition is P_k,
-    the last P_i with b_i individualized.  Every P_i is a diagonal pair,
-    refined on one side only."""
-    n = len(side.nbrs)
-    pair = _refine(side, side, _unit_pair(n, True), range(n), ())
+    P_k), where levels holds (P_i, b_i, the class of b_i in P_i, sorted)
+    for each i and P_k, the last P_i with b_i individualized, is
+    discrete."""
+    part = _root(side)
     levels = []
     while True:
-        split = [a for a, _b in pair[2] if len(a) > 1]
+        split = [x for x in part[1] if len(x) > 1]
         if not split:
-            return levels, pair
+            return levels, part
         target = max(split, key=len)
         b = min(target)
-        levels.append((pair, b, sorted(target)))
-        pair = _individualize(side, side, pair, b, b)
-
-
-def _candidate(side, level, below, u):
-    """The pair from which to search for an automorphism taking b_i to
-    u, or None when refinement refutes one: level is P_i and below is
-    P_{i+1}, P_i with b_i individualized.  Only P_i with u individualized
-    is refined, as a diagonal pair.  It is accepted when each class has
-    the size of its twin in P_{i+1} and one member of each has the
-    signature of one member of the twin, so the two make an equitable
-    pair; sizes alone do not suffice.  P_{i+1}'s lists are then its side
-    a, and no search writes to them.  The tests check that this is the
-    pair, id for id, that individualizing b_i against u in P_i on two
-    sides gives, and None where that gives None."""
-    ca, _ca, cells_a = below
-    cb, _cb, cells_b = _individualize(side, side, level, u, u)
-    if len(cells_b) != len(cells_a):
-        return None
-    sign = side.sign
-    for (xa, _ya), (xb, _yb) in zip(cells_a, cells_b):
-        if len(xa) != len(xb) or sorted(sign[xa[0]](ca)) != sorted(sign[xb[0]](cb)):
-            return None
-    return ca, cb, [(xa, xb) for (xa, _ya), (xb, _yb) in zip(cells_a, cells_b)]
+        levels.append((part, b, sorted(target)))
+        part = _individualize(side, part, b)
 
 
 def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     """Full automorphism group, as generators with its exact order.
 
-    The unit partition is refined to an equitable one, P_0.  Base point b_i
-    is the least member of the largest non-singleton class of P_i (the
-    oldest id among equals), and P_{i+1} is P_i with b_i individualized
-    and refined incrementally from it alone, so each level partition is
-    built once (_levels).  Each P_i is a diagonal pair, refined on one
-    side only.  A search for an automorphism taking b_i to another point
-    u starts from P_{i+1} paired with P_i with u individualized, refined
-    on its own and checked against P_{i+1} (_candidate); only the nodes
-    below that start refine two sides, and none writes to a level's
-    lists.  The levels are settled deepest first: the generators
-    found at levels >= i fix b_0..b_{i-1}, and a search from P_i with
-    b_i individualized against each class member outside the orbit of
-    b_i under them adds a generator or certifies the gap.  The seeds
+    The unit partition is refined to an equitable one, P_0.  Base point
+    b_i is the least member of the largest non-singleton class of P_i
+    (the oldest id among equals), and P_{i+1} is P_i with b_i
+    individualized, each built once (_levels).  A search for an
+    automorphism taking b_i to u starts from P_{i+1} and P_i with u
+    individualized, and writes to no level.  The levels are settled
+    deepest first: the generators found at levels >= i fix
+    b_0..b_{i-1}, and a search for each class member outside the orbit
+    of b_i under them adds a generator or certifies the gap.  The seeds
     (candidate permutations) fix no base point, so they are tried at
     level 0 only.  One joins, after verification, only when it moves b_0
     outside the orbit found so far: the deeper generators already
@@ -531,13 +481,13 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
     order = 1
     stabilizer = None
     for level in reversed(range(len(levels))):
-        pair, b, cell = levels[level]
+        part, b, cell = levels[level]
         below = levels[level + 1][0] if level + 1 < len(levels) else discrete
         orbit = _point_orbit(gens, b)
         if level == 0:
             stabilizer = PermGroup(n, tuple(gens))
             stabilizer._order = order
-            stabilizer._base = tuple(b for _pair, b, _cell in levels[1:])
+            stabilizer._base = tuple(b for _part, b, _cell in levels[1:])
             for s in map(tuple, seeds):
                 if len(s) == n and s[b] not in orbit and _verify_mapping(side, side, s):
                     gens.append(s)
@@ -545,14 +495,14 @@ def automorphism_group(x: Graph | Digraph, seeds=()) -> PermGroup:
         for u in cell:
             if u in orbit:
                 continue
-            m = _search(side, side, _candidate(side, pair, below, u))
+            m = _search(side, side, below, _individualize(side, part, u))
             if m is not None:
                 gens.append(m)
                 orbit = _point_orbit(gens, b)
         order *= len(orbit)
     group = PermGroup(n, tuple(gens))
     group._order = order
-    group._base = tuple(b for _pair, b, _cell in levels)
+    group._base = tuple(b for _part, b, _cell in levels)
     group._stabilizer = group if stabilizer is None else stabilizer
     return group
 
@@ -709,12 +659,11 @@ def gl32_elements():
 def _isomorphism(a: Graph | Digraph, b: Graph | Digraph):
     """Explicit bijection from a to b preserving adjacency, or None.
     Equal orders are checked first; the search then starts from the unit
-    partition on both sides, refined as one two-sided pair."""
-    n = a.order
-    if b.order != n:
+    partition refined on each side."""
+    if b.order != a.order:
         return None
     sa, sb = _side(a), _side(b)
-    return _search(sa, sb, _refine(sa, sb, _unit_pair(n, False), range(n), range(n)))
+    return _search(sa, sb, _root(sa), _root(sb))
 
 
 def digraph_isomorphic(a: Digraph, b: Digraph):

@@ -94,7 +94,12 @@ class TestParse:
             parse_graph6("C~~")
 
     def test_rejects_out_of_range_byte(self):
-        with pytest.raises(Graph6Error):
+        # an ASCII byte below 63, past the ASCII check
+        with pytest.raises(Graph6Error, match="data byte 33"):
+            parse_graph6("C!")
+
+    def test_rejects_non_ascii_text(self):
+        with pytest.raises(Graph6Error, match="ASCII"):
             parse_graph6("C" + chr(200))
 
     def test_rejects_nonzero_padding(self):

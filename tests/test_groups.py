@@ -228,8 +228,8 @@ def maps_onto(m, n, arcs, target, directed):
 
 
 CATALOG_GROUPS_SHA256 = "ed9af48e097712d032e1819cf3a518d5bb3b3821c293ec25eb22246f6ac3fa29"
-# two-sided _refine calls of automorphism_group over the twelve hosts
-TWO_SIDED_REFINES = 55
+# _individualize calls of automorphism_group over the twelve hosts
+INDIVIDUALIZE_CALLS = 188
 SOLVABLE = ["k4", "k33", "q3", "dodecahedral", "desargues", "coxeter", "tutte"]
 CHAIN_CASES = [("host", n.value) for n in CdtName] + [("separator", t) for t in SOLVABLE]
 
@@ -419,12 +419,31 @@ def reference_refine(ta, tb, pair, moved_a, moved_b):
     return pair
 
 
-def two_sided_levels(side):
+def unit(n):
+    """The unit partition (colors, cells) of n vertices, unrefined."""
+    return [0] * n, [tuple(range(n))] if n else []
+
+
+def reference_pair(part, two_sided):
+    """part, a partition (colors, cells) of one side, as a reference
+    pair: its colors on both sides, one list for both unless two_sided,
+    and each class twinned with itself."""
+    ca = part[0][:]
+    return ca, ca[:] if two_sided else ca, [(x, x) for x in part[1]]
+
+
+def sides_of(pair):
+    """The two partitions (colors, cells) of a reference pair."""
+    ca, cb, cells = pair
+    return (ca, [x for x, _y in cells]), (cb, [y for _x, y in cells])
+
+
+def two_sided_levels(t, n):
     """Reference: the base levels of the automorphism search built as
-    in groups._levels, but from a root pair whose two sides are separate
-    lists (ca is not cb), so every refine signs both sides."""
-    n = len(side.nbrs)
-    pair = groups._refine(side, side, groups._unit_pair(n, False), range(n), range(n))
+    in groups._levels, but by reference_refine over t, tagged adjacency
+    of n vertices, from a root pair whose two sides are separate lists
+    (ca is not cb), so every refine signs both sides."""
+    pair = reference_refine(t, t, reference_pair(unit(n), True), range(n), range(n))
     levels = []
     while True:
         split = [a for a, _b in pair[2] if len(a) > 1]
@@ -433,7 +452,7 @@ def two_sided_levels(side):
         target = max(split, key=len)
         b = min(target)
         levels.append((pair, b, sorted(target)))
-        pair = groups._individualize(side, side, pair, b, b)
+        pair = reference_refine(t, t, unrefined(pair, b, b, True), [b], [b])
 
 
 def level_structures(analysis_of):
@@ -458,15 +477,15 @@ def level_structures(analysis_of):
 
 
 def unrefined(pair, v, u, two_sided):
-    """A copy of pair, a diagonal level partition, with v on side a and
-    u on side b alone in a fresh color and not yet refined; the copy is
-    diagonal, one list for both sides, unless two_sided."""
-    ca, _cb, cells = pair
+    """A copy of pair, a reference pair, with v on side a and u on side
+    b alone in a fresh color and not yet refined; the copy is diagonal,
+    one list for both sides, unless two_sided."""
+    ca, cb, cells = pair
     ca = ca[:]
-    cb = ca[:] if two_sided else ca
+    cb = cb[:] if two_sided else ca
     cells = cells[:]
-    members = cells[ca[v]][0]
-    cells[ca[v]] = tuple(w for w in members if w != v), tuple(w for w in members if w != u)
+    members_a, members_b = cells[ca[v]]
+    cells[ca[v]] = tuple(w for w in members_a if w != v), tuple(w for w in members_b if w != u)
     ca[v] = cb[u] = len(cells)
     cells.append(((v,), (u,)))
     return ca, cb, cells
@@ -474,39 +493,44 @@ def unrefined(pair, v, u, two_sided):
 
 class TestSigners:
     """_refine signs members with per-vertex signers; the tagged list
-    comprehension it replaced is the reference."""
+    comprehension it replaced, in the two-sided reference refine, is the
+    reference."""
 
     @pytest.fixture(scope="class")
     def structures(self, analysis_of):
         return level_structures(analysis_of) + cubic_and_circulant_structures()
 
     def test_refine_equals_the_tagged_reference(self, structures):
+        # the one-sided refine equals the reference on one list and on two
+        # equal lists; individualizing b on side a and u on side b, _twins
+        # accepts exactly where the two-sided reference gives a pair, and
+        # the two partitions are then its two sides
         checked = refuted = 0
         for label, x in structures:
             side, t, n = groups._side(x), tagged_adj(x), x.order
+            root = groups._root(side)
             for two_sided in (False, True):
-                def root():
-                    return groups._unit_pair(n, not two_sided)
-
-                got = groups._refine(side, side, root(), range(n), range(n))
-                assert got == reference_refine(t, t, root(), range(n), range(n)), label
-            for pair, b, cell in groups._levels(side)[0]:
+                want = reference_refine(t, t, reference_pair(unit(n), two_sided), range(n), range(n))
+                assert sides_of(want) == (root, root), label
+            for part, b, cell in groups._levels(side)[0]:
                 starts = [(b, False), (b, True)] + [(u, True) for u in cell[1:7]]
                 for u, two_sided in starts:
-                    got = groups._refine(side, side, unrefined(pair, b, u, two_sided), [b], [u])
+                    pa, pb = (groups._individualize(side, part, w) for w in (b, u))
+                    pair = reference_pair(part, two_sided)
                     want = reference_refine(t, t, unrefined(pair, b, u, two_sided), [b], [u])
-                    assert got == want, (label, b, u)
-                    assert got is None or (got[0] is got[1]) == (not two_sided), label
+                    assert groups._twins(side, side, pa, pb) == (want is not None), (label, b, u)
+                    assert want is None or sides_of(want) == (pa, pb), (label, b, u)
                     checked += 1
-                    refuted += got is None
+                    refuted += want is None
         assert any(0 in map(len, getattr(x, "adj", ())) for _, x in structures)
         assert any(1 in map(len, getattr(x, "adj", ())) for _, x in structures)
         assert checked > 2500 and refuted > 200
 
 
 class TestDiagonalLevels:
-    """The automorphism search refines each level partition as one
-    diagonal pair, one color list for both sides."""
+    """The automorphism search refines each level partition on one side;
+    the reference, refining two equal copies in lockstep, gives the same
+    partition on both sides, id for id."""
 
     @pytest.fixture(scope="class")
     def structures(self, analysis_of):
@@ -514,19 +538,14 @@ class TestDiagonalLevels:
 
     def test_equal_to_the_two_sided_refine(self, structures):
         for label, x in structures:
-            side = groups._side(x)
-            (diagonal, discrete), (reference, ref_discrete) = (
-                groups._levels(side), two_sided_levels(side))
-            assert len(diagonal) == len(reference), label
-            for (pair, b, cell), (ref_pair, ref_b, ref_cell) in zip(diagonal, reference):
-                ca, cb, cells = pair
-                ref_ca, ref_cb, ref_cells = ref_pair
-                assert ca is cb and ref_ca is not ref_cb, label
-                assert ca == ref_ca == ref_cb, label
-                assert cells == ref_cells, label
+            (levels, discrete), (reference, ref_discrete) = (
+                groups._levels(groups._side(x)), two_sided_levels(tagged_adj(x), x.order))
+            assert len(levels) == len(reference), label
+            for (part, b, cell), (ref_pair, ref_b, ref_cell) in zip(levels, reference):
+                assert sides_of(ref_pair) == (part, part), label
                 assert (b, cell) == (ref_b, ref_cell), label
-            assert discrete[0] is discrete[1] and discrete[0] == ref_discrete[0], label
-            assert discrete[2] == ref_discrete[2] and all(len(a) == 1 for a, _ in discrete[2])
+            assert sides_of(ref_discrete) == (discrete, discrete), label
+            assert all(len(x) == 1 for x in discrete[1]), label
         assert any(x.order == 0 for _, x in structures)
         assert any(x.order == 1 for _, x in structures)
 
@@ -571,50 +590,95 @@ def candidate_structures(analysis_of):
     return out
 
 
+def walk_beside_the_reference(a, b, ta, tb, pa, pb, pair, nodes):
+    """groups._search from the node (pa, pb) of sides a and b, whose
+    tagged adjacency is ta and tb, walked node by node beside the
+    two-sided reference: pair is the node's reference pair, or None
+    where the reference refutes it.  Wherever the reference gives a
+    pair, the two partitions must be its two sides, and _twins may
+    accept only there.  Each node is counted in nodes by (whether
+    _twins accepts it, whether the reference gives a pair); the mapping
+    found is returned."""
+    stack = []
+    while True:
+        accepted = groups._twins(a, b, pa, pb)
+        assert pair is not None or not accepted
+        assert pair is None or sides_of(pair) == (pa, pb)
+        nodes[accepted, pair is not None] += 1
+        if accepted:
+            split = [(len(x), c) for c, x in enumerate(pa[1]) if len(x) > 1]
+            if not split:
+                m = tuple(pb[1][c][0] for c in pa[0])
+                if groups._verify_mapping(a, b, m):
+                    return m
+            else:
+                c = min(split)[1]
+                v = min(pa[1][c])
+                child = groups._individualize(a, pa, v)
+                stack.append((child, pb, pair, v, sorted(pb[1][c], reverse=True)))
+        while stack and not stack[-1][-1]:
+            stack.pop()
+        if not stack:
+            return None
+        pa, node_b, node_pair, v, candidates = stack[-1]
+        u = candidates.pop()
+        pb = groups._individualize(b, node_b, u)
+        pair = reference_refine(ta, tb, unrefined(node_pair, v, u, True), [v], [u])
+
+
 class TestCandidateStart:
-    """The automorphism search refines each candidate image of a base
-    point on one side and pairs it with the stored level below."""
+    """The automorphism search refines each side of every node on its
+    own and matches the two with _twins; the two-sided reference refine
+    is the oracle, from each candidate start down through its search."""
 
     def test_equals_the_two_sided_individualize(self, analysis_of):
         rng = random.Random(26)
         tried, refuted, sizes_only = Counter(), Counter(), Counter()
+        deeper = 0  # accepted nodes below the starts
         for label, x in candidate_structures(analysis_of):
-            side = groups._side(x)
+            side, t = groups._side(x), tagged_adj(x)
             levels, discrete = groups._levels(side)
-            for i, (pair, b, cell) in enumerate(levels):
+            family = label.split("-")[0]
+            for i, (part, b, cell) in enumerate(levels):
                 below = levels[i + 1][0] if i + 1 < len(levels) else discrete
                 others = [u for u in cell if u != b]
                 for u in others if len(others) <= 40 else rng.sample(others, 40):
-                    one_sided = groups._candidate(side, pair, below, u)
-                    two_sided = groups._individualize(side, side, pair, b, u)
-                    assert one_sided == two_sided, (label, b, u)
-                    family = label.split("-")[0]
+                    start = groups._individualize(side, part, u)
+                    pair = reference_refine(t, t, unrefined(reference_pair(part, True), b, u, True),
+                                            [b], [u])
+                    nodes = Counter()
+                    found = walk_beside_the_reference(side, side, t, t, below, start, pair, nodes)
+                    assert found == groups._search(side, side, below, start), (label, b, u)
                     tried[family] += 1
-                    if one_sided is None:
+                    # in the automorphism search _twins accepts exactly
+                    # where the reference gives a pair
+                    assert nodes[False, True] == 0, (label, b, u)
+                    deeper += nodes[True, True] - (pair is not None)
+                    if pair is None:
                         refuted[family] += 1
                         # would class sizes alone have accepted it?
-                        image = groups._individualize(side, side, pair, u, u)
-                        sizes_only[family] += [len(a) for a, _b in image[2]] == [
-                            len(a) for a, _b in below[2]]
+                        sizes_only[family] += list(map(len, start[1])) == list(map(len, below[1]))
         assert tried["cubic"] > 700 and tried["cubic"] > refuted["cubic"] > tried["cubic"] / 2
         assert tried["gp"] > refuted["gp"] > 100 and tried["circulant"] > 400
         assert sizes_only["cubic"] > 100
         assert all(tried[name.value.split("-")[0]] > 10 for name in CdtName)
+        assert deeper > 2000
 
-    def test_two_sided_refines_over_the_hosts(self, monkeypatch):
-        # the candidate starts refine one side, so only the nodes below
-        # them refine two
-        calls = Counter()
-        original = groups._refine
+    def test_individualize_calls_over_the_hosts(self, monkeypatch):
+        # the levels individualize each base point once, and each search
+        # node side a's branching vertex once and each candidate on side b
+        calls = 0
+        original = groups._individualize
 
-        def counted(a, b, pair, moved_a, moved_b):
-            calls[pair[0] is not pair[1]] += 1
-            return original(a, b, pair, moved_a, moved_b)
+        def counted(side, part, v):
+            nonlocal calls
+            calls += 1
+            return original(side, part, v)
 
-        monkeypatch.setattr(groups, "_refine", counted)
+        monkeypatch.setattr(groups, "_individualize", counted)
         for name in CdtName:
             automorphism_group(build_cdt(name)[0])
-        assert calls[True] == TWO_SIDED_REFINES
+        assert calls == INDIVIDUALIZE_CALLS
 
 
 class TestVerifyMapping:
@@ -648,15 +712,17 @@ class TestVerifyMapping:
         assert groups._verify_mapping(a, a, (1, 2, 0))
 
     def test_search_returns_only_verified_mappings(self):
-        # a discrete pair that refinement would not have left standing:
-        # the search still checks the one mapping it names
+        # a discrete pair names one mapping, which the search returns only
+        # when it is an isomorphism; _twins refutes the transposition
         path = groups._side(path3())
 
         def discrete(m):
-            return [0, 1, 2], list(inverse(m)), [((v,), (m[v],)) for v in range(3)]
+            return list(inverse(m)), [(w,) for w in m]
 
-        assert groups._search(path, path, discrete((1, 0, 2))) is None
-        assert groups._search(path, path, discrete((2, 1, 0))) == (2, 1, 0)
+        identity = discrete((0, 1, 2))
+        assert not groups._twins(path, path, identity, discrete((1, 0, 2)))
+        assert groups._search(path, path, identity, discrete((1, 0, 2))) is None
+        assert groups._search(path, path, identity, discrete((2, 1, 0))) == (2, 1, 0)
 
     def test_rejects_different_arc_counts(self):
         path, triangle = groups._side(path3()), groups._side(circulant(3, [1]))
@@ -874,9 +940,11 @@ class TestIsomorphism:
         # every other pair is regular: two random cubic graphs, or two
         # digraphs with two out-arcs and two in-arcs at every vertex.  They
         # share their degrees, so refining the unit partition often
-        # leaves them standing and the search itself has to refute them
+        # leaves them standing and the search itself has to refute them.
+        # Every search is walked beside the two-sided reference refine
         rng = random.Random(13)
         searched = 0
+        nodes = Counter()
         for case in range(400):
             if case % 2:
                 n = 2 * rng.randint(2, 7)
@@ -900,15 +968,19 @@ class TestIsomorphism:
                 graph.add_edges_from(edges)
             matcher = nx.isomorphism.DiGraphMatcher if directed else nx.isomorphism.GraphMatcher
             m = isomorphic(n, *sides, directed)
+            build = build_digraph if directed else build_graph
+            xa, xb = (build(n, x) for x in sides)
+            a, b = groups._side(xa), groups._side(xb)
+            ta, tb = tagged_adj(xa), tagged_adj(xb)
+            pair = reference_refine(ta, tb, reference_pair(unit(n), True), range(n), range(n))
+            root = groups._root(a), groups._root(b)
+            assert walk_beside_the_reference(a, b, ta, tb, *root, pair, nodes) == m, sides
             if matcher(*oracle).is_isomorphic():
                 assert maps_onto(m, n, *sides, directed), sides
             else:
                 assert m is None, sides
-                build = build_digraph if directed else build_graph
-                a, b = (groups._side(build(n, x)) for x in sides)
-                root = groups._unit_pair(n, False)
-                searched += groups._refine(a, b, root, range(n), range(n)) is not None
-        assert searched > 10
+                searched += pair is not None
+        assert searched > 10 and nodes[False, False] > 1000
 
     def test_coxeter_reference_matrices_refuted(self, analysis_of):
         # the reference pair's Cayley digraph is not the separator; the

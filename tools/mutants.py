@@ -214,6 +214,14 @@ MUTANTS = (
         ("tests/test_groups.py::TestRegularSubgroups::"
          "test_orders_are_read_at_zero_beyond_the_points",),
     ),
+    # the partition search: twin partitions
+    Mutant(
+        "twins-sizes-only", "src/cdtsep/groups.py",
+        "if len(xa) != len(xb) or sorted(sign_a[xa[0]](ca)) != sorted(sign_b[xb[0]](cb)):",
+        "if len(xa) != len(xb):",
+        ("tests/test_groups.py::TestCandidateStart::test_equals_the_two_sided_individualize",
+         "tests/test_groups.py::TestSigners::test_refine_equals_the_tagged_reference"),
+    ),
     # the Cayley walk
     Mutant(
         "cayley-walk-conflict-unchecked", "src/cdtsep/groups.py",
@@ -223,6 +231,12 @@ MUTANTS = (
          "test_a_conflict_off_the_walk_tree_is_refused[k4]",
          "tests/test_groups.py::TestCayleyIsomorphism::"
          "test_a_conflict_off_the_walk_tree_is_refused[q3]"),
+    ),
+    Mutant(
+        "cayley-repeated-generator-unchecked", "src/cdtsep/groups.py",
+        "    if len(set(generators)) != len(generators):\n        raise GroupError(\"repeated generator\")\n",
+        "",
+        ("tests/test_groups.py::TestCayleyIsomorphism::test_a_repeated_generator_is_refused",),
     ),
     Mutant(
         "cayley-bijection-unchecked", "src/cdtsep/groups.py",
@@ -266,6 +280,13 @@ MUTANTS = (
         ("tests/test_graphs.py::TestOneSweepAgainstNetworkx::test_girth_distances_and_errors",),
     ),
     Mutant(
+        "disconnection-names-the-wrong-vertex", "src/cdtsep/graphs.py",
+        "j = ((balls[0] + 1) & ~balls[0]).bit_length() - 1",
+        "j = ((balls[0] + 1) & ~balls[0]).bit_length()",
+        ("tests/test_graphs.py::TestOneSweepAgainstNetworkx::test_girth_distances_and_errors",
+         "tests/test_graphs.py::TestBallsAndCutBfs::test_tiny_orders"),
+    ),
+    Mutant(
         "diameter-from-one", "src/cdtsep/graphs.py",
         "    diameter = 0\n    while min(balls) != full:",
         "    diameter = 1\n    while min(balls) != full:",
@@ -283,7 +304,8 @@ MUTANTS = (
         "graph6-byte-range-unchecked", "src/cdtsep/graph6.py",
         "if bad:",
         "if False:",
-        ("tests/test_graph6.py::TestAgainstTheBitDecoder::test_out_of_range_first_and_last_body_byte",),
+        ("tests/test_graph6.py::TestAgainstTheBitDecoder::test_out_of_range_first_and_last_body_byte",
+         "tests/test_graph6.py::TestParse::test_rejects_out_of_range_byte"),
     ),
 )
 
